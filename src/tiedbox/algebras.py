@@ -15,10 +15,10 @@
 from functools import lru_cache
 
 from .laurent import LaurentPoly, ZERO, ONE, Q, QINV, QDIFF, DELTA, \
-    LaurentFrac, echelon_insert
+    echelon_insert, echelon_reduce
 from .setpartitions import SetPartition, all_partitions, linear_partitions, \
     mobius_linear, mobius_partition
-from .diagrams import concat, jones_monoid, generator, perm_diagram
+from .diagrams import Diagram, concat, jones_monoid, generator, perm_diagram
 from .combinatorics import compositions
 from . import perms
 
@@ -131,6 +131,22 @@ class AlgebraElement:
 
 
 class _Algebra:
+    """One cached instance per algebra class and strand count n."""
+
+    _instances = {}
+
+    def __new__(cls, n):
+        key = (cls, n)
+        if key not in _Algebra._instances:
+            obj = super().__new__(cls)
+            obj.n = n
+            obj._first_use()
+            _Algebra._instances[key] = obj
+        return _Algebra._instances[key]
+
+    def _first_use(self):
+        """Runs once, when the instance for a given n is made."""
+
     def element(self, terms):
         return AlgebraElement(self, terms)
 
@@ -152,15 +168,6 @@ class _Algebra:
 
 class HeckeAlgebra(_Algebra):
     """Basis h_w, w in S_n; h_i^2 = 1 + (q - q^-1) h_i."""
-
-    _cache = {}
-
-    def __new__(cls, n):
-        if n not in cls._cache:
-            obj = super().__new__(cls)
-            obj.n = n
-            cls._cache[n] = obj
-        return cls._cache[n]
 
     def one_key(self):
         return perms.identity(self.n)
@@ -209,15 +216,6 @@ class HeckeAlgebra(_Algebra):
 class TLAlgebra(_Algebra):
     """Basis the Jones diagrams; concatenation, loops become q + q^-1."""
 
-    _cache = {}
-
-    def __new__(cls, n):
-        if n not in cls._cache:
-            obj = super().__new__(cls)
-            obj.n = n
-            cls._cache[n] = obj
-        return cls._cache[n]
-
     def one_key(self):
         return perm_diagram(perms.identity(self.n))
 
@@ -257,23 +255,11 @@ class BTAlgebra(_Algebra):
     of {1..n} and w in S_n.  Ties move through braid generators by the rule
     E_I g_w = g_w E_(I.act(w)), verified against the ramified monoid."""
 
-    _cache = {}
-
-    def __new__(cls, n):
-        if n not in cls._cache:
-            obj = super().__new__(cls)
-            obj.n = n
-            obj._echeck()
-            cls._cache[n] = obj
-        return cls._cache[n]
-
-    def _echeck(self):
-        """Assert the tie-transport convention once, at the monoid level:
-        the diagram of w times a tie e_Q equals e_(Q.act(w^-1)) times w."""
-        n = min(self.n, 3)
-        if n < 3:
-            n = 3
-        from .diagrams import Diagram
+    def _first_use(self):
+        """Assert the tie-transport convention at the monoid level, on 3
+        strands: the diagram of w times a tie e_Q equals e_(Q.act(w^-1))
+        times w."""
+        n = 3
         for w in perms.all_perms(n):
             wd = perm_diagram(w)
             for q_part in all_partitions(range(1, n + 1)):
@@ -370,22 +356,12 @@ class BTAlgebra(_Algebra):
 
 def _tie_diagram(n, p):
     blocks = [tuple(b) + tuple(n + x for x in b) for b in p.blocks]
-    from .diagrams import Diagram
     return Diagram(n, blocks)
 
 
 class BHAlgebra(_Algebra):
     """Tied-boxed Hecke algebra; basis E_I z_w with I a linear partition of
     {1..n} and w preserving the blocks of I."""
-
-    _cache = {}
-
-    def __new__(cls, n):
-        if n not in cls._cache:
-            obj = super().__new__(cls)
-            obj.n = n
-            cls._cache[n] = obj
-        return cls._cache[n]
 
     def one_key(self):
         return (SetPartition.singletons(range(1, self.n + 1)),
@@ -479,15 +455,6 @@ class BTLAlgebra(_Algebra):
     basis key is (composition mu, tuple of Jones diagrams per block), and
     keys with different compositions multiply to zero (they sit under
     orthogonal central idempotents)."""
-
-    _cache = {}
-
-    def __new__(cls, n):
-        if n not in cls._cache:
-            obj = super().__new__(cls)
-            obj.n = n
-            cls._cache[n] = obj
-        return cls._cache[n]
 
     def one_key(self):
         raise ValueError("the identity is not a single basis key here")
@@ -639,20 +606,5 @@ def ideal_span(algebra, gens):
 
 
 def reduce_against(rows, row):
-    """Reduce a coordinate row against an echelon basis; True if it lies in
-    the row space."""
-    r = {}
-    for j, v in row.items():
-        f = LaurentFrac(v)
-        if f:
-            r[j] = f
-    for pc, prow in rows:
-        if pc in r:
-            f = r[pc] / prow[pc]
-            for j, v in prow.items():
-                w = r.get(j, LaurentFrac(0)) - f * v
-                if w:
-                    r[j] = w
-                else:
-                    r.pop(j, None)
-    return not r
+    """True if a coordinate row lies in the row space of an echelon basis."""
+    return not echelon_reduce(rows, row)

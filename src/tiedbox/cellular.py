@@ -2,8 +2,7 @@
 Temperley-Lieb shadow, and the tied-boxed versions built from Mobius
 idempotents and blockwise Murphy elements."""
 
-from .laurent import LaurentPoly, ZERO, ONE, Q, LaurentFrac, matrix_rank, \
-    CoeffMatrix
+from .laurent import ZERO, Q, LaurentFrac
 from .combinatorics import int_partitions, compositions, standard_tableaux, \
     d_of_tableau, multipartitions_of_composition, initial_kind_multitableaux, \
     d_of_multitableau, strictly_dominates, two_column_partitions
@@ -129,19 +128,17 @@ def btl_cellular(n):
 
 
 def transition_matrix(datum):
-    """Rows: cellular elements expanded in the structural basis."""
+    """Rows: cellular elements expanded in the structural basis, as sparse
+    coordinate rows (dict col -> LaurentPoly), one per triple."""
     index = basis_index(datum.algebra)
     triples = datum.triples()
-    m = CoeffMatrix(len(triples), len(index))
-    for r, tri in enumerate(triples):
-        for j, v in coords(datum.elements[tri], index).items():
-            m.data[(r, j)] = v
-    return m, triples, index
+    rows = [coords(datum.elements[tri], index) for tri in triples]
+    return rows, triples, index
 
 
-def _frac_inverse(m, dim):
+def _frac_inverse(rows, dim):
     """Dense Gauss-Jordan inverse over the fraction field."""
-    a = [[LaurentFrac(m.data.get((i, j), ZERO)) for j in range(dim)]
+    a = [[LaurentFrac(rows[i].get(j, ZERO)) for j in range(dim)]
          + [LaurentFrac(1 if j == i else 0) for j in range(dim)]
          for i in range(dim)]
     for col in range(dim):
@@ -178,13 +175,13 @@ def cell_axiom_check(datum, generators, max_products=None):
 
     Returns a report dict with status and a witness on failure.
     """
-    m, triples, index = transition_matrix(datum)
+    rows, triples, index = transition_matrix(datum)
     dim = len(triples)
     if dim != len(index):
         return {"status": "fail",
                 "witness": f"basis count {dim} != dimension {len(index)}"}
     try:
-        minv = _frac_inverse(m, dim)
+        minv = _frac_inverse(rows, dim)
     except ValueError as exc:
         return {"status": "fail", "witness": str(exc)}
     tri_pos = {tri: r for r, tri in enumerate(triples)}

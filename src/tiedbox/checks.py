@@ -40,7 +40,7 @@ from .diagrams import brauer_monoid, jones_monoid
 from .laurent import QDIFF, matrix_rank
 from .presentations import build_preset, presentation_check
 from .setpartitions import all_partitions, linear_partitions
-from .tensorrep import TensorRep, flatten_matrix, mat_add, mat_eq, mat_mul, mat_scale
+from .tensorrep import TensorRep, flatten_matrix, mat_add, mat_mul, mat_scale
 
 
 def record(name, expected, got):
@@ -142,10 +142,10 @@ def check_presentations(quick=False):
     for name, n in PRESENTATION_ROWS:
         if quick and n > 3:
             continue
-        report = presentation_check(*build_preset(name, n))
-        ok = report["status"] in ("pass", "inconclusive-fallback-pass")
-        recs.append(record(f"present:{name}:n={n}",
-                           "pass", report["status"] if not ok else "pass"))
+        status = presentation_check(*build_preset(name, n))["status"]
+        # an inconclusive verdict stays inconclusive (exit code 2), never pass
+        recs.append(dict(record(f"present:{name}:n={n}", "pass", status),
+                         status=status))
     return recs
 
 
@@ -160,29 +160,25 @@ def check_representation(seed=0):
     g1, g2 = rep.G(1), rep.G(2)
     z1, z2 = rep.Z(1), rep.Z(2)
     identities = {
-        "rep:tie-idempotent": mat_eq(mat_mul(e1, e1), e1),
-        "rep:ties-commute": mat_eq(mat_mul(e1, e2), mat_mul(e2, e1)),
-        "rep:braid": mat_eq(mat_mul(mat_mul(g1, g2), g1),
-                            mat_mul(mat_mul(g2, g1), g2)),
-        "rep:tie-braid-commute": mat_eq(mat_mul(g1, e1), mat_mul(e1, g1)),
-        "rep:tie-transport": mat_eq(mat_mul(e1, mat_mul(g2, g1)),
-                                    mat_mul(mat_mul(g2, g1), e2)),
-        "rep:tie-sandwich-a": mat_eq(mat_mul(mat_mul(e1, e2), g2),
-                                     mat_mul(mat_mul(e1, g2), e1)),
-        "rep:tie-sandwich-b": mat_eq(mat_mul(mat_mul(e1, g2), e1),
-                                     mat_mul(g2, mat_mul(e1, e2))),
-        "rep:braid-quadratic": mat_eq(
-            mat_mul(g1, g1),
-            mat_add(one, mat_scale(mat_mul(e1, g1), QDIFF))),
-        "rep:braid-inverse": mat_eq(mat_mul(g1, rep.G_inv(1)), one),
-        "rep:z-braid": mat_eq(mat_mul(mat_mul(z1, z2), z1),
-                              mat_mul(mat_mul(z2, z1), z2)),
-        "rep:z-absorbs-tie": mat_eq(mat_mul(e1, z1), z1),
-        "rep:z-tie-commute": mat_eq(mat_mul(e1, z2), mat_mul(z2, e1)),
-        "rep:z-quadratic": mat_eq(mat_mul(z1, z1),
-                                  mat_add(e1, mat_scale(z1, QDIFF))),
-        "rep:conjugated-tie": mat_eq(
-            rep.E_pair(1, 3), mat_mul(mat_mul(g1, e2), rep.G_inv(1))),
+        "rep:tie-idempotent": mat_mul(e1, e1) == e1,
+        "rep:ties-commute": mat_mul(e1, e2) == mat_mul(e2, e1),
+        "rep:braid": mat_mul(mat_mul(g1, g2), g1) == mat_mul(mat_mul(g2, g1), g2),
+        "rep:tie-braid-commute": mat_mul(g1, e1) == mat_mul(e1, g1),
+        "rep:tie-transport": (mat_mul(e1, mat_mul(g2, g1))
+                              == mat_mul(mat_mul(g2, g1), e2)),
+        "rep:tie-sandwich-a": (mat_mul(mat_mul(e1, e2), g2)
+                               == mat_mul(mat_mul(e1, g2), e1)),
+        "rep:tie-sandwich-b": (mat_mul(mat_mul(e1, g2), e1)
+                               == mat_mul(g2, mat_mul(e1, e2))),
+        "rep:braid-quadratic": (mat_mul(g1, g1)
+                                == mat_add(one, mat_scale(mat_mul(e1, g1), QDIFF))),
+        "rep:braid-inverse": mat_mul(g1, rep.G_inv(1)) == one,
+        "rep:z-braid": mat_mul(mat_mul(z1, z2), z1) == mat_mul(mat_mul(z2, z1), z2),
+        "rep:z-absorbs-tie": mat_mul(e1, z1) == z1,
+        "rep:z-tie-commute": mat_mul(e1, z2) == mat_mul(z2, e1),
+        "rep:z-quadratic": mat_mul(z1, z1) == mat_add(e1, mat_scale(z1, QDIFF)),
+        "rep:conjugated-tie": (rep.E_pair(1, 3)
+                               == mat_mul(mat_mul(g1, e2), rep.G_inv(1))),
     }
     recs = [bool_record(name, ok) for name, ok in identities.items()]
     for label, algebra, expected in (
@@ -213,11 +209,7 @@ def check_structure_constants(quick=False):
         for a in keys:
             for b in keys:
                 prod = algebra.basis_element(a) * algebra.basis_element(b)
-                lhs = mat_mul(mats[a], mats[b])
-                rhs = {}
-                for k, c in prod.terms.items():
-                    rhs = mat_add(rhs, mat_scale(rep.rho_bt(k), c))
-                if not mat_eq(lhs, rhs):
+                if mat_mul(mats[a], mats[b]) != rep.rho(prod):
                     bad += 1
         recs.append(record(f"structure:{label}:n=3:mismatches"
                            + (":sampled" if quick else ""), 0, bad))
@@ -316,9 +308,10 @@ def check_cellular(quick=False):
             recs.append(record(f"cell:{label}:count:n={n}",
                                datum.algebra.dim(), datum.size()))
             if n <= 3:
-                mat, _, _ = transition_matrix(datum)
+                rows, _, _ = transition_matrix(datum)
+                rank = matrix_rank(rows, mode="exact")
                 recs.append(record(f"cell:{label}:full-rank:n={n}",
-                                   datum.size(), matrix_rank(mat, mode="exact")))
+                                   datum.size(), rank))
                 recs.append(record(f"cell:{label}:star:n={n}", "pass",
                                    star_axiom_check(datum)["status"]))
     for n in (2, 3):

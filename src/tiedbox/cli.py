@@ -64,6 +64,14 @@ DIM_FAMILIES = {
 }
 
 
+def nonnegative_int(text):
+    """The argparse type of every strand count (--n, --max-n)."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -120,7 +128,7 @@ def exit_code(records):
     statuses = {r.get("status", "pass") for r in records}
     if any(s == "fail" for s in statuses):
         return 1
-    if any(s not in ("pass", "inconclusive-fallback-pass") for s in statuses):
+    if any(s != "pass" for s in statuses):
         return 2
     return 0
 
@@ -167,8 +175,8 @@ def cmd_cellular(args):
                 "expected": datum.algebra.dim(), "got": datum.size(),
                 "status": "pass" if datum.size() == datum.algebra.dim() else "fail"}]
     if args.n <= 3:
-        mat, _, _ = transition_matrix(datum)
-        rank = matrix_rank(mat, mode="exact")
+        rows, _, _ = transition_matrix(datum)
+        rank = matrix_rank(rows, mode="exact")
         records.append({"name": f"cellular:{args.family}:full-rank:n={args.n}",
                         "expected": datum.size(), "got": rank,
                         "status": "pass" if rank == datum.size() else "fail"})
@@ -232,28 +240,28 @@ def main(argv=None):
 
     p = add("enumerate", cmd_enumerate, help="count a monoid family")
     p.add_argument("--monoid", choices=sorted(MONOIDS), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=nonnegative_int, required=True)
     p.add_argument("--ramified", action="store_true",
                    help="also emit one element per line in text encoding")
 
     p = add("present-check", cmd_present_check,
             help="verify a monoid presentation by rewriting")
     p.add_argument("--preset", choices=PRESET_NAMES, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=nonnegative_int, required=True)
 
     p = add("dim", cmd_dim, help="dimension table by basis enumeration")
     p.add_argument("--family", choices=sorted(DIM_FAMILIES), required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=nonnegative_int, required=True)
 
     p = add("multiply", cmd_multiply, help="multiply two algebra elements")
     p.add_argument("--algebra", choices=sorted(ALGEBRAS), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=nonnegative_int, required=True)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
 
     p = add("cellular", cmd_cellular, help="build and validate a cellular basis")
     p.add_argument("--family", choices=sorted(CELLULAR), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=nonnegative_int, required=True)
 
     add("rep-check", cmd_rep_check, help="tensor representation oracle checks")
 
@@ -264,7 +272,7 @@ def main(argv=None):
 
     p = add("center", cmd_center, help="center of a ramified monoid")
     p.add_argument("--monoid", choices=sorted(MONOIDS), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=nonnegative_int, required=True)
 
     p = add("normal-form", cmd_normal_form,
             help="normal form of a ramified element")

@@ -2,10 +2,7 @@
 used throughout the package.  Everything is exact integer arithmetic."""
 
 from functools import lru_cache
-from itertools import permutations as _permutations
 from math import comb, factorial
-
-from . import perms
 
 __all__ = [
     "compositions", "int_partitions", "is_partition", "conjugate",

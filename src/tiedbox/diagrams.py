@@ -12,8 +12,7 @@ from . import perms
 
 __all__ = [
     "Diagram", "concat", "perm_diagram", "generator", "closure",
-    "boxed_diagram", "is_boxed", "boxed_composition", "mu_partitions",
-    "over", "shift_blocks", "separation_cuts", "boxed_decomposition",
+    "boxed_diagram", "is_boxed", "boxed_composition", "over", "shift_blocks",
     "symmetric_diagrams", "jones_monoid", "brauer_monoid", "partition_monoid",
 ]
 
@@ -206,44 +205,6 @@ def over(d1, d2):
     blocks = shift_blocks(d1.part.blocks, m, 0, m + n)
     blocks += shift_blocks(d2.part.blocks, n, m, 2 * m + n)
     return Diagram(m + n, blocks)
-
-
-def separation_cuts(d):
-    """Positions r where no block of d crosses the vertical cut after
-    strand r (0 < r < n)."""
-    n = d.n
-    cuts = []
-    for r in range(1, n):
-        left = set(range(1, r + 1)) | set(range(n + 1, n + r + 1))
-        ok = all(set(b) <= left or not (set(b) & left) for b in d.part.blocks)
-        if ok:
-            cuts.append(r)
-    return cuts
-
-
-def boxed_decomposition(d):
-    """Split d at every separation cut.  Returns the list of factors
-    (diagrams on fewer strands); their horizontal product is d."""
-    n = d.n
-    cuts = [0] + separation_cuts(d) + [n]
-    out = []
-    for a, b in zip(cuts, cuts[1:]):
-        m = b - a
-        points = list(range(a + 1, b + 1)) + list(range(n + a + 1, n + b + 1))
-        sub = d.part.restrict(points)
-        sub = sub.relabel(lambda x: x - a if x <= n else x - n - a + m)
-        out.append(Diagram(m, sub))
-    return out
-
-
-def mu_partitions(mu):
-    """All diagrams finer than b_mu: independent partition diagrams inside
-    each box, combined with horizontal products."""
-    out = [Diagram(0, SetPartition([], ()))]
-    for m in mu:
-        box = [Diagram(m, p) for p in all_partitions(range(1, 2 * m + 1))]
-        out = [over(d, x) for d in out for x in box]
-    return out
 
 
 def symmetric_diagrams(n):

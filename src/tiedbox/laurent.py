@@ -2,8 +2,8 @@
 
 This is the coefficient ring for all algebra computations in the package.
 No floating point is used anywhere; rank computations are either exact
-(fraction-free elimination) or probabilistic (modular evaluation at random
-points, seeded).
+(elimination over the fraction field, in `echelon_reduce`) or probabilistic
+(modular evaluation at random points, seeded).
 """
 
 from fractions import Fraction
@@ -11,7 +11,7 @@ import random
 
 __all__ = [
     "LaurentPoly", "ZERO", "ONE", "Q", "QINV", "QDIFF", "DELTA",
-    "LaurentFrac", "CoeffMatrix", "matrix_rank", "echelon_insert",
+    "LaurentFrac", "matrix_rank", "echelon_reduce", "echelon_insert",
 ]
 
 
@@ -376,87 +376,7 @@ class LaurentFrac:
     __repr__ = __str__
 
 
-class CoeffMatrix:
-    """A sparse matrix over Z[q, q^-1]: dict (row, col) -> LaurentPoly."""
-
-    __slots__ = ("nrows", "ncols", "data")
-
-    def __init__(self, nrows, ncols, data=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.data = {}
-        if data:
-            for (i, j), v in data.items():
-                if isinstance(v, int):
-                    v = LaurentPoly.const(v)
-                if v:
-                    self.data[(i, j)] = v
-
-    @staticmethod
-    def identity(n):
-        m = CoeffMatrix(n, n)
-        for i in range(n):
-            m.data[(i, i)] = ONE
-        return m
-
-    def __eq__(self, other):
-        return (self.nrows == other.nrows and self.ncols == other.ncols
-                and self.data == other.data)
-
-    def __add__(self, other):
-        out = CoeffMatrix(self.nrows, self.ncols)
-        out.data = dict(self.data)
-        for k, v in other.data.items():
-            w = out.data.get(k, ZERO) + v
-            if w:
-                out.data[k] = w
-            else:
-                out.data.pop(k, None)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, a):
-        out = CoeffMatrix(self.nrows, self.ncols)
-        for k, v in self.data.items():
-            w = v * a
-            if w:
-                out.data[k] = w
-        return out
-
-    def rows(self):
-        by_row = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.data.items():
-            by_row[i][j] = v
-        return by_row
-
-    def __mul__(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        brows = other.rows()
-        out = CoeffMatrix(self.nrows, other.ncols)
-        acc = out.data
-        for (i, k), v in self.data.items():
-            for j, w in brows[k].items():
-                key = (i, j)
-                s = acc.get(key, ZERO) + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return out
-
-    def transpose(self):
-        out = CoeffMatrix(self.ncols, self.nrows)
-        out.data = {(j, i): v for (i, j), v in self.data.items()}
-        return out
-
-    def is_zero(self):
-        return not self.data
-
-
-def _rank_modular(rows, ncols, seed, trials=3):
+def _rank_modular(rows, seed, trials=3):
     """Lower bound for the rank via evaluation at random points mod a prime."""
     p = (1 << 61) - 1
     rng = random.Random(seed)
@@ -490,51 +410,11 @@ def _int_rank_mod(rows, p):
     return rank
 
 
-def _rank_exact(rows):
-    """Exact rank over the fraction field of Z[q, q^-1], via elimination with
-    reduced fractions (fraction-free in effect: pivots stay polynomial)."""
-    pivot_rows = []
-    rank = 0
-    for r in rows:
-        r = {j: LaurentFrac(v) for j, v in r.items() if v}
-        for pc, prow in pivot_rows:
-            if pc in r:
-                f = r[pc] / prow[pc]
-                for j, v in prow.items():
-                    w = r.get(j, LaurentFrac(0)) - f * v
-                    if w:
-                        r[j] = w
-                    else:
-                        r.pop(j, None)
-        if r:
-            pivot_rows.append((min(r), r))
-            rank += 1
-    return rank
-
-
-def matrix_rank(m, mode="exact", seed=0):
-    """Rank of a CoeffMatrix (or list of sparse rows).
-
-    mode='exact' uses exact elimination over the fraction field.
-    mode='probabilistic' evaluates at seeded random points modulo a prime;
-    the result is a lower bound that equals the rank with high probability.
-    """
-    if isinstance(m, CoeffMatrix):
-        rows = [r for r in m.rows() if r]
-        ncols = m.ncols
-    else:
-        rows = [dict(r) for r in m if r]
-        ncols = 1 + max((j for r in rows for j in r), default=-1)
-    if mode == "probabilistic":
-        return _rank_modular(rows, ncols, seed)
-    if mode != "exact":
-        raise ValueError(f"unknown rank mode {mode!r}")
-    return _rank_exact(rows)
-
-
-def echelon_insert(basis, row):
-    """Reduce a sparse LaurentFrac row against an echelon basis; if nonzero,
-    insert it and return True. `basis` is a list of (pivot_col, row) pairs."""
+def echelon_reduce(basis, row):
+    """Remainder of a sparse row after reduction against an echelon basis,
+    a list of (pivot_col, row) pairs with LaurentFrac entries.  The entries
+    of `row` may be ints, LaurentPolys or LaurentFracs; `row` is not changed.
+    This is the one exact elimination loop of the package."""
     r = {}
     for j, v in row.items():
         if isinstance(v, (int, LaurentPoly)):
@@ -550,7 +430,37 @@ def echelon_insert(basis, row):
                     r[j] = w
                 else:
                     r.pop(j, None)
-    if not r:
-        return False
-    basis.append((min(r), r))
-    return True
+    return r
+
+
+def _rank_exact(rows):
+    """Exact rank over the fraction field of Z[q, q^-1]."""
+    basis = []
+    for row in rows:
+        r = echelon_reduce(basis, row)
+        if r:
+            basis.append((min(r), r))
+    return len(basis)
+
+
+def matrix_rank(rows, mode="exact", seed=0):
+    """Rank of a list of sparse rows (dict col -> LaurentPoly).
+
+    mode='exact' uses exact elimination over the fraction field.
+    mode='probabilistic' evaluates at seeded random points modulo a prime;
+    the result is a lower bound that equals the rank with high probability.
+    """
+    if mode == "probabilistic":
+        return _rank_modular(rows, seed)
+    if mode != "exact":
+        raise ValueError(f"unknown rank mode {mode!r}")
+    return _rank_exact(rows)
+
+
+def echelon_insert(basis, row):
+    """Reduce a sparse row against an echelon basis; if nonzero, insert it
+    and return True. `basis` is a list of (pivot_col, row) pairs."""
+    r = echelon_reduce(basis, row)
+    if r:
+        basis.append((min(r), r))
+    return bool(r)

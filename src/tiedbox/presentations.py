@@ -5,10 +5,7 @@ Words are tuples of generator indices; the order of the generator list
 fixes the shortlex order.
 """
 
-from itertools import product
-
 from . import perms
-from .combinatorics import compositions
 
 __all__ = ["Presentation", "RewriteSystem", "kb_complete", "normal_forms",
            "word_equiv", "presentation_check", "build_preset",
@@ -44,20 +41,8 @@ class RewriteSystem:
         self.complete = complete
 
     def reduce(self, word):
-        word = tuple(word)
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in self.rules:
-                k = len(lhs)
-                for p in range(len(word) - k + 1):
-                    if word[p:p + k] == lhs:
-                        word = word[:p] + rhs + word[p + k:]
-                        changed = True
-                        break
-                if changed:
-                    break
-        return word
+        """A normal form of `word`; unique when the system is complete."""
+        return _reduce(tuple(word), self.rules)
 
 
 def _shortlex_key(word):

@@ -5,7 +5,7 @@ a coarsening of the identity whose top restriction is linear."""
 from functools import lru_cache
 
 from .setpartitions import SetPartition, all_partitions
-from .diagrams import (Diagram, concat, perm_diagram, generator, closure,
+from .diagrams import (Diagram, perm_diagram, generator, closure,
                        boxed_diagram, is_boxed, boxed_composition, over,
                        symmetric_diagrams, jones_monoid, brauer_monoid,
                        partition_monoid)
@@ -13,7 +13,7 @@ from . import perms
 
 __all__ = [
     "Ramified", "gen_s", "gen_e", "gen_e_pair", "gen_z", "gen_d", "gen_z_pair",
-    "r_symmetric", "sr_symmetric", "r_partition",
+    "r_symmetric", "sr_symmetric",
     "br_symmetric", "br_jones", "br_brauer", "br_partition",
     "center", "generation_check",
     "normal_form_brs", "normal_form_srs", "normal_form_brbr",
@@ -160,16 +160,6 @@ def br_brauer(n):
 @lru_cache(maxsize=None)
 def br_partition(n):
     return tuple(_boxed_family(n, partition_monoid))
-
-
-def r_partition(n):
-    """R(P_n) for the full partition monoid: all (I, J) with I <= J."""
-    out = []
-    for p in all_partitions(range(1, 2 * n + 1)):
-        i_diag = Diagram(n, p)
-        for j_part in p.coarsenings():
-            out.append(Ramified(i_diag, Diagram(n, j_part)))
-    return out
 
 
 def center(elements):
@@ -328,7 +318,6 @@ def normal_form_brbr(x):
     odd local positions) * s', so that every generator in the words keeps its
     tie inside the boxed part e.
     """
-    from .diagrams import boxed_decomposition
     mu = boxed_composition(x.right)
     n = x.n
     s_parts, s2_parts, d_word = [], [], []

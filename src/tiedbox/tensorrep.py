@@ -9,15 +9,10 @@ Matrices are sparse: dict row -> dict col -> LaurentPoly.
 
 from functools import lru_cache
 
-from .laurent import LaurentPoly, ZERO, ONE, Q, QINV, QDIFF
+from .laurent import ZERO, ONE, Q, QDIFF
 from . import perms
 
-__all__ = ["TensorRep", "mat_mul", "mat_eq", "mat_add", "mat_scale",
-           "mat_identity", "flatten_matrix"]
-
-
-def mat_identity(dim):
-    return {i: {i: ONE} for i in range(dim)}
+__all__ = ["TensorRep", "mat_mul", "mat_add", "mat_scale", "flatten_matrix"]
 
 
 def mat_mul(a, b):
@@ -62,10 +57,6 @@ def mat_scale(a, c):
         if orow:
             out[i] = orow
     return out
-
-
-def mat_eq(a, b):
-    return a == b
 
 
 def flatten_matrix(m, dim):
@@ -143,7 +134,7 @@ class TensorRep:
         return mat_mul(self.E(i), self.G(i))
 
     def identity(self):
-        return mat_identity(self.dim)
+        return {i: {i: ONE} for i in range(self.dim)}
 
     @lru_cache(maxsize=None)
     def rho_perm(self, w):

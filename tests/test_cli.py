@@ -95,6 +95,29 @@ def test_usage_error_exit_code():
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--monoid", "jones", "--n", "-1"],
+    ["present-check", "--preset", "brsn", "--n", "-1"],
+    ["cellular", "--family", "bh", "--n", "-1"],
+    ["dim", "--family", "bh", "--max-n", "-1"],
+])
+def test_negative_n_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    capsys.readouterr()
+    assert exc.value.code == 64
+
+
+def test_inconclusive_only_exits_2(monkeypatch, capsys):
+    from tiedbox import cli
+
+    monkeypatch.setattr(cli, "presentation_check",
+                        lambda *args: {"status": "inconclusive-fallback-pass"})
+    code, records = run(capsys, "present-check", "--preset", "brsn", "--n", "3")
+    assert code == 2
+    assert records[0]["status"] == "inconclusive-fallback-pass"
+
+
 def test_bad_element_exit_code(capsys):
     code = main(["multiply", "--algebra", "bh", "--n", "2",
                  "--lhs", "garbage", "--rhs", "(1*q^0) * 0"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiedbox.algebras import reduce_against
 from tiedbox.laurent import (
     DELTA,
     ONE,
@@ -15,6 +16,7 @@ from tiedbox.laurent import (
     ZERO,
     LaurentFrac,
     LaurentPoly,
+    echelon_insert,
     matrix_rank,
     poly_gcd,
 )
@@ -105,3 +107,23 @@ def test_probabilistic_rank_bounded_by_exact(rows, seed):
 def test_rank_rejects_unknown_mode():
     with pytest.raises(ValueError):
         matrix_rank([{0: ONE}], mode="nope")
+
+
+small_polys = st.builds(
+    LaurentPoly,
+    st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=2),
+)
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 4), small_polys, max_size=3),
+                min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_echelon_kernel_callers_agree(rows):
+    # a row q times the first is always dependent
+    rows = rows + [{j: Q * v for j, v in rows[0].items()}]
+    basis = []
+    inserted = sum(echelon_insert(basis, r) for r in rows)
+    assert matrix_rank(rows, mode="exact") == inserted == len(basis)
+    assert all(reduce_against(basis, r) for r in rows)
+    # column 5 is used by no row, so its unit row is outside the span
+    assert not reduce_against(basis, {5: ONE})

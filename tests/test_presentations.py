@@ -90,3 +90,14 @@ def test_presentation_text_format():
     lines = [line for line in text.splitlines() if line.strip()]
     assert all(" = " in line for line in lines)
     assert len(lines) == len(pres.relations)
+
+
+def test_inconclusive_verdict_is_recorded_as_is(monkeypatch):
+    from tiedbox import checks
+
+    monkeypatch.setattr(checks, "presentation_check",
+                        lambda *args: {"status": "inconclusive-fallback-pass"})
+    recs = checks.check_presentations(quick=True)
+    assert recs
+    assert all(r["status"] == r["got"] == "inconclusive-fallback-pass"
+               for r in recs)
