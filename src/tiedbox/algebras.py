@@ -14,7 +14,7 @@
 
 from functools import lru_cache
 
-from .laurent import LaurentPoly, ZERO, ONE, Q, QINV, QDIFF, DELTA, \
+from .laurent import LaurentPoly, ONE, Q, QINV, QDIFF, DELTA, add_term, \
     echelon_insert, echelon_reduce
 from .setpartitions import SetPartition, all_partitions, linear_partitions, \
     mobius_linear, mobius_partition
@@ -25,7 +25,7 @@ from . import perms
 __all__ = [
     "AlgebraElement", "HeckeAlgebra", "TLAlgebra", "BTAlgebra", "BHAlgebra",
     "BTLAlgebra", "iota1", "pi2", "hecke_to_tl", "support_partition",
-    "ideal_span", "reduce_against",
+    "ideal_span", "two_sided_products", "reduce_against",
 ]
 
 
@@ -64,11 +64,7 @@ class AlgebraElement:
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            w = out.get(k, ZERO) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
+            add_term(out, k, v)
         r = AlgebraElement(self.algebra)
         r.terms = out
         return r
@@ -98,11 +94,7 @@ class AlgebraElement:
             for k2, c2 in other.terms.items():
                 c = c1 * c2
                 for k, v in self.algebra.mul_basis(k1, k2).items():
-                    w = out.get(k, ZERO) + v * c
-                    if w:
-                        out[k] = w
-                    else:
-                        out.pop(k, None)
+                    add_term(out, k, v * c)
         r = AlgebraElement(self.algebra)
         r.terms = out
         return r
@@ -116,11 +108,7 @@ class AlgebraElement:
         out = AlgebraElement(self.algebra)
         for k, v in self.terms.items():
             k2, c2 = self.algebra.star_basis(k)
-            w = out.terms.get(k2, ZERO) + v * c2
-            if w:
-                out.terms[k2] = w
-            else:
-                out.terms.pop(k2, None)
+            add_term(out.terms, k2, v * c2)
         return out
 
     def __repr__(self):
@@ -163,10 +151,44 @@ class _Algebra:
         return len(self.basis())
 
 
+class _Straightened(_Algebra):
+    """The Hecke, tied and tied-boxed Hecke algebras share the quadratic
+    relation g_i^2 = (identity part) + (q - q^-1) g_i.  So a basis key
+    times s_i is one key `up` when the length goes up, and `up` plus
+    (q - q^-1) times a key `down` otherwise.  Each algebra supplies
+    `_start(key1, key2) -> (key, v)`, the key that the letters of v then
+    act on, and `_mul_gen(key, i) -> (up, down or None)`."""
+
+    def mul_basis(self, key1, key2):
+        key, v = self._start(key1, key2)
+        terms = {key: ONE}
+        for i in perms.lex_least_word(v):
+            out = {}
+            for k, c in terms.items():
+                up, down = self._mul_gen(k, i)
+                add_term(out, up, c)
+                if down is not None:
+                    add_term(out, down, c * QDIFF)
+            terms = out
+        return terms
+
+
+def _steinberg_body(one, x, y):
+    """1 + q x + q y + q^2 x y + q^2 y x + q^3 x y x."""
+    return (one + x * Q + y * Q + x * y * (Q * Q)
+            + y * x * (Q * Q) + x * y * x * (Q * Q * Q))
+
+
+@lru_cache(maxsize=None)
+def _tie(n, i):
+    """The set partition of {1..n} tying i and i+1 only."""
+    return SetPartition([(i, i + 1)], tuple(range(1, n + 1)))
+
+
 # ---------------------------------------------------------------------------
 
 
-class HeckeAlgebra(_Algebra):
+class HeckeAlgebra(_Straightened):
     """Basis h_w, w in S_n; h_i^2 = 1 + (q - q^-1) h_i."""
 
     def one_key(self):
@@ -178,39 +200,21 @@ class HeckeAlgebra(_Algebra):
     def gen(self, i):
         return self.basis_element(perms.sgen(self.n, i))
 
+    def _start(self, w, v):
+        return w, v
+
     @lru_cache(maxsize=None)
     def _mul_gen(self, w, i):
         ws = perms.compose(w, perms.sgen(self.n, i))
-        if perms.right_longer(w, i):
-            return ((ws, ONE),)
-        return ((ws, ONE), (w, QDIFF))
-
-    def mul_basis(self, w, v):
-        terms = {w: ONE}
-        for i in perms.lex_least_word(v):
-            out = {}
-            for u, c in terms.items():
-                for u2, c2 in self._mul_gen(u, i):
-                    s = out.get(u2, ZERO) + c * c2
-                    if s:
-                        out[u2] = s
-                    else:
-                        out.pop(u2, None)
-            terms = out
-        return terms
+        return ws, (None if perms.right_longer(w, i) else w)
 
     def star_basis(self, w):
         return perms.inverse(w), ONE
 
-    def element_of_word(self, word):
-        return self.basis_element(perms.perm_from_word(self.n, word))
-
     def steinberg(self, i, j):
         """1 + q h_i + q h_j + q^2 h_i h_j + q^2 h_j h_i + q^3 h_i h_j h_i,
         for |i - j| = 1."""
-        hi, hj = self.gen(i), self.gen(j)
-        return (self.one() + hi * Q + hj * Q + hi * hj * (Q * Q)
-                + hj * hi * (Q * Q) + hi * hj * hi * (Q * Q * Q))
+        return _steinberg_body(self.one(), self.gen(i), self.gen(j))
 
 
 class TLAlgebra(_Algebra):
@@ -250,7 +254,7 @@ def support_partition(w):
     return SetPartition(blocks)
 
 
-class BTAlgebra(_Algebra):
+class BTAlgebra(_Straightened):
     """Algebra of braids and ties; basis E_I g_w with I any set partition
     of {1..n} and w in S_n.  Ties move through braid generators by the rule
     E_I g_w = g_w E_(I.act(w)), verified against the ramified monoid."""
@@ -292,36 +296,18 @@ class BTAlgebra(_Algebra):
         return self.basis_element((SetPartition.singletons(
             range(1, self.n + 1)), perms.sgen(self.n, i)))
 
-    def g_of(self, w):
-        return self.basis_element((SetPartition.singletons(
-            range(1, self.n + 1)), w))
-
-    def mul_basis(self, key1, key2):
+    def _start(self, key1, key2):
         (i_part, w), (j_part, v) = key1, key2
-        k_part = i_part.join(j_part.act(perms.inverse(w)))
-        terms = {(k_part, w): ONE}
-        n = self.n
-        for i in perms.lex_least_word(v):
-            si = perms.sgen(n, i)
-            ei = SetPartition([(i, i + 1)], tuple(range(1, n + 1)))
-            out = {}
+        return (i_part.join(j_part.act(perms.inverse(w))), w), v
 
-            def acc(key, c):
-                s = out.get(key, ZERO) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-
-            for (kp, u), c in terms.items():
-                us = perms.compose(u, si)
-                if perms.right_longer(u, i):
-                    acc((kp, us), c)
-                else:
-                    acc((kp, us), c)
-                    acc((kp.join(ei.act(perms.inverse(us))), u), c * QDIFF)
-            terms = out
-        return terms
+    def _mul_gen(self, key, i):
+        """E_K g_u g_i = E_K g_(u s_i), or, when u s_i is shorter,
+        E_K g_(u s_i) + (q - q^-1) E_(K join e_i moved by u s_i) g_u."""
+        kp, u = key
+        us = perms.compose(u, perms.sgen(self.n, i))
+        if perms.right_longer(u, i):
+            return (kp, us), None
+        return (kp, us), (kp.join(_tie(self.n, i).act(perms.inverse(us))), u)
 
     def star_basis(self, key):
         i_part, w = key
@@ -348,9 +334,7 @@ class BTAlgebra(_Algebra):
     def steinberg(self, i, j):
         """e_i e_j (1 + q g_i + q g_j + q^2 g_i g_j + q^2 g_j g_i
         + q^3 g_i g_j g_i), for |i - j| = 1."""
-        gi, gj = self.g(i), self.g(j)
-        body = (self.one() + gi * Q + gj * Q + gi * gj * (Q * Q)
-                + gj * gi * (Q * Q) + gi * gj * gi * (Q * Q * Q))
+        body = _steinberg_body(self.one(), self.g(i), self.g(j))
         return self.e(i) * self.e(j) * body
 
 
@@ -359,7 +343,7 @@ def _tie_diagram(n, p):
     return Diagram(n, blocks)
 
 
-class BHAlgebra(_Algebra):
+class BHAlgebra(_Straightened):
     """Tied-boxed Hecke algebra; basis E_I z_w with I a linear partition of
     {1..n} and w preserving the blocks of I."""
 
@@ -375,14 +359,8 @@ class BHAlgebra(_Algebra):
                 out.append((p, w))
         return out
 
-    def _linear_with(self, i):
-        blocks = [(k,) for k in range(1, i)] + [(i, i + 1)] + \
-            [(k,) for k in range(i + 2, self.n + 1)]
-        return SetPartition(blocks)
-
     def e(self, i):
-        return self.basis_element((self._linear_with(i),
-                                   perms.identity(self.n)))
+        return self.basis_element((_tie(self.n, i), perms.identity(self.n)))
 
     def e_of_partition(self, p):
         if not p.is_linear():
@@ -390,38 +368,20 @@ class BHAlgebra(_Algebra):
         return self.basis_element((p, perms.identity(self.n)))
 
     def z(self, i):
-        return self.basis_element((self._linear_with(i),
-                                   perms.sgen(self.n, i)))
+        return self.basis_element((_tie(self.n, i), perms.sgen(self.n, i)))
 
     def z_of(self, w):
         """z_w as a basis element (support partition, w)."""
         return self.basis_element((support_partition(w), w))
 
-    def mul_basis(self, key1, key2):
+    def _start(self, key1, key2):
         (i_part, w), (j_part, v) = key1, key2
-        k_part = i_part.join(j_part)
-        terms = {(k_part, w): ONE}
-        n = self.n
-        for i in perms.lex_least_word(v):
-            si = perms.sgen(n, i)
-            out = {}
+        return (i_part.join(j_part), w), v
 
-            def acc(key, c):
-                s = out.get(key, ZERO) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-
-            for (kp, u), c in terms.items():
-                us = perms.compose(u, si)
-                if perms.right_longer(u, i):
-                    acc((kp, us), c)
-                else:
-                    acc((kp, us), c)
-                    acc((kp, u), c * QDIFF)
-            terms = out
-        return terms
+    def _mul_gen(self, key, i):
+        kp, u = key
+        us = perms.compose(u, perms.sgen(self.n, i))
+        return (kp, us), (None if perms.right_longer(u, i) else key)
 
     def star_basis(self, key):
         i_part, w = key
@@ -440,9 +400,7 @@ class BHAlgebra(_Algebra):
     def steinberg(self, i, j):
         """z_{i,j} = e_i e_j (1 + q z_i + q z_j + q^2 z_i z_j + q^2 z_j z_i
         + q^3 z_i z_j z_i), for |i - j| = 1."""
-        zi, zj = self.z(i), self.z(j)
-        body = (self.one() + zi * Q + zj * Q + zi * zj * (Q * Q)
-                + zj * zi * (Q * Q) + zi * zj * zi * (Q * Q * Q))
+        body = _steinberg_body(self.one(), self.z(i), self.z(j))
         return self.e(i) * self.e(j) * body
 
     def d(self, i):
@@ -569,12 +527,7 @@ def pi2(x, target=None):
                           for cc, t in pieces
                           for d, cl in local.terms.items()]
             for cc, t in pieces:
-                key = (mu, t)
-                s = out.get(key, ZERO) + cc
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                add_term(out, (mu, t), cc)
     return AlgebraElement(target, out)
 
 
@@ -590,18 +543,25 @@ def coords(x, index):
     return {index[k]: v for k, v in x.terms.items()}
 
 
+def two_sided_products(algebra, x):
+    """The products a x b over all basis keys a and then b, in basis
+    order; a x is formed once per a."""
+    basis = algebra.basis()
+    for a in basis:
+        ax = algebra.basis_element(a) * x
+        for b in basis:
+            yield ax * algebra.basis_element(b)
+
+
 def ideal_span(algebra, gens):
     """Echelonized row space of the two-sided ideal generated by `gens`.
     Returns (rank, echelon_rows, index)."""
     index = basis_index(algebra)
     rows = []
     for x in gens:
-        for a in algebra.basis():
-            ax = algebra.basis_element(a) * x
-            for b in algebra.basis():
-                axb = ax * algebra.basis_element(b)
-                if axb:
-                    echelon_insert(rows, coords(axb, index))
+        for axb in two_sided_products(algebra, x):
+            if axb:
+                echelon_insert(rows, coords(axb, index))
     return len(rows), rows, index
 
 

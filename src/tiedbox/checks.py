@@ -18,6 +18,7 @@ from .algebras import (
     iota1,
     pi2,
     reduce_against,
+    two_sided_products,
 )
 from .cellular import (
     bh_cellular,
@@ -360,14 +361,11 @@ def check_quotients():
 
     # map the corresponding ideal of the tied-boxed Hecke algebra into the
     # tied algebra and verify row-space containment
-    z_gen = bh.steinberg(1, 2)
     contained = True
-    for a in bh.basis():
-        left = bh.basis_element(a) * z_gen
-        for b in bh.basis():
-            image = iota1(left * bh.basis_element(b), bt)
-            if image and not reduce_against(rows_bt, coords(image, index_bt)):
-                contained = False
+    for product in two_sided_products(bh, bh.steinberg(1, 2)):
+        image = iota1(product, bt)
+        if image and not reduce_against(rows_bt, coords(image, index_bt)):
+            contained = False
     recs.append(bool_record("quot:embedded-ideal-contained", contained))
     return recs
 

@@ -3,8 +3,9 @@
 Every command emits line records (one JSON object per line, default) or a
 plain text table (``--format table``).  Each record carries a ``status``
 field; the process exit code is 0 when everything passed, 1 when any record
-failed, and 2 when the only non-passes are inconclusive.  Usage errors exit
-with code 64.
+failed, and 2 when the only non-passes are inconclusive.  A search that
+exhausts its budget gives one inconclusive record.  Usage errors exit with
+code 64.
 """
 
 import argparse
@@ -22,7 +23,12 @@ from .cellular import (
     tl_cellular,
     transition_matrix,
 )
-from .diagrams import brauer_monoid, jones_monoid, partition_monoid
+from .diagrams import (
+    BudgetExceeded,
+    brauer_monoid,
+    jones_monoid,
+    partition_monoid,
+)
 from .laurent import LaurentPoly, matrix_rank
 from .presentations import PRESET_NAMES, build_preset, presentation_check
 
@@ -290,6 +296,9 @@ def main(argv=None):
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"tiedbox: error: {exc}\n")
         return 64
+    except BudgetExceeded as exc:
+        records = [{"name": args.command, "status": "inconclusive",
+                    "reason": str(exc)}]
     emit(records, args)
     return exit_code(records)
 

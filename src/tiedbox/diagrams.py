@@ -11,9 +11,10 @@ from .setpartitions import SetPartition, UnionFind, all_partitions
 from . import perms
 
 __all__ = [
-    "Diagram", "concat", "perm_diagram", "generator", "closure",
-    "boxed_diagram", "is_boxed", "boxed_composition", "over", "shift_blocks",
-    "symmetric_diagrams", "jones_monoid", "brauer_monoid", "partition_monoid",
+    "BudgetExceeded", "Diagram", "concat", "perm_diagram", "generator",
+    "closure", "boxed_diagram", "is_boxed", "boxed_composition", "over",
+    "shift_blocks", "symmetric_diagrams", "jones_monoid", "brauer_monoid",
+    "partition_monoid",
 ]
 
 
@@ -131,11 +132,15 @@ def generator(kind, n, i, j=None):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def closure(gens, mul=None, include_identity=None, budget=10 ** 6):
+class BudgetExceeded(RuntimeError):
+    """A search stopped at its step or size budget before it finished."""
+
+
+def closure(gens, mul=None, budget=10 ** 6):
     """Multiplicative closure of a set of elements, breadth first.
 
     Works for any associative product; by default diagram concatenation
-    with loops discarded.
+    with loops discarded.  Raises BudgetExceeded after `budget` products.
     """
     if mul is None:
         mul = lambda a, b: concat(a, b)[0]
@@ -150,7 +155,7 @@ def closure(gens, mul=None, include_identity=None, budget=10 ** 6):
             for g in gens:
                 steps += 1
                 if steps > budget:
-                    raise RuntimeError("closure budget exhausted")
+                    raise BudgetExceeded("closure budget exhausted")
                 y = mul(x, g)
                 if y not in seen_set:
                     seen_set.add(y)

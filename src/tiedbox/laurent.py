@@ -11,7 +11,8 @@ import random
 
 __all__ = [
     "LaurentPoly", "ZERO", "ONE", "Q", "QINV", "QDIFF", "DELTA",
-    "LaurentFrac", "matrix_rank", "echelon_reduce", "echelon_insert",
+    "LaurentFrac", "add_term", "matrix_rank", "echelon_reduce",
+    "echelon_insert",
 ]
 
 
@@ -113,12 +114,6 @@ class LaurentPoly:
             k >>= 1
         return out
 
-    def min_exp(self):
-        return min(self.c) if self.c else 0
-
-    def max_exp(self):
-        return max(self.c) if self.c else 0
-
     def to_list(self):
         """Return (low, coeffs) with coeffs[k] the coefficient of q^(low+k)."""
         if not self.c:
@@ -191,6 +186,16 @@ Q = LaurentPoly({1: 1})
 QINV = LaurentPoly({-1: 1})
 QDIFF = LaurentPoly({1: 1, -1: -1})   # q - q^-1
 DELTA = LaurentPoly({1: 1, -1: 1})    # q + q^-1, the loop parameter
+
+
+def add_term(out, key, c):
+    """out[key] += c in a sparse dict of LaurentPoly coefficients; a key
+    whose sum is zero is dropped."""
+    s = out.get(key, ZERO) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 def _list_divmod(a, b):

@@ -9,7 +9,7 @@ Matrices are sparse: dict row -> dict col -> LaurentPoly.
 
 from functools import lru_cache
 
-from .laurent import ZERO, ONE, Q, QDIFF
+from .laurent import ONE, Q, QDIFF, add_term
 from . import perms
 
 __all__ = ["TensorRep", "mat_mul", "mat_add", "mat_scale", "flatten_matrix"]
@@ -24,11 +24,7 @@ def mat_mul(a, b):
             if not brow:
                 continue
             for j, w in brow.items():
-                s = orow.get(j, ZERO) + v * w
-                if s:
-                    orow[j] = s
-                else:
-                    orow.pop(j, None)
+                add_term(orow, j, v * w)
         if orow:
             out[i] = orow
     return out
@@ -39,11 +35,7 @@ def mat_add(a, b):
     for i, row in b.items():
         orow = out.setdefault(i, {})
         for j, v in row.items():
-            s = orow.get(j, ZERO) + v
-            if s:
-                orow[j] = s
-            else:
-                orow.pop(j, None)
+            add_term(orow, j, v)
         if not orow:
             del out[i]
     return out

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiedbox import ramified
 from tiedbox.algebras import (
@@ -216,3 +218,13 @@ def test_star_is_an_antihomomorphism():
             for k2 in keys[: 12]:
                 x, y = algebra.basis_element(k1), algebra.basis_element(k2)
                 assert (x * y).star() == y.star() * x.star()
+
+
+@pytest.mark.parametrize("cls", [HeckeAlgebra, BTAlgebra, BHAlgebra])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_straightened_products_associate_at_n4(cls, data):
+    algebra = cls(4)
+    keys = st.sampled_from(algebra.basis())
+    a, b, c = (algebra.basis_element(data.draw(keys)) for _ in range(3))
+    assert (a * b) * c == a * (b * c)

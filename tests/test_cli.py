@@ -112,10 +112,37 @@ def test_inconclusive_only_exits_2(monkeypatch, capsys):
     from tiedbox import cli
 
     monkeypatch.setattr(cli, "presentation_check",
-                        lambda *args: {"status": "inconclusive-fallback-pass"})
+                        lambda *args: {"status": "inconclusive"})
     code, records = run(capsys, "present-check", "--preset", "brsn", "--n", "3")
     assert code == 2
-    assert records[0]["status"] == "inconclusive-fallback-pass"
+    assert records[0]["status"] == "inconclusive"
+
+
+def _raise(exc):
+    def family(n):
+        raise exc
+    return family
+
+
+def test_exhausted_budget_is_an_inconclusive_record(monkeypatch, capsys):
+    from tiedbox import cli
+    from tiedbox.diagrams import BudgetExceeded
+
+    monkeypatch.setitem(cli.MONOIDS, "jones",
+                        _raise(BudgetExceeded("closure budget exhausted")))
+    code, records = run(capsys, "enumerate", "--monoid", "jones", "--n", "3")
+    assert code == 2
+    assert records == [{"name": "enumerate", "status": "inconclusive",
+                        "reason": "closure budget exhausted"}]
+
+
+def test_other_errors_still_surface(monkeypatch, capsys):
+    from tiedbox import cli
+
+    monkeypatch.setitem(cli.MONOIDS, "jones", _raise(RecursionError("deep")))
+    with pytest.raises(RecursionError):
+        main(["enumerate", "--monoid", "jones", "--n", "3"])
+    assert capsys.readouterr().out == ""
 
 
 def test_bad_element_exit_code(capsys):

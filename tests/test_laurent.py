@@ -16,6 +16,7 @@ from tiedbox.laurent import (
     ZERO,
     LaurentFrac,
     LaurentPoly,
+    add_term,
     echelon_insert,
     matrix_rank,
     poly_gcd,
@@ -127,3 +128,14 @@ def test_echelon_kernel_callers_agree(rows):
     assert all(reduce_against(basis, r) for r in rows)
     # column 5 is used by no row, so its unit row is outside the span
     assert not reduce_against(basis, {5: ONE})
+
+
+def test_add_term_drops_zero_sums():
+    out = {"a": Q}
+    add_term(out, "a", -Q)
+    assert out == {}
+    add_term(out, "b", QDIFF)
+    add_term(out, "b", QINV)
+    assert out == {"b": Q}
+    add_term(out, "c", ZERO)
+    assert out == {"b": Q}

@@ -96,8 +96,29 @@ def test_inconclusive_verdict_is_recorded_as_is(monkeypatch):
     from tiedbox import checks
 
     monkeypatch.setattr(checks, "presentation_check",
-                        lambda *args: {"status": "inconclusive-fallback-pass"})
+                        lambda *args: {"status": "inconclusive"})
     recs = checks.check_presentations(quick=True)
     assert recs
-    assert all(r["status"] == r["got"] == "inconclusive-fallback-pass"
-               for r in recs)
+    assert all(r["status"] == r["got"] == "inconclusive" for r in recs)
+
+
+def test_incomplete_completion_is_inconclusive(monkeypatch):
+    from tiedbox import presentations
+
+    budgeted = presentations.kb_complete
+    monkeypatch.setattr(presentations, "kb_complete",
+                        lambda pres: budgeted(pres, max_steps=10))
+    report = presentation_check(*build_preset("brsn", 3))
+    assert report["kb_complete"] is False
+    assert report["status"] == "inconclusive"
+
+
+def test_too_many_normal_forms_is_a_sound_fail():
+    # without relations the free monoid on one tie is infinite, so the
+    # normal form search stops at its cap: more words than the target has
+    pres, gens, identity, target = build_preset("pn", 2)
+    free = Presentation(pres.generators, [], name="pn-free:2")
+    report = presentation_check(free, gens, identity, target)
+    assert report["relations_hold"] and report["surjective"]
+    assert report["status"] == "fail"
+    assert report["witness"] == "more than 1020 normal forms"
