@@ -462,10 +462,7 @@ def iota1(x, target=None):
     E_I z_w -> E_I g_w."""
     if target is None:
         target = BTAlgebra(x.algebra.n)
-    out = target.zero()
-    for (i_part, w), c in x.terms.items():
-        out = out + target.basis_element((i_part, w)) * c
-    return out
+    return target.element(x.terms)
 
 
 @lru_cache(maxsize=None)
@@ -481,11 +478,11 @@ def hecke_to_tl(x):
     """Projection of the Hecke algebra onto Temperley-Lieb in the diagram
     basis: h_i maps to (hook diagram) - q^-1."""
     n = x.algebra.n
-    tl = TLAlgebra(n)
-    out = tl.zero()
+    out = {}
     for w, c in x.terms.items():
-        out = out + _hecke_to_tl_basis(n, w) * c
-    return out
+        for d, v in _hecke_to_tl_basis(n, w).terms.items():
+            add_term(out, d, v * c)
+    return TLAlgebra(n).element(out)
 
 
 def _linear_coarsenings(p):

@@ -10,11 +10,17 @@ code 64.
 
 import argparse
 import json
-import os
 import sys
 
 from . import checks, ramified
-from .algebras import BHAlgebra, BTAlgebra, BTLAlgebra, HeckeAlgebra, TLAlgebra
+from .algebras import (
+    BHAlgebra,
+    BTAlgebra,
+    BTLAlgebra,
+    HeckeAlgebra,
+    TLAlgebra,
+    basis_index,
+)
 from .cellular import (
     bh_cellular,
     btl_cellular,
@@ -32,12 +38,10 @@ from .diagrams import (
 from .laurent import LaurentPoly, matrix_rank
 from .presentations import PRESET_NAMES, build_preset, presentation_check
 
-PROFILE_ENV = "TIEDBOX_PROFILE"
-
 MONOIDS = {
-    "jones": lambda n: jones_monoid(n),
-    "brauer": lambda n: brauer_monoid(n),
-    "partition": lambda n: partition_monoid(n),
+    "jones": jones_monoid,
+    "brauer": brauer_monoid,
+    "partition": partition_monoid,
     "r-symmetric": ramified.r_symmetric,
     "sr-symmetric": ramified.sr_symmetric,
     "br-symmetric": ramified.br_symmetric,
@@ -60,15 +64,6 @@ CELLULAR = {
     "btl": btl_cellular,
     "tl": tl_cellular,
 }
-
-DIM_FAMILIES = {
-    "tied": lambda n: BTAlgebra(n).dim(),
-    "bh": lambda n: BHAlgebra(n).dim(),
-    "btl": lambda n: BTLAlgebra(n).dim(),
-    "hecke": lambda n: HeckeAlgebra(n).dim(),
-    "tl": lambda n: TLAlgebra(n).dim(),
-}
-
 
 def nonnegative_int(text):
     """The argparse type of every strand count (--n, --max-n)."""
@@ -161,13 +156,13 @@ def cmd_dim(args):
     records = []
     for n in range(1, args.max_n + 1):
         records.append({"name": f"dim:{args.family}:n={n}",
-                        "dim": DIM_FAMILIES[args.family](n), "status": "pass"})
+                        "dim": ALGEBRAS[args.family](n).dim(), "status": "pass"})
     return records
 
 
 def cmd_multiply(args):
     algebra = ALGEBRAS[args.algebra](args.n)
-    index = {k: i for i, k in enumerate(algebra.basis())}
+    index = basis_index(algebra)
     x = parse_element(algebra, args.lhs)
     y = parse_element(algebra, args.rhs)
     return [{"name": f"multiply:{args.algebra}:n={args.n}",
@@ -256,7 +251,7 @@ def main(argv=None):
     p.add_argument("--n", type=nonnegative_int, required=True)
 
     p = add("dim", cmd_dim, help="dimension table by basis enumeration")
-    p.add_argument("--family", choices=sorted(DIM_FAMILIES), required=True)
+    p.add_argument("--family", choices=sorted(ALGEBRAS), required=True)
     p.add_argument("--max-n", type=nonnegative_int, required=True)
 
     p = add("multiply", cmd_multiply, help="multiply two algebra elements")
@@ -273,8 +268,7 @@ def main(argv=None):
 
     p = add("idempotent-check", cmd_idempotent_check,
             help="central orthogonal idempotent suite")
-    p.add_argument("--profile", choices=("quick", "full"),
-                   default=os.environ.get(PROFILE_ENV, "full"))
+    p.add_argument("--profile", choices=("quick", "full"), default="full")
 
     p = add("center", cmd_center, help="center of a ramified monoid")
     p.add_argument("--monoid", choices=sorted(MONOIDS), required=True)
@@ -287,8 +281,7 @@ def main(argv=None):
                    help="text encoding `n; blocks ; blocks`")
 
     p = add("verify-all", cmd_verify_all, help="run the full acceptance matrix")
-    p.add_argument("--profile", choices=("quick", "full"),
-                   default=os.environ.get(PROFILE_ENV, "full"))
+    p.add_argument("--profile", choices=("quick", "full"), default="full")
 
     args = parser.parse_args(argv)
     try:

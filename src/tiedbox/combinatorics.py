@@ -214,11 +214,10 @@ def standard_tableaux(lam):
     return sorted(out, key=lambda t: t.entries())
 
 
-def d_of_tableau(t, lam=None):
+def d_of_tableau(t):
     """The permutation d with (row tableau of the shape) * d = t."""
-    sh = t.shape if lam is None else lam
-    base = row_reading_tableau(sh)
-    n = sum(sh)
+    base = row_reading_tableau(t.shape)
+    n = sum(t.shape)
     w = [0] * n
     for br, tr in zip(base.rows, t.rows):
         for b, x in zip(br, tr):
@@ -226,12 +225,11 @@ def d_of_tableau(t, lam=None):
     return tuple(w)
 
 
-def multipartitions_of_composition(mu, two_columns=False):
+def multipartitions_of_composition(mu):
     """All tuples of partitions (lam_1, ..., lam_k) with |lam_i| = mu_i."""
     out = [()]
     for m in mu:
-        parts = two_column_partitions(m) if two_columns else int_partitions(m)
-        out = [t + (lam,) for t in out for lam in parts]
+        out = [t + (lam,) for t in out for lam in int_partitions(m)]
     return out
 
 

@@ -136,14 +136,11 @@ class BudgetExceeded(RuntimeError):
     """A search stopped at its step or size budget before it finished."""
 
 
-def closure(gens, mul=None, budget=10 ** 6):
-    """Multiplicative closure of a set of elements, breadth first.
-
-    Works for any associative product; by default diagram concatenation
-    with loops discarded.  Raises BudgetExceeded after `budget` products.
+def closure(gens, budget=10 ** 6):
+    """Multiplicative closure of a set of elements under `*`, breadth first
+    (for diagrams, concatenation with loops discarded).  Raises
+    BudgetExceeded after `budget` products.
     """
-    if mul is None:
-        mul = lambda a, b: concat(a, b)[0]
     gens = list(gens)
     seen = list(dict.fromkeys(gens))
     frontier = list(seen)
@@ -156,7 +153,7 @@ def closure(gens, mul=None, budget=10 ** 6):
                 steps += 1
                 if steps > budget:
                     raise BudgetExceeded("closure budget exhausted")
-                y = mul(x, g)
+                y = x * g
                 if y not in seen_set:
                     seen_set.add(y)
                     new.append(y)

@@ -1,12 +1,14 @@
 """Exact Laurent polynomials in one variable q with integer coefficients.
 
 This is the coefficient ring for all algebra computations in the package.
-No floating point is used anywhere; rank computations are either exact
+Its arithmetic, exact division and gcd included, is in integers only; no
+floating point is used anywhere.  Rank computations are either exact
 (elimination over the fraction field, in `echelon_reduce`) or probabilistic
 (modular evaluation at random points, seeded).
 """
 
 from fractions import Fraction
+from math import gcd
 import random
 
 __all__ = [
@@ -149,12 +151,7 @@ class LaurentPoly:
             return LaurentPoly()
         alo, a = self.to_list()
         blo, b = other.to_list()
-        q, r = _list_divmod(a, b)
-        if q is None or any(r):
-            raise ValueError("not an exact division")
-        if any(x.denominator != 1 for x in q):
-            raise ValueError("not an exact division over the integers")
-        return LaurentPoly.from_list(alo - blo, [int(x) for x in q])
+        return LaurentPoly.from_list(alo - blo, _list_divexact(a, b))
 
     def __str__(self):
         if not self.c:
@@ -198,99 +195,63 @@ def add_term(out, key, c):
         out.pop(key, None)
 
 
-def _list_divmod(a, b):
-    """Polynomial division of integer coefficient lists over Q.
-
-    Returns (quotient, remainder) as Fraction lists, or (None, a) if the
-    divisor is zero.
-    """
-    if not any(b):
-        return None, a
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    while b and b[-1] == 0:
-        b.pop()
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        f = r[-1] / b[-1]
+def _list_divexact(a, b):
+    """Exact quotient of integer coefficient lists, lowest degree first, with
+    nonzero top coefficients; raises ValueError if b does not divide a."""
+    r, n, lb = list(a), len(b), b[-1]
+    q = [0] * (len(a) - n + 1)
+    for k in range(len(q) - 1, -1, -1):
+        f, m = divmod(r[k + n - 1], lb)
+        if m:
+            raise ValueError("not an exact division over the integers")
         q[k] = f
         for i, bv in enumerate(b):
             r[k + i] -= f * bv
-    return q, r
-
-
-def _list_content(a):
-    from math import gcd
-    g = 0
-    for v in a:
-        g = gcd(g, abs(v))
-    return g or 1
+    if any(r):
+        raise ValueError("not an exact division")
+    return q
 
 
 def _list_primitive(a):
+    """a without its top zeros, divided by its content and signed so that
+    the top coefficient is positive."""
     while a and a[-1] == 0:
         a.pop()
     if not a:
         return a
-    g = _list_content(a)
-    a = [v // g for v in a]
-    if a[-1] < 0:
-        a = [-v for v in a]
-    return a
+    g = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [v // g for v in a]
 
 
 def _list_gcd(a, b):
-    """Primitive gcd of two integer coefficient lists (subresultant-free,
-    via pseudo-remainders; fine at the degrees this package reaches)."""
-    a = _list_primitive(list(a))
-    b = _list_primitive(list(b))
-    while any(b):
-        # pseudo-remainder: scale a so the division stays integral
-        d = len(a) - len(b)
-        if d < 0:
-            a, b = b, a
-            continue
-        lead = b[-1]
-        aa = [v * lead ** (d + 1) for v in a]
-        _, r = _list_divmod(aa, b)
-        r = [int(x) for x in r]
+    """Primitive gcd of two integer coefficient lists, lowest degree first,
+    by the primitive pseudo-remainder sequence (Knuth, TAOCP Vol. 2,
+    4.6.1); [] if both are zero."""
+    a, b = _list_primitive(list(a)), _list_primitive(list(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r, n, lb = a, len(b), b[-1]
+        while len(r) >= n:
+            # r <- lc(b) r - lc(r) q^k b, which clears the top coefficient
+            k, lr = len(r) - n, r[-1]
+            r = [lb * v for v in r[:k]] + \
+                [lb * v - lr * w for v, w in zip(r[k:-1], b)]
+            while r and r[-1] == 0:
+                r.pop()
         a, b = b, _list_primitive(r)
-    return a
+    # a primitive constant b is 1
+    return [1] if b else a
 
 
 def poly_gcd(f, g):
-    """Gcd in Z[q, q^-1], normalized to lowest exponent 0, positive leading."""
-    if f.is_zero():
-        return _unit_normal(g)
-    if g.is_zero():
-        return _unit_normal(f)
+    """Gcd in Z[q, q^-1], normalized to lowest exponent 0 and positive top
+    coefficient: the primitive gcd times the gcd of the two contents.  The
+    gcd with 0 is the other argument normalized; poly_gcd(0, 0) is 0."""
     _, a = f.to_list()
     _, b = g.to_list()
-    h = _list_gcd(a, b)
-    ca, cb = _list_content(a), _list_content(b)
-    from math import gcd as igcd
-    h = [v * igcd(ca, cb) for v in _list_primitive(h)]
-    # strip trailing/leading zero exponents so min exponent is 0
-    lo = 0
-    while h and h[0] == 0:
-        h.pop(0)
-        lo += 1
-    return LaurentPoly.from_list(0, h)
-
-
-def _unit_normal(f):
-    if f.is_zero():
-        return f
-    lo, coeffs = f.to_list()
-    if coeffs[-1] < 0:
-        coeffs = [-v for v in coeffs]
-    return LaurentPoly.from_list(0, coeffs)
+    c = gcd(*a, *b)
+    return LaurentPoly.from_list(0, [c * v for v in _list_gcd(a, b)])
 
 
 class LaurentFrac:
@@ -364,16 +325,6 @@ class LaurentFrac:
         if isinstance(other, (int, LaurentPoly)):
             other = LaurentFrac(other)
         return LaurentFrac(self.num * other.den, self.den * other.num)
-
-    def as_poly(self):
-        """Return the Laurent polynomial value, or raise if the denominator
-        is not a unit."""
-        if len(self.den.c) != 1:
-            raise ValueError(f"denominator {self.den} is not a unit")
-        (e, v), = self.den.c.items()
-        if v not in (1, -1):
-            raise ValueError(f"denominator {self.den} is not a unit")
-        return self.num * LaurentPoly.term(v, -e)
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"

@@ -9,7 +9,7 @@ from itertools import permutations as _permutations
 __all__ = [
     "identity", "all_perms", "compose", "inverse", "length", "sgen",
     "perm_from_word", "lex_least_word", "right_longer",
-    "young_subgroup", "block_components", "transposition",
+    "young_subgroup", "block_components",
 ]
 
 
@@ -43,12 +43,6 @@ def sgen(n, i):
     """The adjacent transposition s_i as a permutation of {1..n}."""
     w = list(range(1, n + 1))
     w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
-def transposition(n, i, j):
-    w = list(range(1, n + 1))
-    w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
     return tuple(w)
 
 

@@ -19,9 +19,6 @@ class Presentation:
         self.relations = [(tuple(l), tuple(r)) for l, r in relations]
         self.name = name
 
-    def gen_index(self, name):
-        return self.generators.index(name)
-
     def __repr__(self):
         return f"Presentation({self.name}, {len(self.generators)} gens, " \
             f"{len(self.relations)} rels)"
@@ -188,8 +185,7 @@ def presentation_check(pres, gen_elems, identity, target_set):
             pres.relations.index(bad[0])]
         return report
     # 2: surjectivity
-    generated = set(closure(list(gen_elems) + [identity],
-                            mul=lambda a, b: a * b))
+    generated = set(closure(list(gen_elems) + [identity]))
     target = set(target_set)
     surj = generated == target or generated == target | {identity}
     report["surjective"] = surj

@@ -171,7 +171,7 @@ def center(elements):
 
 def generation_check(target, gens, budget=10 ** 7):
     """True if the closure of `gens` equals the target set."""
-    got = closure(list(gens), mul=lambda a, b: a * b, budget=budget)
+    got = closure(list(gens), budget=budget)
     return set(got) == set(target)
 
 

@@ -78,12 +78,6 @@ class SetPartition:
     def same_block(self, x, y):
         return self._index[x] == self._index[y]
 
-    def block_of(self, x):
-        return self.blocks[self._index[x]]
-
-    def num_blocks(self):
-        return len(self.blocks)
-
     def __len__(self):
         return len(self.blocks)
 

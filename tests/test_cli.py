@@ -145,6 +145,18 @@ def test_other_errors_still_surface(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_profile_ignores_the_environment(monkeypatch, capsys):
+    from tiedbox import cli
+
+    seen = []
+    monkeypatch.setenv("TIEDBOX_PROFILE", "bogus")
+    monkeypatch.setattr(cli.checks, "run_all",
+                        lambda profile, seed: seen.append(profile) or [])
+    code, _ = run(capsys, "verify-all")
+    assert code == 0
+    assert seen == ["full"]
+
+
 def test_bad_element_exit_code(capsys):
     code = main(["multiply", "--algebra", "bh", "--n", "2",
                  "--lhs", "garbage", "--rhs", "(1*q^0) * 0"])

@@ -139,3 +139,33 @@ def test_add_term_drops_zero_sums():
     assert out == {"b": Q}
     add_term(out, "c", ZERO)
     assert out == {"b": Q}
+
+
+@given(polys, polys, polys)
+@settings(max_examples=100, deadline=None)
+def test_frac_normal_form_cancels_common_factors(a, b, c):
+    if not b or not c:
+        return
+    x, y = LaurentFrac(a * c, b * c), LaurentFrac(a, b)
+    assert x == y
+    assert str(x) == str(y)
+    assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("num, den", [
+    (Q + ONE, LaurentPoly.const(2)),
+    (Q * Q + ONE, Q + ONE),
+])
+def test_divexact_rejects_inexact_division(num, den):
+    with pytest.raises(ValueError):
+        num.divexact(den)
+
+
+@pytest.mark.parametrize("f, g, expected", [
+    (LaurentPoly({0: 2, 1: 2}), LaurentPoly({0: 4, 2: -4}), LaurentPoly({0: 2, 1: 2})),
+    (ZERO, LaurentPoly({-1: -2}), LaurentPoly.const(2)),
+    (ZERO, ZERO, ZERO),
+    (LaurentPoly({-1: -1, 0: -1}), Q + ONE, Q + ONE),
+])
+def test_poly_gcd_normal_form(f, g, expected):
+    assert poly_gcd(f, g) == expected
