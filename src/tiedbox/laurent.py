@@ -274,11 +274,12 @@ class LaurentFrac:
             num = num.divexact(g)
             den = den.divexact(g)
         # normalize denominator: lowest exponent 0, positive leading coeff
-        lo, coeffs = den.to_list()
-        sign = 1 if coeffs[-1] > 0 else -1
-        shift = LaurentPoly.term(sign, -lo)
-        self.num = num * shift
-        self.den = den * shift
+        lo = min(den.c)
+        sign = 1 if den.c[max(den.c)] > 0 else -1
+        if lo or sign < 0:
+            num, den = (LaurentPoly({e - lo: sign * v for e, v in p.c.items()})
+                        for p in (num, den))
+        self.num, self.den = num, den
 
     def is_zero(self):
         return self.num.is_zero()

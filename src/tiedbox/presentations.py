@@ -1,8 +1,9 @@
 """Monoid presentations, Knuth-Bendix completion over the shortlex order,
 and verification of presentations against concrete finite monoids.
 
-Words are tuples of generator indices; the order of the generator list
-fixes the shortlex order.
+Words are `bytes`, one byte per generator index, so a presentation has at
+most 256 generators.  Bytes slice, concatenate and compare like tuples of
+ints, and the order of the generator list fixes the shortlex order.
 """
 
 from . import perms
@@ -16,7 +17,10 @@ __all__ = ["Presentation", "RewriteSystem", "kb_complete", "normal_forms",
 class Presentation:
     def __init__(self, generators, relations, name=""):
         self.generators = list(generators)       # names, fixing the order
-        self.relations = [(tuple(l), tuple(r)) for l, r in relations]
+        if len(self.generators) > 256:
+            raise ValueError(f"{name or 'presentation'} has "
+                             f"{len(self.generators)} generators, at most 256")
+        self.relations = [(bytes(l), bytes(r)) for l, r in relations]
         self.name = name
 
     def __repr__(self):
@@ -40,17 +44,11 @@ class RewriteSystem:
 
     def reduce(self, word):
         """A normal form of `word`; unique when the system is complete."""
-        return _reduce(tuple(word), self.rules)
+        return _reduce(bytes(word), self.rules)
 
 
 def _shortlex_key(word):
     return (len(word), word)
-
-
-def _orient(u, v):
-    """The rule between two distinct words: the shortlex-larger rewrites
-    to the smaller."""
-    return (u, v) if _shortlex_key(u) > _shortlex_key(v) else (v, u)
 
 
 def _reduce(word, rules):
@@ -58,39 +56,45 @@ def _reduce(word, rules):
     while changed:
         changed = False
         for lhs, rhs in rules:
-            k = len(lhs)
-            idx = _find(word, lhs)
+            idx = word.find(lhs)
             if idx >= 0:
-                word = word[:idx] + rhs + word[idx + k:]
+                word = word[:idx] + rhs + word[idx + len(lhs):]
                 changed = True
     return word
 
 
-def _find(word, sub):
-    k = len(sub)
-    for p in range(len(word) - k + 1):
-        if word[p:p + k] == sub:
-            return p
-    return -1
+def _join(rules, u, v):
+    """Reduce u and v; if they still differ, add the rule between them,
+    the shortlex-larger rewriting to the smaller."""
+    u, v = _reduce(u, rules), _reduce(v, rules)
+    if u != v:
+        rules.append((u, v) if _shortlex_key(u) > _shortlex_key(v) else (v, u))
 
 
 def kb_complete(pres, max_rules=20000, max_steps=10 ** 6):
     """Knuth-Bendix completion with the shortlex order induced by the
     generator list.  Returns a RewriteSystem; `complete` is False if a
-    budget was exhausted."""
+    budget was exhausted.
+
+    One pass: rule i meets every rule j <= i in both orders, so each
+    critical pair is examined once; rules added on the way get their own
+    turn later.  This is sound because rules are only added: every pair of
+    final rules was joined by a subset of them, and every rule is a
+    consequence of the relations.  A new lhs is irreducible by the earlier
+    rules, so no two rules share one.  The closing interreduction drops
+    only rules whose lhs contains another lhs, and their containment pair
+    was already joined by rules with smaller lhs.  The result is the
+    reduced complete system, unique for the order (Metivier 1983).
+    """
     rules = []
     for l, r in pres.relations:
-        u, v = _reduce(tuple(l), rules), _reduce(tuple(r), rules)
-        if u != v:
-            rules.append(_orient(u, v))
-
+        _join(rules, l, r)
     steps = 0
-    pending = True
-    while pending:
-        pending = False
-        current = list(rules)
-        for l1, r1 in current:
-            for l2, r2 in current:
+    i = 0
+    while i < len(rules):
+        for j in range(i + 1):
+            for a, b in ((i, j), (j, i)) if j < i else ((i, i),):
+                (l1, r1), (l2, r2) = rules[a], rules[b]
                 # overlaps: a suffix of l1 is a prefix of l2
                 for k in range(1, min(len(l1), len(l2)) + 1):
                     steps += 1
@@ -98,36 +102,22 @@ def kb_complete(pres, max_rules=20000, max_steps=10 ** 6):
                         return RewriteSystem(_interreduce(rules),
                                              len(pres.generators), False)
                     if l1[len(l1) - k:] == l2[:k]:
-                        a = _reduce(r1 + l2[k:], rules)
-                        b = _reduce(l1[:len(l1) - k] + r2, rules)
-                        if a != b:
-                            rules.append(_orient(a, b))
-                            pending = True
+                        _join(rules, r1 + l2[k:], l1[:len(l1) - k] + r2)
                 # containment: l2 properly inside l1
-                if len(l2) < len(l1):
-                    idx = _find(l1, l2)
-                    if idx >= 0:
-                        steps += 1
-                        a = _reduce(r1, rules)
-                        b = _reduce(l1[:idx] + r2 + l1[idx + len(l2):], rules)
-                        if a != b:
-                            rules.append(_orient(a, b))
-                            pending = True
-        if pending:
-            rules = _interreduce(rules)
+                idx = l1.find(l2) if len(l2) < len(l1) else -1
+                if idx >= 0:
+                    steps += 1
+                    _join(rules, r1, l1[:idx] + r2 + l1[idx + len(l2):])
+        i += 1
     return RewriteSystem(_interreduce(rules), len(pres.generators), True)
 
 
 def _interreduce(rules):
-    rules = sorted(set(rules), key=lambda lr: _shortlex_key(lr[0]))
-    out = []
-    for i, (l, r) in enumerate(rules):
-        others = [lr for j, lr in enumerate(rules)
-                  if j != i and lr[0] != l]
-        if any(_find(l, l2) >= 0 for l2, _ in others):
-            continue
-        out.append((l, _reduce(r, others)))
-    return out
+    """Drop every rule whose lhs contains another lhs, reduce every rhs.
+    Sorted by lhs, only earlier lhs can occur in l or in its rhs r < l."""
+    rules = sorted(rules, key=lambda lr: _shortlex_key(lr[0]))
+    return [(l, _reduce(r, rules[:i])) for i, (l, r) in enumerate(rules)
+            if not any(l2 in l for l2, _ in rules[:i])]
 
 
 def normal_forms(rs, cap=10 ** 6):
@@ -136,19 +126,17 @@ def normal_forms(rs, cap=10 ** 6):
     and RuntimeError for an incomplete system."""
     if not rs.complete:
         raise RuntimeError("rewrite system is not complete")
-    lhs_set = [l for l, _ in rs.rules]
-    forms = [()]
-    frontier = [()]
+    lhs_tuple = tuple(l for l, _ in rs.rules)
+    forms = [b""]
+    frontier = [b""]
     while frontier:
         new = []
         for w in frontier:
             for g in range(rs.num_gens):
-                w2 = w + (g,)
+                w2 = w + bytes((g,))
                 # w is irreducible, so only suffixes of w2 need checking
-                if any(w2[len(w2) - len(l):] == l for l in lhs_set
-                       if len(l) <= len(w2)):
-                    continue
-                new.append(w2)
+                if not w2.endswith(lhs_tuple):
+                    new.append(w2)
         forms.extend(new)
         if len(forms) > cap:
             raise BudgetExceeded("normal form cap exceeded")

@@ -42,13 +42,9 @@ def mat_add(a, b):
 
 
 def mat_scale(a, c):
-    out = {}
-    for i, row in a.items():
-        orow = {j: v * c for j, v in row.items()}
-        orow = {j: v for j, v in orow.items() if v}
-        if orow:
-            out[i] = orow
-    return out
+    """c * a for a nonzero c: Z[q, q^-1] has no zero divisors, so no entry
+    becomes zero."""
+    return {i: {j: v * c for j, v in row.items()} for i, row in a.items()}
 
 
 def flatten_matrix(m, dim):
@@ -157,5 +153,10 @@ class TensorRep:
         """Matrix of an element of BTAlgebra or (via iota1) BHAlgebra."""
         out = {}
         for key, c in x.terms.items():
-            out = mat_add(out, mat_scale(self.rho_bt(key), c))
+            for i, row in self.rho_bt(key).items():
+                orow = out.setdefault(i, {})
+                for j, v in row.items():
+                    add_term(orow, j, v * c)
+                if not orow:
+                    del out[i]
         return out

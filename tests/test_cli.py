@@ -157,6 +157,13 @@ def test_profile_ignores_the_environment(monkeypatch, capsys):
     assert seen == ["full"]
 
 
+def test_too_many_generators_is_a_usage_error(capsys):
+    # srsn:9 has 36 + 8 * 36 = 324 generators; a word holds one byte each
+    code = main(["present-check", "--preset", "srsn", "--n", "9"])
+    assert code == 64
+    assert "srsn:9 has 324 generators, at most 256" in capsys.readouterr().err
+
+
 def test_bad_element_exit_code(capsys):
     code = main(["multiply", "--algebra", "bh", "--n", "2",
                  "--lhs", "garbage", "--rhs", "(1*q^0) * 0"])

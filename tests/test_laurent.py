@@ -152,6 +152,16 @@ def test_frac_normal_form_cancels_common_factors(a, b, c):
     assert hash(x) == hash(y)
 
 
+@pytest.mark.parametrize("num, den, text", [
+    (Q, -QINV, "(-1*q^2) / (1*q^0)"),
+    (Q + ONE, LaurentPoly({-2: 3, 1: 5}), "(1*q^3 + 1*q^2) / (5*q^3 + 3*q^0)"),
+    (ONE, LaurentPoly({0: 1, 1: -1}), "(-1*q^0) / (1*q^1 + -1*q^0)"),
+])
+def test_frac_denominator_normal_form(num, den, text):
+    # lowest exponent 0 and a positive top coefficient in the denominator
+    assert str(LaurentFrac(num, den)) == text
+
+
 @pytest.mark.parametrize("num, den", [
     (Q + ONE, LaurentPoly.const(2)),
     (Q * Q + ONE, Q + ONE),

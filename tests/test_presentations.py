@@ -76,6 +76,28 @@ def test_larger_presets(name, n, count):
     assert report["normal_forms"] == count
 
 
+def _occurs(sub, word):
+    return any(word[p:p + len(sub)] == sub
+               for p in range(len(word) - len(sub) + 1))
+
+
+RULE_COUNTS = {("brauer", 4): 89, ("brsn", 4): 42, ("brjn", 4): 43,
+               ("srsn", 3): 79, ("brbrn", 3): 47}
+
+
+@pytest.mark.parametrize("name,n", [(name, 3) for name in PRESET_NAMES]
+                         + [("brauer", 4), ("brsn", 4), ("brjn", 4)])
+def test_completed_system_is_reduced(name, n):
+    rs = kb_complete(build_preset(name, n)[0])
+    assert rs.complete
+    lhs = [l for l, _ in rs.rules]
+    assert len(set(lhs)) == len(lhs)
+    assert not any(_occurs(l2, l) for l in lhs for l2 in lhs if l2 != l)
+    assert not any(_occurs(l, r) for _, r in rs.rules for l in lhs)
+    if (name, n) in RULE_COUNTS:
+        assert len(rs.rules) == RULE_COUNTS[name, n]
+
+
 def test_broken_relation_is_detected():
     pres, gens, identity, target = build_preset("brjn", 3)
     relations = list(pres.relations) + [((0,), ())]  # claim a generator is 1
