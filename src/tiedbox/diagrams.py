@@ -11,10 +11,10 @@ from .setpartitions import SetPartition, UnionFind, all_partitions
 from . import perms
 
 __all__ = [
-    "BudgetExceeded", "Diagram", "concat", "perm_diagram", "generator",
-    "closure", "boxed_diagram", "is_boxed", "boxed_composition", "over",
-    "shift_blocks", "symmetric_diagrams", "jones_monoid", "brauer_monoid",
-    "partition_monoid",
+    "BUDGET", "BudgetExceeded", "Diagram", "concat", "perm_diagram",
+    "generator", "closure", "boxed_diagram", "is_boxed", "boxed_composition",
+    "over", "shift_blocks", "symmetric_diagrams", "jones_monoid",
+    "brauer_monoid", "partition_monoid",
 ]
 
 
@@ -136,7 +136,12 @@ class BudgetExceeded(RuntimeError):
     """A search stopped at its step or size budget before it finished."""
 
 
-def closure(gens, budget=10 ** 6):
+# Default number of products a closure may take; also the largest R(S_n)
+# that `ramified.r_symmetric` enumerates.
+BUDGET = 10 ** 6
+
+
+def closure(gens, budget=BUDGET):
     """Multiplicative closure of a set of elements under `*`, breadth first
     (for diagrams, concatenation with loops discarded).  Raises
     BudgetExceeded after `budget` products.

@@ -5,6 +5,11 @@ Its arithmetic, exact division and gcd included, is in integers only; no
 floating point is used anywhere.  Rank computations are either exact
 (elimination over the fraction field, in `echelon_reduce`) or probabilistic
 (modular evaluation at random points, seeded).
+
+`LaurentPoly` and `LaurentFrac` values are immutable, and equal values may
+be one shared object: a product with the unit returns the other factor,
+and `add_term` stores the coefficient it is given.  Nothing may change a
+coefficient dict in place after construction.
 """
 
 from fractions import Fraction
@@ -19,7 +24,10 @@ __all__ = [
 
 
 class LaurentPoly:
-    """An element of Z[q, q^-1], stored as a dict exponent -> coefficient."""
+    """An element of Z[q, q^-1], stored as a dict exponent -> coefficient.
+
+    Immutable: operations return new values or one of their operands (the
+    product with ONE is the other factor), so values may be shared."""
 
     __slots__ = ("c",)
 
@@ -44,11 +52,11 @@ class LaurentPoly:
         return bool(self.c)
 
     def __eq__(self, other):
+        if isinstance(other, LaurentPoly):
+            return self.c == other.c
         if isinstance(other, int):
             return self.c == ({0: other} if other else {})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.c == other.c
+        return NotImplemented
 
     def __hash__(self):
         return hash(frozenset(self.c.items()))
@@ -56,6 +64,8 @@ class LaurentPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.const(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         out = dict(self.c)
         for e, v in other.c.items():
             w = out.get(e, 0) + v
@@ -75,19 +85,32 @@ class LaurentPoly:
         return r
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
+        if not isinstance(other, (int, LaurentPoly)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return LaurentPoly.const(other) - self
+        if not isinstance(other, int):
+            return NotImplemented
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return LaurentPoly()
+            other = LaurentPoly.const(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        if other.c == ONE.c:
+            return self
+        if self.c == ONE.c:
+            return other
+        if len(other.c) == 1:
+            self, other = other, self
+        if len(self.c) == 1:
+            # a monomial factor: terms never collide, and Z has no zero
+            # divisors, so the product is the other factor shifted and scaled
+            (e1, v1), = self.c.items()
             r = LaurentPoly.__new__(LaurentPoly)
-            r.c = {e: v * other for e, v in self.c.items()}
+            r.c = {e1 + e2: v1 * v2 for e2, v2 in other.c.items()}
             return r
         out = {}
         for e1, v1 in self.c.items():
@@ -187,12 +210,14 @@ DELTA = LaurentPoly({1: 1, -1: 1})    # q + q^-1, the loop parameter
 
 def add_term(out, key, c):
     """out[key] += c in a sparse dict of LaurentPoly coefficients; a key
-    whose sum is zero is dropped."""
-    s = out.get(key, ZERO) + c
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
+    whose sum is zero is dropped.  A new key holds c itself."""
+    s = out.get(key)
+    if s is not None:
+        c = s + c
+    if c:
+        out[key] = c
+    elif s is not None:
+        del out[key]
 
 
 def _list_divexact(a, b):
@@ -248,6 +273,9 @@ def poly_gcd(f, g):
     """Gcd in Z[q, q^-1], normalized to lowest exponent 0 and positive top
     coefficient: the primitive gcd times the gcd of the two contents.  The
     gcd with 0 is the other argument normalized; poly_gcd(0, 0) is 0."""
+    for p in (f, g):
+        if len(p.c) == 1 and abs(next(iter(p.c.values()))) == 1:
+            return ONE   # a unit +-q^k
     _, a = f.to_list()
     _, b = g.to_list()
     c = gcd(*a, *b)
@@ -288,18 +316,18 @@ class LaurentFrac:
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentFrac(other)
-        if isinstance(other, LaurentPoly):
-            other = LaurentFrac(other)
+        other = _frac(other)
+        if other is NotImplemented:
+            return other
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = LaurentFrac(other)
+        other = _frac(other)
+        if other is NotImplemented:
+            return other
         return LaurentFrac(self.num * other.den + other.num * self.den,
                            self.den * other.den)
 
@@ -311,26 +339,44 @@ class LaurentFrac:
         return r
 
     def __sub__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = LaurentFrac(other)
+        other = _frac(other)
+        if other is NotImplemented:
+            return other
         return self + (-other)
 
+    def __rsub__(self, other):
+        other = _frac(other)
+        if other is NotImplemented:
+            return other
+        return other - self
+
     def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = LaurentFrac(other)
+        other = _frac(other)
+        if other is NotImplemented:
+            return other
         return LaurentFrac(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = LaurentFrac(other)
+        other = _frac(other)
+        if other is NotImplemented:
+            return other
         return LaurentFrac(self.num * other.den, self.den * other.num)
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"
 
     __repr__ = __str__
+
+
+def _frac(x):
+    """x as a LaurentFrac; NotImplemented for an operand of a foreign type."""
+    if isinstance(x, LaurentFrac):
+        return x
+    if isinstance(x, (int, LaurentPoly)):
+        return LaurentFrac(x)
+    return NotImplemented
 
 
 def _rank_modular(rows, seed, trials=3):

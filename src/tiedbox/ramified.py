@@ -3,12 +3,14 @@ than J, multiplied componentwise.  The boxed families BR(M) require J to be
 a coarsening of the identity whose top restriction is linear."""
 
 from functools import lru_cache
+from math import factorial
 
+from .combinatorics import bell
 from .setpartitions import SetPartition, all_partitions
-from .diagrams import (Diagram, perm_diagram, generator, closure,
-                       boxed_diagram, is_boxed, boxed_composition, over,
-                       symmetric_diagrams, jones_monoid, brauer_monoid,
-                       partition_monoid)
+from .diagrams import (BUDGET, BudgetExceeded, Diagram, perm_diagram,
+                       generator, closure, boxed_diagram, is_boxed,
+                       boxed_composition, over, symmetric_diagrams,
+                       jones_monoid, brauer_monoid, partition_monoid)
 from . import perms
 
 __all__ = [
@@ -113,7 +115,11 @@ def from_perm_and_ties(w, ties):
 
 @lru_cache(maxsize=None)
 def r_symmetric(n):
-    """R(S_n): all (w, arbitrary tie partition); size n! * bell(n)."""
+    """R(S_n): all (w, arbitrary tie partition); size n! * bell(n).
+    Raises BudgetExceeded, before enumerating, if that is above BUDGET."""
+    size = factorial(n) * bell(n)
+    if size > BUDGET:
+        raise BudgetExceeded(f"|R(S_{n})| = {size} is above the budget {BUDGET}")
     out = []
     for w in perms.all_perms(n):
         for ties in all_partitions(range(1, n + 1)):

@@ -4,7 +4,10 @@ V has basis v_i^a with strand index i in {1..n} and color a in {1..r}
 (r >= n).  The algebra acts on V^(tensor n); operators compose left to
 right, so rho(xy) = rho(x) . rho(y) with row-vector matrix products.
 
-Matrices are sparse: dict row -> dict col -> LaurentPoly.
+Matrices are sparse: dict row -> dict col -> LaurentPoly.  `mat_mul`,
+`mat_add` and `TensorRep.rho` return fresh row dicts, never a row of an
+operand, so a caller may change them without touching the cached generator
+matrices; the LaurentPoly entries themselves are immutable and shared.
 """
 
 from functools import lru_cache
@@ -15,29 +18,33 @@ from . import perms
 __all__ = ["TensorRep", "mat_mul", "mat_add", "mat_scale", "flatten_matrix"]
 
 
+def _add_row(out, i, row, c):
+    """out[i] += c * row in a sparse matrix, for a nonzero c; a row that
+    sums to zero is dropped.  A new row is a copy, never `row` itself."""
+    orow = out.get(i)
+    if orow is None:
+        out[i] = dict(row) if c == ONE else {j: c * w for j, w in row.items()}
+        return
+    for j, w in row.items():
+        add_term(orow, j, c * w)
+    if not orow:
+        del out[i]
+
+
 def mat_mul(a, b):
     out = {}
     for i, arow in a.items():
-        orow = {}
         for k, v in arow.items():
             brow = b.get(k)
-            if not brow:
-                continue
-            for j, w in brow.items():
-                add_term(orow, j, v * w)
-        if orow:
-            out[i] = orow
+            if brow:
+                _add_row(out, i, brow, v)
     return out
 
 
 def mat_add(a, b):
     out = {i: dict(r) for i, r in a.items()}
     for i, row in b.items():
-        orow = out.setdefault(i, {})
-        for j, v in row.items():
-            add_term(orow, j, v)
-        if not orow:
-            del out[i]
+        _add_row(out, i, row, ONE)
     return out
 
 
@@ -154,9 +161,5 @@ class TensorRep:
         out = {}
         for key, c in x.terms.items():
             for i, row in self.rho_bt(key).items():
-                orow = out.setdefault(i, {})
-                for j, v in row.items():
-                    add_term(orow, j, v * c)
-                if not orow:
-                    del out[i]
+                _add_row(out, i, row, c)
         return out

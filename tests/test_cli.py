@@ -136,6 +136,23 @@ def test_exhausted_budget_is_an_inconclusive_record(monkeypatch, capsys):
                         "reason": "closure budget exhausted"}]
 
 
+@pytest.mark.parametrize("argv", [
+    ("present-check", "--preset", "srsn", "--n", "7"),
+    ("enumerate", "--monoid", "r-symmetric", "--n", "7"),
+])
+def test_oversized_r_symmetric_is_inconclusive_without_enumerating(
+        argv, monkeypatch, capsys):
+    from tiedbox import ramified
+
+    # |R(S_7)| = 7! * bell(7) = 4,420,080 is known before any element is built
+    monkeypatch.setattr(ramified, "from_perm_and_ties",
+                        lambda *args: pytest.fail("R(S_7) was enumerated"))
+    code, records = run(capsys, *argv)
+    assert code == 2
+    assert records == [{"name": argv[0], "status": "inconclusive",
+                        "reason": "|R(S_7)| = 4420080 is above the budget 1000000"}]
+
+
 def test_other_errors_still_surface(monkeypatch, capsys):
     from tiedbox import cli
 

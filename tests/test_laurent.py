@@ -1,6 +1,7 @@
 """Exact Laurent-polynomial coefficients and linear algebra."""
 
 from fractions import Fraction
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,22 @@ polys = st.builds(
     LaurentPoly,
     st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), max_size=4),
 )
+
+
+monomials = st.one_of(
+    st.just(ONE),
+    st.builds(LaurentPoly.term, st.integers(-9, 9).filter(bool), st.integers(-4, 4)),
+)
+units = st.builds(LaurentPoly.term, st.sampled_from([1, -1]), st.integers(-4, 4))
+
+
+def convolve(a, b):
+    """Reference product of two Laurent polynomials, term by term."""
+    out = {}
+    for e1, v1 in a.c.items():
+        for e2, v2 in b.c.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
 
 
 def test_constants():
@@ -79,6 +96,51 @@ def test_gcd_divides_both(a, b):
         assert a.divexact(g) * g == a
     if b:
         assert b.divexact(g) * g == b
+
+
+@given(monomials, polys)
+@settings(max_examples=150, deadline=None)
+def test_monomial_products_match_convolution(m, p):
+    assert (m * p).c == convolve(m, p)
+    assert (p * m).c == convolve(p, m)
+
+
+@given(polys)
+@settings(max_examples=50, deadline=None)
+def test_unit_product_is_an_operand(p):
+    # not a new value: the other factor, or ONE itself when p equals ONE
+    for prod in (ONE * p, p * ONE):
+        assert prod is p or (prod is ONE and p == ONE)
+
+
+@given(polys, units)
+@settings(max_examples=100, deadline=None)
+def test_gcd_with_a_unit_is_one(f, u):
+    assert poly_gcd(f, u) == poly_gcd(u, f) == ONE
+    x = LaurentFrac(f, u)
+    assert str(x.den) == "1*q^0"
+    assert x * LaurentFrac(u) == LaurentFrac(f)
+
+
+def test_mixed_poly_and_frac_operands():
+    f = LaurentFrac(Q, DELTA)
+    assert Q * f == f * Q == LaurentFrac(Q) * f
+    assert Q + f == f + Q == LaurentFrac(Q) + f
+    assert Q - f == LaurentFrac(Q) - f
+    assert f - Q == f - LaurentFrac(Q)
+    assert 2 - f == LaurentFrac(2) - f
+    assert f / Q == f / LaurentFrac(Q)
+    assert Q == LaurentFrac(Q) and LaurentFrac(Q) == Q
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+@pytest.mark.parametrize("x", [Q, LaurentFrac(Q, DELTA)])
+def test_foreign_operand_is_a_type_error(op, x):
+    with pytest.raises(TypeError):
+        op(x, 1.5)
+    with pytest.raises(TypeError):
+        op(1.5, x)
 
 
 def test_frac_arithmetic():
@@ -139,6 +201,10 @@ def test_add_term_drops_zero_sums():
     assert out == {"b": Q}
     add_term(out, "c", ZERO)
     assert out == {"b": Q}
+    # a new key holds the coefficient itself, not a copy
+    c = QDIFF * DELTA
+    add_term(out, "c", c)
+    assert out["c"] is c
 
 
 @given(polys, polys, polys)

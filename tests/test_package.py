@@ -1,5 +1,7 @@
-"""Package hygiene: every exported name and every traced name exists."""
+"""Package hygiene: every exported name and every traced name exists, and
+no module changes a coefficient dict in place."""
 
+import ast
 import functools
 import importlib
 import importlib.util
@@ -39,3 +41,40 @@ def test_traced_names_resolve():
         except AttributeError:
             missing.append(target)
     assert not missing
+
+
+MUTATORS = {"pop", "popitem", "update", "setdefault", "clear"}
+
+
+def coefficient_dict_edits(tree):
+    """Line numbers where the dict `<expr>.c` of a LaurentPoly is changed in
+    place: item assignment or deletion, an augmented assignment, or a
+    mutating method call."""
+    def is_c(node):
+        return isinstance(node, ast.Attribute) and node.attr == "c"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_c(node.value) \
+                and isinstance(node.ctx, (ast.Store, ast.Del)):
+            yield node.lineno
+        elif isinstance(node, ast.AugAssign) and is_c(node.target):
+            yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MUTATORS and is_c(node.func.value):
+            yield node.lineno
+
+
+def test_coefficient_dict_scan_finds_in_place_edits():
+    code = "p.c[0] = 1\ndel p.c[1]\np.c[2] += 1\np.c |= {}\np.c.pop(0)\n" \
+           "p.c.update({})\nr.c = {0: 1}\nx = p.c[0]\nd = dict(p.c)\n"
+    assert sorted(coefficient_dict_edits(ast.parse(code))) == [1, 2, 3, 4, 5, 6]
+
+
+def test_coefficient_dicts_are_never_changed_in_place():
+    # Laurent values are shared (a product with ONE returns its operand), so
+    # one in-place edit would change every holder of the value; a new value
+    # is built as a dict first and then bound to `.c`
+    package = pathlib.Path(tiedbox.__file__).parent
+    edits = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in coefficient_dict_edits(ast.parse(path.read_text()))]
+    assert not edits

@@ -5,7 +5,16 @@ import random
 from tiedbox.algebras import BHAlgebra, BTAlgebra
 from tiedbox.checks import check_representation
 from tiedbox.laurent import matrix_rank
-from tiedbox.tensorrep import TensorRep, flatten_matrix, mat_mul
+from tiedbox.tensorrep import TensorRep, flatten_matrix, mat_add, mat_mul
+
+
+def copy_matrix(m):
+    return {i: dict(row) for i, row in m.items()}
+
+
+def clear_rows(m):
+    for row in m.values():
+        row.clear()
 
 
 def test_defining_relations_and_ranks():
@@ -56,3 +65,19 @@ def test_restriction_matches_tied_boxed_algebra():
         for b in bh.basis():
             prod = bh.basis_element(a) * bh.basis_element(b)
             assert mat_mul(mats[a], mats[b]) == rep.rho(prod)
+
+
+def test_products_return_fresh_rows():
+    # G(1) and rho_perm are cached, and a unit coefficient copies their rows
+    # into the result: changing the result must not change the cache
+    rep = TensorRep(2, 2)
+    g1 = copy_matrix(rep.G(1))
+    clear_rows(mat_mul(rep.E(1), rep.G(1)))
+    clear_rows(mat_add(rep.identity(), rep.G(1)))
+    assert rep.G(1) == g1
+    bt = BTAlgebra(2)
+    for key in bt.basis():
+        w = key[1]
+        perm = copy_matrix(rep.rho_perm(w))
+        clear_rows(rep.rho(bt.basis_element(key)))
+        assert rep.rho_perm(w) == perm
