@@ -1,13 +1,16 @@
 """Partition diagrams on n strands: set partitions of {1..n, n+1..2n},
 where i is the i-th top point and n+i the i-th bottom point.
 
-Concatenation runs through a shared middle row using union-find over 3n
-points and reports the number of closed middle components (loops).
+Concatenation runs through a shared middle row: a list-based union-find
+over the blocks of the two factors, joined at the middle points, labels
+every outer point and counts the closed middle components (loops).
 """
 
 from functools import lru_cache
+from itertools import count
 
-from .setpartitions import SetPartition, UnionFind, all_partitions
+from .setpartitions import SetPartition, _find, all_partitions
+from .combinatorics import bell
 from . import perms
 
 __all__ = [
@@ -30,6 +33,8 @@ class Diagram:
         self.part = part
 
     def __eq__(self, other):
+        if not isinstance(other, Diagram):
+            return NotImplemented
         return self.n == other.n and self.part == other.part
 
     def __hash__(self):
@@ -78,24 +83,25 @@ def concat(d1, d2):
     if d1.n != d2.n:
         raise ValueError("different strand counts")
     n = d1.n
-    # points: 1..n top, n+1..2n middle, 2n+1..3n bottom
-    uf = UnionFind(range(1, 3 * n + 1))
-    for b in d1.part.blocks:
-        for x in b[1:]:
-            uf.union(b[0], x)
-    for b in d2.part.blocks:
-        sb = [x + n for x in b]
-        for x in sb[1:]:
-            uf.union(sb[0], x)
-    loops = 0
-    blocks = []
-    for cls in uf.classes():
-        outer = [x for x in cls if x <= n or x > 2 * n]
-        if not outer:
-            loops += 1
-            continue
-        blocks.append([x if x <= n else x - n for x in outer])
-    return Diagram(n, blocks), loops
+    p1, p2 = d1.part, d2.part
+    index1, index2 = p1._index, p2._index
+    # one node per block: those of d1 first, then those of d2; middle
+    # point m is bottom point n+m of d1 and top point m of d2
+    k = len(p1.blocks)
+    parent = list(range(k + len(p2.blocks)))
+    components = len(parent)
+    for m in range(1, n + 1):
+        a = _find(parent, index1[n + m])
+        b = _find(parent, k + index2[m])
+        if a != b:
+            parent[b] = a
+            components -= 1
+    labels = [_find(parent, index1[x]) for x in range(1, n + 1)]
+    labels += [_find(parent, k + index2[x]) for x in range(n + 1, 2 * n + 1)]
+    d = object.__new__(Diagram)
+    d.n = n
+    d.part = SetPartition._from_labels(p1.ground, labels)
+    return d, components - len(set(labels))
 
 
 def perm_diagram(w):
@@ -136,9 +142,22 @@ class BudgetExceeded(RuntimeError):
     """A search stopped at its step or size budget before it finished."""
 
 
-# Default number of products a closure may take; also the largest R(S_n)
-# that `ramified.r_symmetric` enumerates.
+# Default number of products a closure may take; also the largest family
+# that a direct enumeration builds (see `check_budget`).
 BUDGET = 10 ** 6
+
+
+def check_budget(label, n, sizes):
+    """Raise BudgetExceeded, before a family on n strands is enumerated, if
+    it has more than BUDGET elements.  `sizes` yields the (nondecreasing)
+    sizes of the family on 0, 1, 2, ... strands, and `label.format(k)` names
+    it on k strands; the check stops at the first size above BUDGET, so it
+    is cheap for any n."""
+    for k, size in zip(range(n + 1), sizes):
+        if size > BUDGET:
+            at = "" if k == n else f" >= |{label.format(k)}|"
+            raise BudgetExceeded(f"|{label.format(n)}|{at} = {size} "
+                                 f"is above the budget {BUDGET}")
 
 
 def closure(gens, budget=BUDGET):
@@ -235,4 +254,6 @@ def brauer_monoid(n):
 
 
 def partition_monoid(n):
+    """All bell(2n) diagrams on n strands; see `check_budget`."""
+    check_budget("P_{}", n, (bell(2 * k) for k in count()))
     return [Diagram(n, p) for p in all_partitions(range(1, 2 * n + 1))]

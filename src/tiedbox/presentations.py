@@ -6,8 +6,11 @@ most 256 generators.  Bytes slice, concatenate and compare like tuples of
 ints, and the order of the generator list fixes the shortlex order.
 """
 
+from itertools import count
+
 from . import perms
-from .diagrams import BudgetExceeded, closure
+from .combinatorics import bell
+from .diagrams import BudgetExceeded, check_budget, closure
 
 __all__ = ["Presentation", "RewriteSystem", "kb_complete", "normal_forms",
            "word_equiv", "presentation_check", "build_preset",
@@ -244,6 +247,7 @@ def preset_pn(n):
 
     gen_elems = [_JoinElem(tie(i, j)) for (i, j) in e_names]
     identity = _JoinElem(SetPartition.singletons(range(1, n + 1)))
+    check_budget("Pi_{}", n, map(bell, count()))
     target = [_JoinElem(p) for p in all_partitions(range(1, n + 1))]
     return pres, gen_elems, identity, target
 
@@ -260,6 +264,8 @@ class _JoinElem:
         return _JoinElem(self.p.join(other.p))
 
     def __eq__(self, other):
+        if not isinstance(other, _JoinElem):
+            return NotImplemented
         return self.p == other.p
 
     def __hash__(self):

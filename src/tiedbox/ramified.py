@@ -3,11 +3,12 @@ than J, multiplied componentwise.  The boxed families BR(M) require J to be
 a coarsening of the identity whose top restriction is linear."""
 
 from functools import lru_cache
+from itertools import count
 from math import factorial
 
-from .combinatorics import bell
+from .combinatorics import bell, catalan, double_factorial_odd
 from .setpartitions import SetPartition, all_partitions
-from .diagrams import (BUDGET, BudgetExceeded, Diagram, perm_diagram,
+from .diagrams import (Diagram, check_budget, perm_diagram,
                        generator, closure, boxed_diagram, is_boxed,
                        boxed_composition, over, symmetric_diagrams,
                        jones_monoid, brauer_monoid, partition_monoid)
@@ -42,6 +43,8 @@ class Ramified:
         return Ramified(self.left * other.left, self.right * other.right)
 
     def __eq__(self, other):
+        if not isinstance(other, Ramified):
+            return NotImplemented
         return self.left == other.left and self.right == other.right
 
     def __hash__(self):
@@ -61,7 +64,10 @@ class Ramified:
 
     @staticmethod
     def parse(text):
-        head, mid, tail = (piece.strip() for piece in text.split(";"))
+        pieces = [piece.strip() for piece in text.split(";")]
+        if len(pieces) != 3:
+            raise ValueError(f"bad element {text!r}: expected `n; blocks ; blocks`")
+        head, mid, tail = pieces
         n = int(head)
         g = tuple(range(1, 2 * n + 1))
         return Ramified(Diagram(n, SetPartition.parse(mid, g)),
@@ -115,11 +121,9 @@ def from_perm_and_ties(w, ties):
 
 @lru_cache(maxsize=None)
 def r_symmetric(n):
-    """R(S_n): all (w, arbitrary tie partition); size n! * bell(n).
-    Raises BudgetExceeded, before enumerating, if that is above BUDGET."""
-    size = factorial(n) * bell(n)
-    if size > BUDGET:
-        raise BudgetExceeded(f"|R(S_{n})| = {size} is above the budget {BUDGET}")
+    """R(S_n): all (w, arbitrary tie partition); size n! * bell(n), see
+    `diagrams.check_budget`."""
+    check_budget("R(S_{})", n, (factorial(k) * bell(k) for k in count()))
     out = []
     for w in perms.all_perms(n):
         for ties in all_partitions(range(1, n + 1)):
@@ -135,9 +139,22 @@ def sr_symmetric(n):
                  if x.left.part != x.right.part)
 
 
-def _boxed_family(n, block_family):
-    """All (I, b_mu) with I a horizontal product of block elements."""
+def _boxed_sizes(block_size):
+    """The sizes of a boxed family on 0, 1, 2, ... strands: the sum over the
+    compositions mu of k of the products of `block_size(m)` over the parts
+    m of mu, by the last part m."""
+    sizes = [1]
+    while True:
+        yield sizes[-1]
+        k = len(sizes)
+        sizes.append(sum(block_size(m) * sizes[k - m] for m in range(1, k + 1)))
+
+
+def _boxed_family(name, n, block_family, block_size):
+    """All (I, b_mu) with I a horizontal product of block elements; see
+    `diagrams.check_budget`."""
     from .combinatorics import compositions
+    check_budget(f"BR({name}_{{}})", n, _boxed_sizes(block_size))
     out = []
     for mu in compositions(n):
         lefts = [Diagram(0, SetPartition([], ()))]
@@ -150,22 +167,24 @@ def _boxed_family(n, block_family):
 
 @lru_cache(maxsize=None)
 def br_symmetric(n):
-    return tuple(_boxed_family(n, symmetric_diagrams))
+    return tuple(_boxed_family("S", n, symmetric_diagrams, factorial))
 
 
 @lru_cache(maxsize=None)
 def br_jones(n):
-    return tuple(_boxed_family(n, lambda m: list(jones_monoid(m))))
+    return tuple(_boxed_family("J", n, lambda m: list(jones_monoid(m)), catalan))
 
 
 @lru_cache(maxsize=None)
 def br_brauer(n):
-    return tuple(_boxed_family(n, lambda m: list(brauer_monoid(m))))
+    return tuple(_boxed_family("Br", n, lambda m: list(brauer_monoid(m)),
+                               double_factorial_odd))
 
 
 @lru_cache(maxsize=None)
 def br_partition(n):
-    return tuple(_boxed_family(n, partition_monoid))
+    return tuple(_boxed_family("P", n, partition_monoid,
+                               lambda m: bell(2 * m)))
 
 
 def center(elements):
@@ -297,6 +316,8 @@ def _brauer_factorization(d):
     """Factor a Brauer diagram as s * t_1 t_3 ... t_(2k-1) * s', choosing the
     canonical (shortest, then lexicographically least) pair of permutations.
     Exhaustive search; intended for small strand counts."""
+    if any(len(b) != 2 for b in d.part.blocks):
+        raise ValueError("not a Brauer diagram")
     n = d.n
     k = (n - len([b for b in d.part.blocks
                   if b[0] <= n < b[1] and len(b) == 2])) // 2

@@ -2,45 +2,24 @@
 
 The refinement order is written I <= J ("I is finer than J").  Linear
 partitions (all blocks are intervals) are identified with compositions.
+
+Values are immutable and may be shared (the algebras cache products whose
+keys hold set partitions), so nothing changes `blocks`, `ground` or
+`_index` after construction.
 """
 
 from functools import lru_cache
 from math import factorial
 
-__all__ = ["SetPartition", "UnionFind", "all_partitions", "linear_partitions",
+__all__ = ["SetPartition", "all_partitions", "linear_partitions",
            "mobius_linear", "mobius_partition"]
 
 
-class UnionFind:
-    """Disjoint sets over arbitrary hashable items, with path compression."""
-
-    def __init__(self, items=()):
-        self.parent = {x: x for x in items}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        self.add(x)
-        self.add(y)
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def classes(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
+def _find(parent, i):
+    """Root of i in a list-based union-find, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
 
 
 class SetPartition:
@@ -67,6 +46,27 @@ class SetPartition:
         self.ground = ground
         self._index = {x: i for i, b in enumerate(bl) for x in b}
 
+    @classmethod
+    def _from_labels(cls, ground, labels):
+        """The partition of the sorted tuple `ground` whose blocks are the
+        points with equal labels (`labels[k]` is the label of `ground[k]`).
+        Points are grouped by first occurrence, so the blocks come out
+        sorted and ordered by their least point; nothing is re-validated."""
+        blocks, index, slot = [], {}, {}
+        for x, label in zip(ground, labels):
+            i = slot.get(label)
+            if i is None:
+                slot[label] = i = len(blocks)
+                blocks.append([x])
+            else:
+                blocks[i].append(x)
+            index[x] = i
+        self = object.__new__(cls)
+        self.blocks = tuple(map(tuple, blocks))
+        self.ground = ground
+        self._index = index
+        return self
+
     @staticmethod
     def singletons(ground):
         return SetPartition([(x,) for x in ground])
@@ -82,6 +82,8 @@ class SetPartition:
         return len(self.blocks)
 
     def __eq__(self, other):
+        if not isinstance(other, SetPartition):
+            return NotImplemented
         return self.blocks == other.blocks and self.ground == other.ground
 
     def __hash__(self):
@@ -100,11 +102,17 @@ class SetPartition:
         """Least common coarsening."""
         if self.ground != other.ground:
             raise ValueError("different ground sets")
-        uf = UnionFind(self.ground)
-        for b in self.blocks + other.blocks:
+        # merge the blocks of self that one block of other meets
+        parent = list(range(len(self.blocks)))
+        index = self._index
+        for b in other.blocks:
+            root = _find(parent, index[b[0]])
             for x in b[1:]:
-                uf.union(b[0], x)
-        return SetPartition(uf.classes(), self.ground)
+                r = _find(parent, index[x])
+                if r != root:
+                    parent[r] = root
+        return SetPartition._from_labels(
+            self.ground, [_find(parent, index[x]) for x in self.ground])
 
     def restrict(self, subset):
         subset = set(subset)
@@ -148,8 +156,19 @@ class SetPartition:
 
     def act(self, w):
         """Right action of a permutation in one-line notation on a partition
-        of {1..n}: replace x by w(x)."""
-        return self.relabel(lambda x: w[x - 1])
+        of {1..n}: replace x by w(x).  Raises ValueError unless the ground
+        is 1..n and w is a permutation of it."""
+        ground = self.ground
+        n = len(ground)
+        if ground != tuple(range(1, n + 1)):
+            raise ValueError(f"act needs the ground 1..n, not {ground}")
+        if sorted(w) != list(ground):
+            raise ValueError(f"{tuple(w)} is not a permutation of 1..{n}")
+        labels = [0] * n
+        for i, b in enumerate(self.blocks):
+            for x in b:
+                labels[w[x - 1] - 1] = i
+        return SetPartition._from_labels(ground, labels)
 
     def coarsenings(self):
         """All partitions J with J >= self."""

@@ -153,6 +153,58 @@ def test_oversized_r_symmetric_is_inconclusive_without_enumerating(
                         "reason": "|R(S_7)| = 4420080 is above the budget 1000000"}]
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("enumerate", "--monoid", "partition", "--n", "6"), "|P_6| = 4213597"),
+    (("enumerate", "--monoid", "br-partition", "--n", "6"), "|BR(P_6)| = 4945661"),
+    (("enumerate", "--monoid", "br-symmetric", "--n", "10"), "|BR(S_10)| = 4960775"),
+    (("present-check", "--preset", "brsn", "--n", "10"), "|BR(S_10)| = 4960775"),
+    # the check stops at the first size above the budget, whatever n is
+    (("enumerate", "--monoid", "br-symmetric", "--n", "40"),
+     "|BR(S_40)| >= |BR(S_10)| = 4960775"),
+    (("present-check", "--preset", "brsn-z", "--n", "40"),
+     "|BR(S_40)| >= |BR(S_10)| = 4960775"),
+    (("enumerate", "--monoid", "br-jones", "--n", "30"),
+     "|BR(J_30)| >= |BR(J_12)| = 1352078"),
+    (("enumerate", "--monoid", "br-partition", "--n", "100000"),
+     "|BR(P_100000)| >= |BR(P_6)| = 4945661"),
+    (("enumerate", "--monoid", "partition", "--n", "40"), "|P_40| >= |P_6| = 4213597"),
+    (("enumerate", "--monoid", "r-symmetric", "--n", "40"),
+     "|R(S_40)| >= |R(S_7)| = 4420080"),
+    (("present-check", "--preset", "pn", "--n", "12"), "|Pi_12| = 4213597"),
+])
+def test_oversized_direct_enumerations_are_inconclusive_without_enumerating(
+        argv, reason, monkeypatch, capsys):
+    from tiedbox import combinatorics, diagrams, ramified, setpartitions
+
+    # the sizes are known before any element is built
+    def enumerated(*args):
+        pytest.fail(f"{argv[-3]} {argv[-1]} was enumerated")
+
+    monkeypatch.setattr(combinatorics, "compositions", enumerated)
+    monkeypatch.setattr(diagrams, "all_partitions", enumerated)
+    monkeypatch.setattr(ramified, "all_partitions", enumerated)
+    monkeypatch.setattr(setpartitions, "all_partitions", enumerated)
+    monkeypatch.setattr(ramified, "symmetric_diagrams", enumerated)
+    monkeypatch.setattr(ramified, "over", enumerated)
+    code, records = run(capsys, *argv)
+    assert code == 2
+    assert records == [{"name": argv[0], "status": "inconclusive",
+                        "reason": f"{reason} is above the budget 1000000"}]
+
+
+@pytest.mark.parametrize("element, message", [
+    ("2; 1|2|3|4 ; 1,3|2,4", "not a Brauer diagram"),
+    ("3; 1,4|2,5 ; 1,4|2,5|3,6", "not a Brauer diagram"),
+    ("2; 1,3|2,4", "expected `n; blocks ; blocks`"),
+])
+def test_bad_brauer_element_is_a_usage_error(element, message, capsys):
+    code = main(["normal-form", "--monoid", "br-brauer", "--element", element])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_other_errors_still_surface(monkeypatch, capsys):
     from tiedbox import cli
 

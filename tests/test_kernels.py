@@ -1,0 +1,168 @@
+"""The label kernels of set-partition and diagram products (`join`, `act`,
+`concat`) against the dict-based union-find they replaced."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tiedbox import algebras
+from tiedbox.diagrams import Diagram, brauer_monoid, concat
+from tiedbox.setpartitions import SetPartition, all_partitions
+
+
+class ReferenceUnionFind:
+    """Disjoint sets over hashable items, kept in a dict."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+    def classes(self):
+        out = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
+
+
+def reference_join(p, q):
+    uf = ReferenceUnionFind(p.ground)
+    for b in p.blocks + q.blocks:
+        for x in b[1:]:
+            uf.union(b[0], x)
+    return SetPartition(uf.classes(), p.ground)
+
+
+def reference_act(p, w):
+    return SetPartition([tuple(w[x - 1] for x in b) for b in p.blocks], p.ground)
+
+
+def reference_concat(d1, d2):
+    n = d1.n
+    uf = ReferenceUnionFind(range(1, 3 * n + 1))
+    for b in d1.part.blocks:
+        for x in b[1:]:
+            uf.union(b[0], x)
+    for b in d2.part.blocks:
+        for x in b[1:]:
+            uf.union(b[0] + n, x + n)
+    loops, blocks = 0, []
+    for cls in uf.classes():
+        outer = [x if x <= n else x - n for x in cls if x <= n or x > 2 * n]
+        if outer:
+            blocks.append(outer)
+        else:
+            loops += 1
+    return Diagram(n, blocks), loops
+
+
+def assert_canonical(p):
+    """p is exactly what the validating constructor makes of its blocks."""
+    canon = SetPartition(p.blocks, p.ground)
+    assert (p.blocks, p.ground, p._index) == (canon.blocks, canon.ground, canon._index)
+    assert p == canon and hash(p) == hash(canon) and str(p) == str(canon)
+
+
+@st.composite
+def partitions_of_range(draw, n):
+    """A fresh (never memoised) partition of 1..n from a label per point."""
+    labels = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    blocks = {}
+    for x, label in enumerate(labels, 1):
+        blocks.setdefault(label, []).append(x)
+    return SetPartition(list(blocks.values()), tuple(range(1, n + 1)))
+
+
+triples = st.integers(0, 5).flatmap(lambda n: st.tuples(
+    partitions_of_range(n), partitions_of_range(n), partitions_of_range(n)))
+actions = st.integers(0, 5).flatmap(lambda n: st.tuples(
+    partitions_of_range(n), st.permutations(range(1, n + 1))))
+diagram_pairs = st.integers(0, 5).flatmap(lambda n: st.tuples(
+    partitions_of_range(2 * n), partitions_of_range(2 * n)).map(
+        lambda ps: (Diagram(n, ps[0]), Diagram(n, ps[1]))))
+
+
+@given(triples)
+@settings(max_examples=300, deadline=None)
+def test_join_matches_reference_and_is_a_semilattice(ps):
+    p, q, r = ps
+    j = p.join(q)
+    assert j == reference_join(p, q)
+    assert_canonical(j)
+    assert j == q.join(p)
+    assert j.join(r) == p.join(q.join(r))
+    assert p.join(p) == p
+    again = SetPartition(p.blocks, p.ground).join(SetPartition(q.blocks, q.ground))
+    assert again == j and hash(again) == hash(j)
+
+
+def test_join_needs_one_ground_set():
+    p, q = SetPartition.singletons((1, 2)), SetPartition.singletons((1, 2, 3))
+    with pytest.raises(ValueError, match="different ground sets"):
+        p.join(q)
+
+
+@given(actions)
+@settings(max_examples=300, deadline=None)
+def test_act_matches_reference(pw):
+    p, w = pw
+    a = p.act(w)
+    assert a == reference_act(p, w)
+    assert_canonical(a)
+    again = SetPartition(p.blocks, p.ground).act(list(w))
+    assert again == a and hash(again) == hash(a)
+
+
+@pytest.mark.parametrize("w", [(1, 1, 3), (0, 2, 3), (2, 1), (1, 2, 3, 4)])
+def test_act_rejects_a_non_permutation(w):
+    p = SetPartition.parse("1,3|2", (1, 2, 3))
+    with pytest.raises(ValueError, match="not a permutation of 1..3"):
+        p.act(w)
+
+
+def test_act_needs_the_ground_one_to_n():
+    with pytest.raises(ValueError, match="needs the ground 1..n"):
+        SetPartition.parse("2,4|3", (2, 3, 4)).act((1, 2, 3))
+
+
+@given(diagram_pairs)
+@settings(max_examples=300, deadline=None)
+def test_concat_matches_reference(pair):
+    d1, d2 = pair
+    d, loops = concat(d1, d2)
+    assert (d, loops) == reference_concat(d1, d2)
+    assert_canonical(d.part)
+    canon = Diagram(d.n, d.part.blocks)
+    assert d == canon and hash(d) == hash(canon) and str(d) == str(canon)
+
+
+def test_concat_counts_loops_like_the_reference():
+    elements = brauer_monoid(3)
+    total = 0
+    for d1 in elements:
+        for d2 in elements:
+            d, loops = concat(d1, d2)
+            assert (d, loops) == reference_concat(d1, d2)
+            total += loops
+    assert total > 0
+
+
+@given(actions, st.data())
+@settings(max_examples=100, deadline=None)
+def test_cached_join_and_act_of_the_algebras_match_the_reference(pw, data):
+    p, w = pw
+    q = data.draw(partitions_of_range(len(p.ground)))
+    w = tuple(w)
+    for _ in range(2):  # a miss, then a hit on fresh equal operands
+        moved = algebras._act(SetPartition(q.blocks, q.ground), w)
+        joined = algebras._join(SetPartition(p.blocks, p.ground), moved)
+        assert moved == reference_act(q, w) and hash(moved) == hash(reference_act(q, w))
+        assert joined == reference_join(p, moved)

@@ -1,5 +1,6 @@
-"""Package hygiene: every exported name and every traced name exists, and
-no module changes a coefficient dict in place."""
+"""Package hygiene: every exported name and every traced name exists, no
+module changes a coefficient dict in place, and no module but
+setpartitions.py writes the fields of a set partition."""
 
 import ast
 import functools
@@ -78,3 +79,41 @@ def test_coefficient_dicts_are_never_changed_in_place():
     edits = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
              for line in coefficient_dict_edits(ast.parse(path.read_text()))]
     assert not edits
+
+
+PARTITION_FIELDS = {"blocks", "ground", "_index"}
+
+
+def partition_field_writes(tree):
+    """Line numbers where a field of a SetPartition is written: assignment
+    to or deletion of `<expr>.blocks`, `.ground` or `._index`, or an item
+    write or mutating method call on `<expr>._index`."""
+    def is_field(node, names=PARTITION_FIELDS):
+        return isinstance(node, ast.Attribute) and node.attr in names
+
+    for node in ast.walk(tree):
+        if is_field(node) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            yield node.lineno
+        elif isinstance(node, ast.Subscript) and is_field(node.value, {"_index"}) \
+                and isinstance(node.ctx, (ast.Store, ast.Del)):
+            yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MUTATORS and is_field(node.func.value, {"_index"}):
+            yield node.lineno
+
+
+def test_partition_field_scan_finds_writes():
+    code = "p.blocks = ()\np.ground += (1,)\ndel p._index\np._index[1] = 0\n" \
+           "p._index.update({})\nx = p.blocks\nq = p._index[1]\nd.part = p\n"
+    assert sorted(partition_field_writes(ast.parse(code))) == [1, 2, 3, 4, 5]
+
+
+def test_partition_fields_are_written_only_in_setpartitions():
+    # the algebras cache joins, actions and straightening steps, and share
+    # their results, so a set partition is built once, by setpartitions.py,
+    # and never changed
+    package = pathlib.Path(tiedbox.__file__).parent
+    writes = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+              if path.name != "setpartitions.py"
+              for line in partition_field_writes(ast.parse(path.read_text()))]
+    assert not writes

@@ -148,3 +148,18 @@ def test_center_of_boxed_symmetric():
 def test_str_parse_roundtrip():
     for el in br_brauer(3):
         assert Ramified.parse(str(el)) == el
+
+
+def test_equality_with_a_foreign_operand_is_false():
+    from tiedbox.diagrams import perm_diagram
+    from tiedbox.presentations import _JoinElem
+    from tiedbox.setpartitions import SetPartition
+
+    values = [SetPartition([(1, 2)]), perm_diagram((2, 1)), gen_z(2, 1),
+              _JoinElem(SetPartition([(1, 2)]))]
+    for v in values:
+        assert not v == None  # noqa: E711 -- the comparison under test
+        assert v != None  # noqa: E711
+        assert v not in [None, 3, "1,2"]
+        assert v.__eq__(None) is NotImplemented
+        assert [w for w in values if w == v] == [v]
