@@ -13,13 +13,16 @@
 """
 
 from functools import lru_cache
+from itertools import accumulate, combinations, count
+from math import factorial
 
 from .laurent import LaurentPoly, ONE, Q, QINV, QDIFF, DELTA, add_term, \
     echelon_insert, echelon_reduce
 from .setpartitions import SetPartition, all_partitions, linear_partitions, \
     mobius_linear, mobius_partition
-from .diagrams import Diagram, concat, jones_monoid, generator, perm_diagram
-from .combinatorics import compositions
+from .diagrams import check_budget, concat, jones_monoid, generator, \
+    perm_diagram
+from .combinatorics import bell, boxed_sizes, catalan, compositions
 from . import perms
 
 __all__ = [
@@ -46,9 +49,6 @@ class AlgebraElement:
                 v = _coeff(v)
                 if v:
                     self.terms[k] = v
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -128,12 +128,8 @@ class _Algebra:
         if key not in _Algebra._instances:
             obj = super().__new__(cls)
             obj.n = n
-            obj._first_use()
             _Algebra._instances[key] = obj
         return _Algebra._instances[key]
-
-    def _first_use(self):
-        """Runs once, when the instance for a given n is made."""
 
     def element(self, terms):
         return AlgebraElement(self, terms)
@@ -210,6 +206,7 @@ class HeckeAlgebra(_Straightened):
         return perms.identity(self.n)
 
     def basis(self):
+        check_budget("S_{}", self.n, map(factorial, count()))
         return perms.all_perms(self.n)
 
     def gen(self, i):
@@ -272,21 +269,8 @@ def support_partition(w):
 class BTAlgebra(_Straightened):
     """Algebra of braids and ties; basis E_I g_w with I any set partition
     of {1..n} and w in S_n.  Ties move through braid generators by the rule
-    E_I g_w = g_w E_(I.act(w)), verified against the ramified monoid."""
-
-    def _first_use(self):
-        """Assert the tie-transport convention at the monoid level, on 3
-        strands: the diagram of w times a tie e_Q equals e_(Q.act(w^-1))
-        times w."""
-        n = 3
-        for w in perms.all_perms(n):
-            wd = perm_diagram(w)
-            for q_part in all_partitions(range(1, n + 1)):
-                tie = _tie_diagram(n, q_part)
-                lhs = wd * tie
-                rhs = _tie_diagram(n, q_part.act(perms.inverse(w))) * wd
-                if lhs != rhs:
-                    raise AssertionError("tie transport convention failed")
+    E_I g_w = g_w E_(I.act(w)), which the tests check against the ramified
+    monoid."""
 
     def one_key(self):
         return (SetPartition.singletons(range(1, self.n + 1)),
@@ -294,15 +278,13 @@ class BTAlgebra(_Straightened):
 
     @lru_cache(maxsize=None)
     def basis(self):
+        check_budget("R(S_{})", self.n,
+                     (factorial(k) * bell(k) for k in count()))
         return [(p, w) for p in all_partitions(range(1, self.n + 1))
                 for w in perms.all_perms(self.n)]
 
     def e(self, i):
-        return self.e_pair(i, i + 1)
-
-    def e_pair(self, i, j):
-        p = SetPartition([(i, j)], tuple(range(1, self.n + 1)))
-        return self.basis_element((p, perms.identity(self.n)))
+        return self.basis_element((_tie(self.n, i), perms.identity(self.n)))
 
     def e_of_partition(self, p):
         return self.basis_element((p, perms.identity(self.n)))
@@ -354,11 +336,6 @@ class BTAlgebra(_Straightened):
         return self.e(i) * self.e(j) * body
 
 
-def _tie_diagram(n, p):
-    blocks = [tuple(b) + tuple(n + x for x in b) for b in p.blocks]
-    return Diagram(n, blocks)
-
-
 class BHAlgebra(_Straightened):
     """Tied-boxed Hecke algebra; basis E_I z_w with I a linear partition of
     {1..n} and w preserving the blocks of I."""
@@ -369,6 +346,7 @@ class BHAlgebra(_Straightened):
 
     @lru_cache(maxsize=None)
     def basis(self):
+        check_budget("BR(S_{})", self.n, boxed_sizes(factorial))
         out = []
         for p in linear_partitions(self.n):
             for w in perms.young_subgroup(p.to_composition()):
@@ -443,6 +421,7 @@ class BTLAlgebra(_Algebra):
 
     @lru_cache(maxsize=None)
     def basis(self):
+        check_budget("BR(J_{})", self.n, boxed_sizes(catalan))
         out = []
         for mu in compositions(self.n):
             tuples = [()]
@@ -474,12 +453,10 @@ class BTLAlgebra(_Algebra):
 # maps between the algebras
 
 
-def iota1(x, target=None):
+def iota1(x):
     """Embedding of the tied-boxed Hecke algebra into braids and ties:
     E_I z_w -> E_I g_w."""
-    if target is None:
-        target = BTAlgebra(x.algebra.n)
-    return target.element(x.terms)
+    return BTAlgebra(x.algebra.n).element(x.terms)
 
 
 @lru_cache(maxsize=None)
@@ -503,33 +480,25 @@ def hecke_to_tl(x):
 
 
 def _linear_coarsenings(p):
-    """Linear partitions K >= p, for linear p (drop subsets of the cuts)."""
-    from itertools import combinations
+    """Linear partitions K >= p, for linear p (drop subsets of the cuts);
+    the empty partition has itself only."""
     mu = p.to_composition()
-    cuts = []
-    acc = 0
-    for m in mu[:-1]:
-        acc += m
-        cuts.append(acc)
-    n = sum(mu)
+    if not mu:
+        return [p]
+    cuts = list(accumulate(mu[:-1]))
     out = []
     for k in range(len(cuts) + 1):
         for keep in combinations(cuts, k):
-            comp = []
-            prev = 0
-            for c in list(keep) + [n]:
-                comp.append(c - prev)
-                prev = c
-            out.append(SetPartition.from_composition(tuple(comp)))
+            ends = (0, *keep, sum(mu))
+            out.append(SetPartition.from_composition(
+                tuple(b - a for a, b in zip(ends, ends[1:]))))
     return out
 
 
-def pi2(x, target=None):
+def pi2(x):
     """Projection of the tied-boxed Hecke algebra onto the tied-boxed
     Temperley-Lieb algebra in its block decomposition."""
     n = x.algebra.n
-    if target is None:
-        target = BTLAlgebra(n)
     out = {}
     for (i_part, w), c in x.terms.items():
         for k_part in _linear_coarsenings(i_part):
@@ -542,7 +511,7 @@ def pi2(x, target=None):
                           for d, cl in local.terms.items()]
             for cc, t in pieces:
                 add_term(out, (mu, t), cc)
-    return AlgebraElement(target, out)
+    return BTLAlgebra(n).element(out)
 
 
 # ---------------------------------------------------------------------------

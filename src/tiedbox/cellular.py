@@ -168,7 +168,7 @@ def star_axiom_check(datum):
             "failures": failures}
 
 
-def cell_axiom_check(datum, generators, max_products=None):
+def cell_axiom_check(datum, generators):
     """Check the multiplication axiom: c_st * a lies, modulo strictly
     greater labels, in the span of the c_sv with the same s, and the
     coefficients r_v do not depend on s.
@@ -204,9 +204,6 @@ def cell_axiom_check(datum, generators, max_products=None):
     count = 0
     for lam, s, t in triples:
         for gi, a in enumerate(generators):
-            if max_products is not None and count >= max_products:
-                return {"status": "pass", "products": count,
-                        "truncated": True}
             count += 1
             prod = datum.elements[(lam, s, t)] * a
             rv = {}
@@ -231,4 +228,4 @@ def cell_axiom_check(datum, generators, max_products=None):
                                     "reason": "coefficients depend on s",
                                     "s_pair": (seen[key][1], repr(s))}}
             seen.setdefault(key, (frozen, repr(s)))
-    return {"status": "pass", "products": count, "truncated": False}
+    return {"status": "pass", "products": count}

@@ -6,6 +6,7 @@ command.  Every check is exact; ``seed`` only affects the probabilistic
 pre-pass of rank computations (which are always confirmed exactly).
 """
 
+import math
 from math import comb as binomial, factorial
 
 from . import ramified
@@ -38,7 +39,7 @@ from .combinatorics import (
     ptl_dim,
 )
 from .diagrams import brauer_monoid, jones_monoid
-from .laurent import QDIFF, matrix_rank
+from .laurent import DELTA, QDIFF, matrix_rank
 from .presentations import build_preset, presentation_check
 from .setpartitions import all_partitions, linear_partitions
 from .tensorrep import TensorRep, flatten_matrix, mat_add, mat_mul, mat_scale
@@ -95,12 +96,12 @@ def check_dimensions(quick=False):
                            factorial(n) * bell(n), BTAlgebra(n).dim()))
     for n in range(1, 4 if quick else 7):
         expected = sum(
-            _product(factorial(p) for p in mu) for mu in compositions(n)
+            math.prod(factorial(p) for p in mu) for mu in compositions(n)
         )
         recs.append(record(f"dim:tied-boxed-hecke:n={n}", expected, BHAlgebra(n).dim()))
     for n in range(1, 4 if quick else 9):
         by_sum = sum(
-            _product(catalan(p) for p in mu) for mu in compositions(n)
+            math.prod(catalan(p) for p in mu) for mu in compositions(n)
         )
         recs.append(record(f"dim:tied-boxed-tl-formula:n={n}",
                            binomial(2 * n - 1, n), by_sum))
@@ -108,13 +109,6 @@ def check_dimensions(quick=False):
             recs.append(record(f"dim:tied-boxed-tl:n={n}",
                                binomial(2 * n - 1, n), BTLAlgebra(n).dim()))
     return recs
-
-
-def _product(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +149,7 @@ def check_presentations(quick=False):
 
 
 def check_representation(seed=0):
-    rep = TensorRep(3, 3)
+    rep = TensorRep(3)
     one = rep.identity()
     e1, e2 = rep.E(1), rep.E(2)
     g1, g2 = rep.G(1), rep.G(2)
@@ -200,7 +194,7 @@ def check_representation(seed=0):
 
 def check_structure_constants(quick=False):
     recs = []
-    rep = TensorRep(3, 3)
+    rep = TensorRep(3)
     for label, algebra in (("tied", BTAlgebra(3)), ("tied-boxed-hecke", BHAlgebra(3))):
         keys = algebra.basis()
         if quick:
@@ -342,8 +336,6 @@ def check_quotients():
     recs.append(bool_record("quot:projected-steinberg-vanishes",
                             not pi2(bh.steinberg(1, 2))))
     # projections of d_i = q^-1 e_i + z_i satisfy the hook relations
-    from .laurent import DELTA
-
     d1, d2 = pi2(bh.d(1)), pi2(bh.d(2))
     e1, e2 = pi2(bh.e(1)), pi2(bh.e(2))
     ok_quad = d1 * d1 == d1.scale(DELTA) and d2 * d2 == d2.scale(DELTA)
@@ -363,7 +355,7 @@ def check_quotients():
     # tied algebra and verify row-space containment
     contained = True
     for product in two_sided_products(bh, bh.steinberg(1, 2)):
-        image = iota1(product, bt)
+        image = iota1(product)
         if image and not reduce_against(rows_bt, coords(image, index_bt)):
             contained = False
     recs.append(bool_record("quot:embedded-ideal-contained", contained))

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 __all__ = [
     "compositions", "int_partitions", "is_partition", "conjugate",
-    "bell", "catalan", "double_factorial_odd", "bn_alpha",
+    "bell", "catalan", "double_factorial_odd", "boxed_sizes", "bn_alpha",
     "dominates", "strictly_dominates",
     "Tableau", "standard_tableaux", "row_reading_tableau", "d_of_tableau",
     "multipartitions_of_composition", "initial_kind_multitableaux",
@@ -77,6 +77,17 @@ def double_factorial_odd(n):
     for k in range(1, 2 * n, 2):
         out *= k
     return out
+
+
+def boxed_sizes(block_size):
+    """The sizes of a boxed family on 0, 1, 2, ... strands: the sum over the
+    compositions mu of k of the products of `block_size(m)` over the parts
+    m of mu, by the last part m.  Endless; the sizes are nondecreasing."""
+    sizes = [1]
+    while True:
+        yield sizes[-1]
+        k = len(sizes)
+        sizes.append(sum(block_size(m) * sizes[k - m] for m in range(1, k + 1)))
 
 
 def bn_alpha(n, alpha):

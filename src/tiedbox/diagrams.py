@@ -53,11 +53,6 @@ class Diagram:
         """Restriction to the top points, as a partition of {1..n}."""
         return self.part.restrict(range(1, self.n + 1))
 
-    def bottom(self):
-        """Restriction to the bottom points, renumbered to {1..n}."""
-        p = self.part.restrict(range(self.n + 1, 2 * self.n + 1))
-        return p.relabel(lambda x: x - self.n)
-
     def flip(self):
         """Swap top and bottom (the diagram antiautomorphism)."""
         n = self.n
@@ -142,8 +137,8 @@ class BudgetExceeded(RuntimeError):
     """A search stopped at its step or size budget before it finished."""
 
 
-# Default number of products a closure may take; also the largest family
-# that a direct enumeration builds (see `check_budget`).
+# Number of products a closure may take; also the largest family that a
+# direct enumeration builds (see `check_budget`).
 BUDGET = 10 ** 6
 
 
@@ -160,10 +155,10 @@ def check_budget(label, n, sizes):
                                  f"is above the budget {BUDGET}")
 
 
-def closure(gens, budget=BUDGET):
+def closure(gens):
     """Multiplicative closure of a set of elements under `*`, breadth first
     (for diagrams, concatenation with loops discarded).  Raises
-    BudgetExceeded after `budget` products.
+    BudgetExceeded after BUDGET products.
     """
     gens = list(gens)
     seen = list(dict.fromkeys(gens))
@@ -175,7 +170,7 @@ def closure(gens, budget=BUDGET):
         for x in frontier:
             for g in gens:
                 steps += 1
-                if steps > budget:
+                if steps > BUDGET:
                     raise BudgetExceeded("closure budget exhausted")
                 y = x * g
                 if y not in seen_set:
@@ -210,11 +205,6 @@ def boxed_composition(d):
     if not is_boxed(d):
         raise ValueError("not a boxed diagram")
     return d.top().to_composition()
-
-
-def all_boxed(n):
-    from .combinatorics import compositions
-    return [boxed_diagram(mu) for mu in compositions(n)]
 
 
 def shift_blocks(blocks, m, r, s):

@@ -12,7 +12,6 @@ and `add_term` stores the coefficient it is given.  Nothing may change a
 coefficient dict in place after construction.
 """
 
-from fractions import Fraction
 from math import gcd
 import random
 
@@ -44,9 +43,6 @@ class LaurentPoly:
     @staticmethod
     def term(v, e):
         return LaurentPoly({e: v}) if v else LaurentPoly()
-
-    def is_zero(self):
-        return not self.c
 
     def __bool__(self):
         return bool(self.c)
@@ -150,13 +146,6 @@ class LaurentPoly:
     def from_list(low, coeffs):
         return LaurentPoly({low + k: v for k, v in enumerate(coeffs) if v})
 
-    def evaluate(self, x):
-        """Evaluate at an exact value x (Fraction or int, nonzero)."""
-        x = Fraction(x)
-        if x == 0:
-            raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
-        return sum((Fraction(v) * x ** e for e, v in self.c.items()), Fraction(0))
-
     def evaluate_mod(self, x, p):
         """Evaluate at x modulo the prime p; x must be a unit mod p."""
         acc = 0
@@ -168,9 +157,9 @@ class LaurentPoly:
 
     def divexact(self, other):
         """Exact division in Z[q, q^-1]; raises ValueError if not divisible."""
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError
-        if self.is_zero():
+        if not self:
             return LaurentPoly()
         alo, a = self.to_list()
         blo, b = other.to_list()
@@ -292,9 +281,9 @@ class LaurentFrac:
             num = LaurentPoly.const(num)
         if isinstance(den, int):
             den = LaurentPoly.const(den)
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError
-        if num.is_zero():
+        if not num:
             self.num, self.den = ZERO, ONE
             return
         g = poly_gcd(num, den)
@@ -308,9 +297,6 @@ class LaurentFrac:
             num, den = (LaurentPoly({e - lo: sign * v for e, v in p.c.items()})
                         for p in (num, den))
         self.num, self.den = num, den
-
-    def is_zero(self):
-        return self.num.is_zero()
 
     def __bool__(self):
         return bool(self.num)
@@ -379,12 +365,13 @@ def _frac(x):
     return NotImplemented
 
 
-def _rank_modular(rows, seed, trials=3):
-    """Lower bound for the rank via evaluation at random points mod a prime."""
+def _rank_modular(rows, seed):
+    """Lower bound for the rank: the best of evaluations at three random
+    points mod a prime."""
     p = (1 << 61) - 1
     rng = random.Random(seed)
     best = 0
-    for _ in range(trials):
+    for _ in range(3):
         x = rng.randrange(2, p - 1)
         num = []
         for r in rows:

@@ -10,11 +10,15 @@ from itertools import count
 
 from . import perms
 from .combinatorics import bell
-from .diagrams import BudgetExceeded, check_budget, closure
+from .diagrams import BudgetExceeded, brauer_monoid, check_budget, closure, \
+    generator, perm_diagram
+from .ramified import br_brauer, br_jones, br_symmetric, gen_d, gen_e, \
+    gen_e_pair, gen_s, gen_z, gen_z_pair, r_symmetric, ramified_identity, \
+    sr_symmetric
+from .setpartitions import SetPartition, all_partitions
 
 __all__ = ["Presentation", "RewriteSystem", "kb_complete", "normal_forms",
-           "word_equiv", "presentation_check", "build_preset",
-           "PRESET_NAMES"]
+           "presentation_check", "build_preset", "PRESET_NAMES"]
 
 
 class Presentation:
@@ -147,10 +151,6 @@ def normal_forms(rs, cap=10 ** 6):
     return forms
 
 
-def word_equiv(rs, u, v):
-    return rs.reduce(u) == rs.reduce(v)
-
-
 def presentation_check(pres, gen_elems, identity, target_set):
     """Full presentation verification:
 
@@ -240,7 +240,6 @@ def preset_pn(n):
     e_names = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     gens = [f"e_{i}_{j}" for (i, j) in e_names]
     pres = Presentation(gens, _pn_relations(n, e_names), name=f"pn:{n}")
-    from .setpartitions import SetPartition, all_partitions
 
     def tie(i, j):
         return SetPartition([(i, j)], tuple(range(1, n + 1)))
@@ -286,11 +285,26 @@ def _sgroup_relations(off, n):
     return rels
 
 
+def _letters(n, *families):
+    """The generators of a preset in families of n - 1 letters, family by
+    family: a family (letter, make) has the names letter1 .. letter(n-1)
+    and the elements make(n, i).  Returns the names, for each family the
+    map i -> generator index of its letter i, and a function that builds
+    the elements, to be called once `Presentation` has accepted the
+    number of generators."""
+    names, indices = [], []
+    for letter, _ in families:
+        indices.append(lambda i, off=len(names) - 1: off + i)
+        names += [f"{letter}{i}" for i in range(1, n)]
+    return names, indices, lambda: [make(n, i) for _, make in families
+                                    for i in range(1, n)]
+
+
 def preset_brauer(n):
     """Brauer monoid presented by transpositions s_i and hooks t_i."""
-    gens = [f"s{i}" for i in range(1, n)] + [f"t{i}" for i in range(1, n)]
-    S = lambda i: i - 1
-    T = lambda i: n - 2 + i
+    gens, (S, T), elements = _letters(
+        n, ("s", lambda n, i: perm_diagram(perms.sgen(n, i))),
+        ("t", lambda n, i: generator("t", n, i)))
     rels = _sgroup_relations(0, n)
     for i in range(1, n):
         rels.append(((T(i), T(i)), (T(i),)))
@@ -306,21 +320,14 @@ def preset_brauer(n):
                 rels.append(((T(i), T(j)), (T(j), T(i))))
                 rels.append(((T(i), S(j)), (S(j), T(i))))
     pres = Presentation(gens, rels, name=f"brauer:{n}")
-    from .diagrams import generator, perm_diagram, brauer_monoid
-    gen_elems = [perm_diagram(perms.sgen(n, i)) for i in range(1, n)] + \
-        [generator("t", n, i) for i in range(1, n)]
     identity = perm_diagram(perms.identity(n))
-    return pres, gen_elems, identity, list(brauer_monoid(n))
+    return pres, elements(), identity, list(brauer_monoid(n))
 
 
 def preset_rsn(n):
     """R(S_n) presented by e_i (ties) and s_i."""
-    gens = [f"e{i}" for i in range(1, n)] + [f"s{i}" for i in range(1, n)]
-    E = lambda i: i - 1
-    S = lambda i: n - 2 + i
-    rels = _tie_relations(n, E)
-    rels += [(tuple(x + n - 1 for x in l), tuple(x + n - 1 for x in r))
-             for l, r in _sgroup_relations(0, n)]
+    gens, (E, S), elements = _letters(n, ("e", gen_e), ("s", gen_s))
+    rels = _tie_relations(n, E) + _sgroup_relations(n - 1, n)
     for i in range(1, n):
         for j in range(1, n):
             d = abs(i - j)
@@ -331,10 +338,7 @@ def preset_rsn(n):
             else:
                 rels.append(((S(i), E(j)), (E(j), S(i))))
     pres = Presentation(gens, rels, name=f"rsn:{n}")
-    from .ramified import gen_e, gen_s, r_symmetric, ramified_identity
-    gen_elems = [gen_e(n, i) for i in range(1, n)] + \
-        [gen_s(n, i) for i in range(1, n)]
-    return pres, gen_elems, ramified_identity(n), list(r_symmetric(n))
+    return pres, elements(), ramified_identity(n), list(r_symmetric(n))
 
 
 def _ez_relations(n, E, Z):
@@ -359,20 +363,14 @@ def _ez_relations(n, E, Z):
 
 def preset_brsn(n):
     """BR(S_n) presented by ties e_i and tied transpositions z_i."""
-    gens = [f"e{i}" for i in range(1, n)] + [f"z{i}" for i in range(1, n)]
-    E = lambda i: i - 1
-    Z = lambda i: n - 2 + i
+    gens, (E, Z), elements = _letters(n, ("e", gen_e), ("z", gen_z))
     pres = Presentation(gens, _ez_relations(n, E, Z), name=f"brsn:{n}")
-    from .ramified import gen_e, gen_z, br_symmetric, ramified_identity
-    gen_elems = [gen_e(n, i) for i in range(1, n)] + \
-        [gen_z(n, i) for i in range(1, n)]
-    return pres, gen_elems, ramified_identity(n), list(br_symmetric(n))
+    return pres, elements(), ramified_identity(n), list(br_symmetric(n))
 
 
 def preset_brsn_z(n):
     """BR(S_n) presented by the tied transpositions alone."""
-    gens = [f"z{i}" for i in range(1, n)]
-    Z = lambda i: i - 1
+    gens, (Z,), elements = _letters(n, ("z", gen_z))
     rels = []
     for i in range(1, n):
         rels.append(((Z(i), Z(i), Z(i)), (Z(i),)))
@@ -387,16 +385,12 @@ def preset_brsn_z(n):
                              (Z(j), Z(j), Z(i), Z(i))))
                 rels.append(((Z(i), Z(i), Z(j)), (Z(j), Z(i), Z(i))))
     pres = Presentation(gens, rels, name=f"brsn-z:{n}")
-    from .ramified import gen_z, br_symmetric, ramified_identity
-    gen_elems = [gen_z(n, i) for i in range(1, n)]
-    return pres, gen_elems, ramified_identity(n), list(br_symmetric(n))
+    return pres, elements(), ramified_identity(n), list(br_symmetric(n))
 
 
 def preset_brjn(n):
     """BR(J_n) presented by ties e_i and tied hooks d_i."""
-    gens = [f"e{i}" for i in range(1, n)] + [f"d{i}" for i in range(1, n)]
-    E = lambda i: i - 1
-    D = lambda i: n - 2 + i
+    gens, (E, D), elements = _letters(n, ("e", gen_e), ("d", gen_d))
     rels = _tie_relations(n, E)
     for i in range(1, n):
         rels.append(((D(i), D(i)), (D(i),)))
@@ -412,10 +406,7 @@ def preset_brjn(n):
                     rels.append(((D(i), D(j)), (D(j), D(i))))
                 rels.append(((D(i), E(j)), (E(j), D(i))))
     pres = Presentation(gens, rels, name=f"brjn:{n}")
-    from .ramified import gen_e, gen_d, br_jones, ramified_identity
-    gen_elems = [gen_e(n, i) for i in range(1, n)] + \
-        [gen_d(n, i) for i in range(1, n)]
-    return pres, gen_elems, ramified_identity(n), list(br_jones(n))
+    return pres, elements(), ramified_identity(n), list(br_jones(n))
 
 
 def _brbr_relations(n, E, Z, D):
@@ -443,17 +434,10 @@ def _brbr_relations(n, E, Z, D):
 
 def preset_brbrn(n):
     """BR(Br_n) presented by e_i, z_i, d_i."""
-    gens = [f"e{i}" for i in range(1, n)] + [f"z{i}" for i in range(1, n)] \
-        + [f"d{i}" for i in range(1, n)]
-    E = lambda i: i - 1
-    Z = lambda i: n - 2 + i
-    D = lambda i: 2 * (n - 1) + i - 1
+    gens, (E, Z, D), elements = _letters(
+        n, ("e", gen_e), ("z", gen_z), ("d", gen_d))
     pres = Presentation(gens, _brbr_relations(n, E, Z, D), name=f"brbrn:{n}")
-    from .ramified import gen_e, gen_z, gen_d, br_brauer, ramified_identity
-    gen_elems = [gen_e(n, i) for i in range(1, n)] + \
-        [gen_z(n, i) for i in range(1, n)] + \
-        [gen_d(n, i) for i in range(1, n)]
-    return pres, gen_elems, ramified_identity(n), list(br_brauer(n))
+    return pres, elements(), ramified_identity(n), list(br_brauer(n))
 
 
 def preset_brbrn_abstract(n):
@@ -507,8 +491,6 @@ def preset_srsn(n):
                 rels.append(((Z(r, p), E(p2)), (E(ap(r, p2)), Z(r, p))))
             rels.append(((E(p), Z(r, p)), (Z(r, p),)))
     pres = Presentation(gens, rels, name=f"srsn:{n}")
-    from .ramified import gen_e_pair, gen_z_pair, sr_symmetric, \
-        ramified_identity
     gen_elems = [gen_e_pair(n, i, j) for (i, j) in pairs] + \
         [gen_z_pair(n, r, i, j) for r in rs for (i, j) in pairs]
     return pres, gen_elems, ramified_identity(n), list(sr_symmetric(n))

@@ -6,10 +6,11 @@ from functools import lru_cache
 from itertools import count
 from math import factorial
 
-from .combinatorics import bell, catalan, double_factorial_odd
+from .combinatorics import bell, boxed_sizes, catalan, compositions, \
+    double_factorial_odd
 from .setpartitions import SetPartition, all_partitions
 from .diagrams import (Diagram, check_budget, perm_diagram,
-                       generator, closure, boxed_diagram, is_boxed,
+                       generator, boxed_diagram, is_boxed,
                        boxed_composition, over, symmetric_diagrams,
                        jones_monoid, brauer_monoid, partition_monoid)
 from . import perms
@@ -18,7 +19,7 @@ __all__ = [
     "Ramified", "gen_s", "gen_e", "gen_e_pair", "gen_z", "gen_d", "gen_z_pair",
     "r_symmetric", "sr_symmetric",
     "br_symmetric", "br_jones", "br_brauer", "br_partition",
-    "center", "generation_check",
+    "center",
     "normal_form_brs", "normal_form_srs", "normal_form_brbr",
     "brs_from_word", "srs_from_word", "evaluate_normal_form",
 ]
@@ -139,22 +140,10 @@ def sr_symmetric(n):
                  if x.left.part != x.right.part)
 
 
-def _boxed_sizes(block_size):
-    """The sizes of a boxed family on 0, 1, 2, ... strands: the sum over the
-    compositions mu of k of the products of `block_size(m)` over the parts
-    m of mu, by the last part m."""
-    sizes = [1]
-    while True:
-        yield sizes[-1]
-        k = len(sizes)
-        sizes.append(sum(block_size(m) * sizes[k - m] for m in range(1, k + 1)))
-
-
 def _boxed_family(name, n, block_family, block_size):
     """All (I, b_mu) with I a horizontal product of block elements; see
     `diagrams.check_budget`."""
-    from .combinatorics import compositions
-    check_budget(f"BR({name}_{{}})", n, _boxed_sizes(block_size))
+    check_budget(f"BR({name}_{{}})", n, boxed_sizes(block_size))
     out = []
     for mu in compositions(n):
         lefts = [Diagram(0, SetPartition([], ()))]
@@ -192,12 +181,6 @@ def center(elements):
     elements = list(elements)
     return [x for x in elements
             if all(x * y == y * x for y in elements)]
-
-
-def generation_check(target, gens, budget=10 ** 7):
-    """True if the closure of `gens` equals the target set."""
-    got = closure(list(gens), budget=budget)
-    return set(got) == set(target)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +244,7 @@ def normal_form_brs(x, word=None):
     else:
         if perms.perm_from_word(len(w), word) != w:
             raise ValueError("word does not match the element")
-    return {"n": x.n, "flavor": "brs", "e_boxes": mu, "z_word": tuple(word)}
+    return {"n": x.n, "e_boxes": mu, "z_word": tuple(word)}
 
 
 def brs_from_word(n, mu, word):
@@ -288,8 +271,7 @@ def normal_form_srs(x, word=None):
         if perms.perm_from_word(n, word) != w:
             raise ValueError("word does not match the element")
     if not word:
-        return {"n": n, "flavor": "srs", "e_pairs": tuple(pairs),
-                "z_pairs": ()}
+        return {"n": n, "e_pairs": tuple(pairs), "z_pairs": ()}
     p1, q1 = pairs[0]
     decorated = []
     for k, r in enumerate(word):
@@ -298,7 +280,7 @@ def normal_form_srs(x, word=None):
         if a > b:
             a, b = b, a
         decorated.append((r, a, b))
-    return {"n": n, "flavor": "srs", "e_pairs": tuple(pairs[1:]),
+    return {"n": n, "e_pairs": tuple(pairs[1:]),
             "z_pairs": tuple(decorated)}
 
 
@@ -373,7 +355,7 @@ def normal_form_brbr(x):
             out.extend(v + shift for v in p)
             shift += len(p)
         return tuple(out)
-    return {"n": n, "flavor": "brbr", "e_boxes": mu,
+    return {"n": n, "e_boxes": mu,
             "z_word": perms.lex_least_word(glue(s_parts)),
             "d_word": tuple(d_word),
             "z_word_2": perms.lex_least_word(glue(s2_parts))}

@@ -71,13 +71,6 @@ class SetPartition:
     def singletons(ground):
         return SetPartition([(x,) for x in ground])
 
-    @staticmethod
-    def full(ground):
-        return SetPartition([tuple(ground)]) if ground else SetPartition([], ())
-
-    def same_block(self, x, y):
-        return self._index[x] == self._index[y]
-
     def __len__(self):
         return len(self.blocks)
 
@@ -140,9 +133,9 @@ class SetPartition:
         return self.block_sizes()
 
     @staticmethod
-    def from_composition(mu, start=1):
+    def from_composition(mu):
         blocks = []
-        x = start
+        x = 1
         for m in mu:
             blocks.append(tuple(range(x, x + m)))
             x += m

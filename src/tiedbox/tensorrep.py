@@ -1,8 +1,8 @@
 """Tensor-space representation used as an independent multiplication oracle.
 
-V has basis v_i^a with strand index i in {1..n} and color a in {1..r}
-(r >= n).  The algebra acts on V^(tensor n); operators compose left to
-right, so rho(xy) = rho(x) . rho(y) with row-vector matrix products.
+V has basis v_i^a with strand index i and color a, both in {1..n}.  The
+algebra acts on V^(tensor n); operators compose left to right, so
+rho(xy) = rho(x) . rho(y) with row-vector matrix products.
 
 Matrices are sparse: dict row -> dict col -> LaurentPoly.  `mat_mul`,
 `mat_add` and `TensorRep.rho` return fresh row dicts, never a row of an
@@ -64,25 +64,22 @@ class TensorRep:
     restricted along iota1 to the tied-boxed Hecke algebra (z_i acts as
     E_i G_i)."""
 
-    def __init__(self, n, r=None):
+    def __init__(self, n):
         self.n = n
-        self.r = r if r is not None else n
-        if self.r < n:
-            raise ValueError("need r >= n")
-        self.vdim = n * self.r
+        self.vdim = n * n
         self.dim = self.vdim ** n
 
     def _index(self, factors):
         idx = 0
         for (i, a) in factors:
-            idx = idx * self.vdim + (i - 1) * self.r + (a - 1)
+            idx = idx * self.vdim + (i - 1) * self.n + (a - 1)
         return idx
 
     def _factors(self, idx):
         out = []
         for _ in range(self.n):
             idx, rem = divmod(idx, self.vdim)
-            i, a = divmod(rem, self.r)
+            i, a = divmod(rem, self.n)
             out.append((i + 1, a + 1))
         return tuple(reversed(out))
 

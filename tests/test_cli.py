@@ -56,6 +56,15 @@ def test_cellular(capsys):
     assert all(r["status"] == "pass" for r in records)
 
 
+@pytest.mark.parametrize("family", ["bh", "btl", "hecke-murphy", "tl"])
+def test_cellular_on_no_strands(family, capsys):
+    # the empty composition is the only linear partition of no strands
+    code, records = run(capsys, "cellular", "--family", family, "--n", "0")
+    assert code == 0
+    assert len(records) == 3
+    assert all(r["status"] == "pass" for r in records)
+
+
 def test_center(capsys):
     code, records = run(capsys, "center", "--monoid", "r-symmetric", "--n", "3")
     assert code == 0
@@ -70,6 +79,12 @@ def test_normal_form_command(capsys):
                         "--element", element)
     assert code == 0
     assert records[0]["status"] == "pass"
+
+
+def test_no_records_print_nothing(capsys):
+    code = main(["dim", "--family", "tl", "--max-n", "0"])
+    assert code == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_table_format(capsys):
@@ -93,6 +108,15 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--monoid", "not-a-monoid", "--n", "3"])
     assert exc.value.code == 64
+
+
+def test_seed_is_only_an_option_of_the_seeded_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--monoid", "jones", "--n", "2", "--seed", "1"])
+    assert exc.value.code == 64
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    code, records = run(capsys, "rep-check", "--seed", "1")
+    assert code == 0 and records
 
 
 @pytest.mark.parametrize("argv", [
@@ -181,6 +205,7 @@ def test_oversized_direct_enumerations_are_inconclusive_without_enumerating(
         pytest.fail(f"{argv[-3]} {argv[-1]} was enumerated")
 
     monkeypatch.setattr(combinatorics, "compositions", enumerated)
+    monkeypatch.setattr(ramified, "compositions", enumerated)
     monkeypatch.setattr(diagrams, "all_partitions", enumerated)
     monkeypatch.setattr(ramified, "all_partitions", enumerated)
     monkeypatch.setattr(setpartitions, "all_partitions", enumerated)
@@ -190,6 +215,39 @@ def test_oversized_direct_enumerations_are_inconclusive_without_enumerating(
     assert code == 2
     assert records == [{"name": argv[0], "status": "inconclusive",
                         "reason": f"{reason} is above the budget 1000000"}]
+
+
+@pytest.mark.parametrize("algebra, n, reason", [
+    ("hecke", 10, "|S_10| = 3628800"),
+    ("tied", 8, "|R(S_8)| >= |R(S_7)| = 4420080"),
+    ("bh", 10, "|BR(S_10)| = 4960775"),
+    ("btl", 12, "|BR(J_12)| = 1352078"),
+])
+def test_oversized_algebra_bases_are_inconclusive_without_enumerating(
+        algebra, n, reason, monkeypatch, capsys):
+    from tiedbox import algebras, perms
+
+    # the dimensions are known before any basis key is built
+    def enumerated(*args):
+        pytest.fail(f"the basis of {algebra}:{n} was enumerated")
+
+    for module, name in ((perms, "all_perms"), (perms, "young_subgroup"),
+                         (algebras, "all_partitions"),
+                         (algebras, "linear_partitions"),
+                         (algebras, "compositions")):
+        monkeypatch.setattr(module, name, enumerated)
+    code, records = run(capsys, "multiply", "--algebra", algebra, "--n", str(n),
+                        "--lhs", "0", "--rhs", "0")
+    assert code == 2
+    assert records == [{"name": "multiply", "status": "inconclusive",
+                        "reason": f"{reason} is above the budget 1000000"}]
+
+
+def test_oversized_dimension_table_is_one_inconclusive_record(capsys):
+    code, records = run(capsys, "dim", "--family", "tied", "--max-n", "8")
+    assert code == 2
+    assert records == [{"name": "dim", "status": "inconclusive",
+                        "reason": "|R(S_7)| = 4420080 is above the budget 1000000"}]
 
 
 @pytest.mark.parametrize("element, message", [

@@ -1,6 +1,5 @@
 """Exact Laurent-polynomial coefficients and linear algebra."""
 
-from fractions import Fraction
 import operator
 
 import pytest
@@ -51,12 +50,6 @@ def test_constants():
     assert DELTA == Q + QINV
     assert ZERO + ONE == ONE
     assert not ZERO
-
-
-def test_evaluate():
-    # (q - q^-1)(q + q^-1) = q^2 - q^-2, checked at q = 3
-    p = QDIFF * DELTA
-    assert p.evaluate(Fraction(3)) == Fraction(9) - Fraction(1, 9)
 
 
 @given(polys)

@@ -1,6 +1,7 @@
 """Package hygiene: every exported name and every traced name exists, no
-module changes a coefficient dict in place, and no module but
-setpartitions.py writes the fields of a set partition."""
+module changes a coefficient dict in place, no module but setpartitions.py
+writes the fields of a set partition, and no module computes with anything
+but integers."""
 
 import ast
 import functools
@@ -117,3 +118,35 @@ def test_partition_fields_are_written_only_in_setpartitions():
               if path.name != "setpartitions.py"
               for line in partition_field_writes(ast.parse(path.read_text()))]
     assert not writes
+
+
+INEXACT_MODULES = {"fractions", "decimal"}
+
+
+def inexact_numbers(tree):
+    """Line numbers of an import of `fractions` or `decimal` and of a float
+    or complex literal."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] in INEXACT_MODULES for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module and node.module.split(".")[0] in INEXACT_MODULES:
+                yield node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno
+
+
+def test_inexact_number_scan_finds_them():
+    code = "from fractions import Fraction\nimport decimal\nx = 0.5\n" \
+           "y = 1e3\nz = 2j\nimport math\nw = 10 ** 6\ns = '0.5'\n"
+    assert sorted(inexact_numbers(ast.parse(code))) == [1, 2, 3, 4, 5]
+
+
+def test_modules_compute_with_integers_only():
+    # every coefficient is in Z[q, q^-1] and every rank is exact or a
+    # seeded modular bound, so no value needs a fraction or a float
+    package = pathlib.Path(tiedbox.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in inexact_numbers(ast.parse(path.read_text()))]
+    assert not found

@@ -23,7 +23,7 @@ def test_defining_relations_and_ranks():
 
 
 def test_representation_is_a_homomorphism_exhaustive_n2():
-    rep = TensorRep(2, 2)
+    rep = TensorRep(2)
     bt = BTAlgebra(2)
     mats = {k: rep.rho_bt(k) for k in bt.basis()}
     for a in bt.basis():
@@ -33,7 +33,7 @@ def test_representation_is_a_homomorphism_exhaustive_n2():
 
 
 def test_representation_random_pairs_n3():
-    rep = TensorRep(3, 3)
+    rep = TensorRep(3)
     bt = BTAlgebra(3)
     rng = random.Random(23)
     keys = bt.basis()
@@ -51,14 +51,14 @@ def test_representation_random_pairs_n3():
 
 
 def test_faithful_on_small_case():
-    rep = TensorRep(2, 2)
+    rep = TensorRep(2)
     bt = BTAlgebra(2)
     rows = [flatten_matrix(rep.rho_bt(k), rep.dim) for k in bt.basis()]
     assert matrix_rank(rows, mode="exact") == bt.dim() == 4
 
 
 def test_restriction_matches_tied_boxed_algebra():
-    rep = TensorRep(3, 3)
+    rep = TensorRep(3)
     bh = BHAlgebra(3)
     mats = {k: rep.rho_bt(k) for k in bh.basis()}
     for a in bh.basis():
@@ -70,7 +70,7 @@ def test_restriction_matches_tied_boxed_algebra():
 def test_products_return_fresh_rows():
     # G(1) and rho_perm are cached, and a unit coefficient copies their rows
     # into the result: changing the result must not change the cache
-    rep = TensorRep(2, 2)
+    rep = TensorRep(2)
     g1 = copy_matrix(rep.G(1))
     clear_rows(mat_mul(rep.E(1), rep.G(1)))
     clear_rows(mat_add(rep.identity(), rep.G(1)))
