@@ -6,7 +6,9 @@
 * BTAlgebra: the algebra of braids and ties, basis E_I g_w over all set
   partitions I of the strand set and all permutations w.
 * BHAlgebra: the tied-boxed Hecke algebra, basis E_I z_w over linear
-  partitions I and block-preserving permutations w.
+  partitions I and block-preserving permutations w.  It is the subalgebra
+  of BTAlgebra spanned by these keys (z_w = E_I g_w), and both multiply by
+  the one tied rule of their common base `_Tied`.
 * BTLAlgebra: the tied-boxed Temperley-Lieb algebra in its block
   decomposition: basis indexed by a composition and one Jones diagram
   per block.
@@ -266,32 +268,27 @@ def support_partition(w):
     return SetPartition(blocks)
 
 
-class BTAlgebra(_Straightened):
-    """Algebra of braids and ties; basis E_I g_w with I any set partition
-    of {1..n} and w in S_n.  Ties move through braid generators by the rule
-    E_I g_w = g_w E_(I.act(w)), which the tests check against the ramified
-    monoid."""
+class _Tied(_Straightened):
+    """The tied algebras.  A key (I, w) stands for E_I g_w: a tie
+    partition I of {1..n} and w in S_n.  Ties move through braid
+    generators by the rule E_I g_w = g_w E_(I.act(w)), which the tests
+    check against the ramified monoid.
+
+    The tied-boxed Hecke algebra is the subalgebra spanned by the keys with
+    I linear and w in S_I, and the same rule multiplies it: for w in S_I,
+    J.act(w^-1) join I = J join I, and every letter of a reduced word of
+    v in S_J lies inside a block of J, so the tie a straightening step adds
+    lies inside a block of K and K join that tie = K."""
 
     def one_key(self):
         return (SetPartition.singletons(range(1, self.n + 1)),
                 perms.identity(self.n))
-
-    @lru_cache(maxsize=None)
-    def basis(self):
-        check_budget("R(S_{})", self.n,
-                     (factorial(k) * bell(k) for k in count()))
-        return [(p, w) for p in all_partitions(range(1, self.n + 1))
-                for w in perms.all_perms(self.n)]
 
     def e(self, i):
         return self.basis_element((_tie(self.n, i), perms.identity(self.n)))
 
     def e_of_partition(self, p):
         return self.basis_element((p, perms.identity(self.n)))
-
-    def g(self, i):
-        return self.basis_element((SetPartition.singletons(
-            range(1, self.n + 1)), perms.sgen(self.n, i)))
 
     def _start(self, key1, key2):
         (i_part, w), (j_part, v) = key1, key2
@@ -311,6 +308,31 @@ class BTAlgebra(_Straightened):
         i_part, w = key
         return (i_part.act(w), perms.inverse(w)), ONE
 
+    def steinberg(self, i, j):
+        """e_i e_j (1 + q x_i + q x_j + q^2 x_i x_j + q^2 x_j x_i
+        + q^3 x_i x_j x_i) for |i - j| = 1, where x is the braid generator
+        of the algebra: g in BT, z in BH."""
+        body = _steinberg_body(self.one(), self.braid(i), self.braid(j))
+        return self.e(i) * self.e(j) * body
+
+
+class BTAlgebra(_Tied):
+    """Algebra of braids and ties; basis E_I g_w with I any set partition
+    of {1..n} and w in S_n."""
+
+    @lru_cache(maxsize=None)
+    def basis(self):
+        check_budget("R(S_{})", self.n,
+                     (factorial(k) * bell(k) for k in count()))
+        return [(p, w) for p in all_partitions(range(1, self.n + 1))
+                for w in perms.all_perms(self.n)]
+
+    def g(self, i):
+        return self.basis_element((SetPartition.singletons(
+            range(1, self.n + 1)), perms.sgen(self.n, i)))
+
+    braid = g
+
     def mobius_idempotent(self, i_part):
         """The central idempotent attached to a set partition, by Mobius
         inversion over the full partition lattice."""
@@ -329,20 +351,11 @@ class BTAlgebra(_Straightened):
                 out = out + self.mobius_idempotent(p)
         return out
 
-    def steinberg(self, i, j):
-        """e_i e_j (1 + q g_i + q g_j + q^2 g_i g_j + q^2 g_j g_i
-        + q^3 g_i g_j g_i), for |i - j| = 1."""
-        body = _steinberg_body(self.one(), self.g(i), self.g(j))
-        return self.e(i) * self.e(j) * body
 
-
-class BHAlgebra(_Straightened):
+class BHAlgebra(_Tied):
     """Tied-boxed Hecke algebra; basis E_I z_w with I a linear partition of
-    {1..n} and w preserving the blocks of I."""
-
-    def one_key(self):
-        return (SetPartition.singletons(range(1, self.n + 1)),
-                perms.identity(self.n))
+    {1..n} and w preserving the blocks of I, where z_w = E_I g_w for the
+    finest such I."""
 
     @lru_cache(maxsize=None)
     def basis(self):
@@ -353,34 +366,14 @@ class BHAlgebra(_Straightened):
                 out.append((p, w))
         return out
 
-    def e(self, i):
-        return self.basis_element((_tie(self.n, i), perms.identity(self.n)))
-
-    def e_of_partition(self, p):
-        if not p.is_linear():
-            raise ValueError("tie partitions here must be linear")
-        return self.basis_element((p, perms.identity(self.n)))
-
     def z(self, i):
         return self.basis_element((_tie(self.n, i), perms.sgen(self.n, i)))
+
+    braid = z
 
     def z_of(self, w):
         """z_w as a basis element (support partition, w)."""
         return self.basis_element((support_partition(w), w))
-
-    def _start(self, key1, key2):
-        (i_part, w), (j_part, v) = key1, key2
-        return (_join(i_part, j_part), w), v
-
-    @lru_cache(maxsize=None)
-    def _mul_gen(self, key, i):
-        kp, u = key
-        us = perms.compose(u, perms.sgen(self.n, i))
-        return (kp, us), (None if perms.right_longer(u, i) else key)
-
-    def star_basis(self, key):
-        i_part, w = key
-        return (i_part, perms.inverse(w)), ONE
 
     def mobius_idempotent(self, i_part):
         """Mobius idempotent over the lattice of linear partitions."""
@@ -391,12 +384,6 @@ class BHAlgebra(_Straightened):
             if c:
                 terms[(j_part, ident)] = LaurentPoly.const(c)
         return self.element(terms)
-
-    def steinberg(self, i, j):
-        """z_{i,j} = e_i e_j (1 + q z_i + q z_j + q^2 z_i z_j + q^2 z_j z_i
-        + q^3 z_i z_j z_i), for |i - j| = 1."""
-        body = _steinberg_body(self.one(), self.z(i), self.z(j))
-        return self.e(i) * self.e(j) * body
 
     def d(self, i):
         """d_i = q^-1 e_i + z_i."""

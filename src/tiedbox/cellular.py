@@ -1,11 +1,20 @@
-"""Cellular bases: the Murphy basis of the Hecke algebra, its two-column
-Temperley-Lieb shadow, and the tied-boxed versions built from Mobius
-idempotents and blockwise Murphy elements."""
+"""Cellular bases, all four with labels the multipartitions and tableaux
+the initial-kind multitableaux of `combinatorics`:
+
+* the Murphy basis of the Hecke algebra, with one-component labels (lam,);
+* the tied-boxed Hecke basis: for a multipartition over the composition mu,
+  the Mobius idempotent of mu times the Murphy element of the Young
+  subgroup.
+
+Both come from one Murphy builder, c_st = x_(d_s)^* m_lam x_(d_t) with x = h
+or z.  The Temperley-Lieb and tied-boxed Temperley-Lieb bases are the
+images of their two-column parts under the projections `hecke_to_tl` and
+`pi2`.  One cell order serves all four (`_multi_greater`)."""
 
 from .laurent import ZERO, Q, LaurentFrac
-from .combinatorics import int_partitions, compositions, standard_tableaux, \
-    d_of_tableau, multipartitions_of_composition, initial_kind_multitableaux, \
-    d_of_multitableau, strictly_dominates, two_column_partitions
+from .combinatorics import compositions, dominates, \
+    multipartitions_of_composition, initial_kind_multitableaux, \
+    d_of_multitableau
 from .setpartitions import SetPartition
 from .algebras import HeckeAlgebra, BHAlgebra, BTLAlgebra, TLAlgebra, \
     hecke_to_tl, pi2, basis_index, coords
@@ -17,15 +26,14 @@ __all__ = ["CellDatum", "murphy_hecke", "tl_cellular", "bh_cellular",
 
 
 class CellDatum:
-    """A concrete cell datum: a poset of labels, tableaux sets, and one
-    algebra element per (label, s, t) triple."""
+    """A concrete cell datum: labels (multipartitions), tableaux sets, and
+    one algebra element per (label, s, t) triple."""
 
-    def __init__(self, algebra, labels, tableaux, elements, greater):
+    def __init__(self, algebra, labels, tableaux, elements):
         self.algebra = algebra
         self.labels = list(labels)
         self.tableaux = tableaux          # label -> list of tableau keys
         self.elements = elements          # (label, s, t) -> AlgebraElement
-        self.greater = greater            # greater(a, b): a strictly above b
 
     def triples(self):
         out = []
@@ -39,37 +47,6 @@ class CellDatum:
         return len(self.triples())
 
 
-def murphy_hecke(n):
-    """The Murphy cellular basis of the Hecke algebra of S_n."""
-    h = HeckeAlgebra(n)
-    labels = int_partitions(n)
-    tabs = {lam: standard_tableaux(lam) for lam in labels}
-    elements = {}
-    for lam in labels:
-        m_lam = h.element({w: Q ** perms.length(w)
-                           for w in perms.young_subgroup(lam)})
-        for s in tabs[lam]:
-            hs = h.basis_element(perms.inverse(d_of_tableau(s)))
-            left = hs * m_lam
-            for t in tabs[lam]:
-                elements[(lam, s, t)] = left * h.basis_element(d_of_tableau(t))
-    return CellDatum(h, labels, tabs, elements, strictly_dominates)
-
-
-def tl_cellular(n):
-    """Projection of the two-column part of the Murphy basis onto the
-    Temperley-Lieb diagram algebra."""
-    md = murphy_hecke(n)
-    labels = two_column_partitions(n)
-    tabs = {lam: md.tableaux[lam] for lam in labels}
-    elements = {}
-    for lam in labels:
-        for s in tabs[lam]:
-            for t in tabs[lam]:
-                elements[(lam, s, t)] = hecke_to_tl(md.elements[(lam, s, t)])
-    return CellDatum(TLAlgebra(n), labels, tabs, elements, strictly_dominates)
-
-
 def _multi_greater(lams, mus):
     """Strict cellular order on multipartitions: same underlying composition,
     componentwise dominance, strictly somewhere.  Labels over different
@@ -79,8 +56,48 @@ def _multi_greater(lams, mus):
     shape_b = tuple(sum(l) for l in mus)
     if shape_a != shape_b or lams == mus:
         return False
-    from .combinatorics import dominates
     return all(dominates(a, b) for a, b in zip(lams, mus))
+
+
+def _murphy(algebra, labels, m_of, twist):
+    """c_st = twist(d_s)^* m_of(label) twist(d_t) over the initial-kind
+    multitableaux s, t of each label, d the tableau permutation."""
+    tabs = {lams: initial_kind_multitableaux(lams) for lams in labels}
+    elements = {}
+    for lams in labels:
+        m_lam = m_of(lams)
+        for s in tabs[lams]:
+            left = twist(d_of_multitableau(s)).star() * m_lam
+            for t in tabs[lams]:
+                elements[(lams, s, t)] = left * twist(d_of_multitableau(t))
+    return CellDatum(algebra, labels, tabs, elements)
+
+
+def _two_column(datum, algebra, project):
+    """The image under `project` of the part of `datum` whose labels have
+    every part at most 2."""
+    labels = [lams for lams in datum.labels
+              if all(not lam or lam[0] <= 2 for lam in lams)]
+    tabs = {lams: datum.tableaux[lams] for lams in labels}
+    elements = {(lams, s, t): project(datum.elements[(lams, s, t)])
+                for lams in labels for s in tabs[lams] for t in tabs[lams]}
+    return CellDatum(algebra, labels, tabs, elements)
+
+
+def murphy_hecke(n):
+    """The Murphy cellular basis of the Hecke algebra of S_n."""
+    h = HeckeAlgebra(n)
+    return _murphy(h, multipartitions_of_composition((n,)),
+                   lambda lams: h.element(
+                       {w: Q ** perms.length(w)
+                        for w in perms.young_subgroup(lams[0])}),
+                   h.basis_element)
+
+
+def tl_cellular(n):
+    """Projection of the two-column part of the Murphy basis onto the
+    Temperley-Lieb diagram algebra."""
+    return _two_column(murphy_hecke(n), TLAlgebra(n), hecke_to_tl)
 
 
 def bh_cellular(n):
@@ -89,42 +106,25 @@ def bh_cellular(n):
     Murphy-type element of the Young subgroup, conjugated by the tableau
     permutations through z generators."""
     bh = BHAlgebra(n)
-    labels = []
-    tabs = {}
-    elements = {}
-    for mu in compositions(n):
+
+    def m_of(lams):
+        mu = tuple(map(sum, lams))
         i_mu = SetPartition.from_composition(mu)
-        ee = bh.mobius_idempotent(i_mu)
-        for lams in multipartitions_of_composition(mu):
-            labels.append(lams)
-            tabs[lams] = initial_kind_multitableaux(lams)
-            inner = tuple(x for lam in lams for x in lam)
-            m_lam = ee * bh.element(
-                {(i_mu, w): Q ** perms.length(w)
-                 for w in perms.young_subgroup(inner)})
-            for s in tabs[lams]:
-                zs = bh.z_of(d_of_multitableau(s)).star()
-                left = zs * m_lam
-                for t in tabs[lams]:
-                    elements[(lams, s, t)] = \
-                        left * bh.z_of(d_of_multitableau(t))
-    return CellDatum(bh, labels, tabs, elements, _multi_greater)
+        inner = tuple(x for lam in lams for x in lam)
+        return bh.mobius_idempotent(i_mu) * bh.element(
+            {(i_mu, w): Q ** perms.length(w)
+             for w in perms.young_subgroup(inner)})
+
+    labels = [lams for mu in compositions(n)
+              for lams in multipartitions_of_composition(mu)]
+    return _murphy(bh, labels, m_of, bh.z_of)
 
 
 def btl_cellular(n):
     """Cellular basis of the tied-boxed Temperley-Lieb algebra: the image
     under the block projection of the two-column part of the tied-boxed
     Hecke cellular basis."""
-    bd = bh_cellular(n)
-    labels = [lams for lams in bd.labels
-              if all(not lam or lam[0] <= 2 for lam in lams)]
-    tabs = {lams: bd.tableaux[lams] for lams in labels}
-    elements = {}
-    for lams in labels:
-        for s in tabs[lams]:
-            for t in tabs[lams]:
-                elements[(lams, s, t)] = pi2(bd.elements[(lams, s, t)])
-    return CellDatum(BTLAlgebra(n), labels, tabs, elements, _multi_greater)
+    return _two_column(bh_cellular(n), BTLAlgebra(n), pi2)
 
 
 def transition_matrix(datum):
@@ -209,7 +209,7 @@ def cell_axiom_check(datum, generators):
             rv = {}
             for r, coeff in expand(prod).items():
                 lam2, s2, t2 = triples[r]
-                if datum.greater(lam2, lam):
+                if _multi_greater(lam2, lam):
                     continue
                 if lam2 == lam and s2 == s:
                     rv[t2] = coeff

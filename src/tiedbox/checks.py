@@ -215,56 +215,45 @@ def check_structure_constants(quick=False):
 # 6. idempotent suite
 
 
+def _mobius_records(label, algebra, parts, central):
+    """The Mobius idempotents of `parts` sum to one, are idempotent and
+    pairwise orthogonal, multiply a tie element E_q to themselves when
+    q <= p and to zero otherwise, and, if `central`, commute with every
+    basis element."""
+    idem = {p: algebra.mobius_idempotent(p) for p in parts}
+    total = algebra.zero()
+    ok_sq = ok_orth = ok_central = ok_table = True
+    for p in parts:
+        total = total + idem[p]
+        ok_sq = ok_sq and idem[p] * idem[p] == idem[p]
+        for q in parts:
+            if p != q and idem[p] * idem[q]:
+                ok_orth = False
+            prod = idem[p] * algebra.e_of_partition(q)
+            want = idem[p] if q <= p else algebra.zero()
+            ok_table = ok_table and prod == want
+        for key in algebra.basis() if central else ():
+            x = algebra.basis_element(key)
+            if idem[p] * x != x * idem[p]:
+                ok_central = False
+    oks = {"complete": total == algebra.one(), "idempotent": ok_sq,
+           "orthogonal": ok_orth}
+    if central:
+        oks["central"] = ok_central
+    oks["table"] = ok_table
+    return [bool_record(f"idem:{label}-{name}:n={algebra.n}", ok)
+            for name, ok in oks.items()]
+
+
 def check_idempotents(quick=False):
     recs = []
     for n in (2, 3) if quick else (2, 3, 4):
-        bh = BHAlgebra(n)
-        parts = linear_partitions(n)
-        idem = {p: bh.mobius_idempotent(p) for p in parts}
-        total = bh.zero()
-        ok_sq = ok_orth = ok_central = True
-        for p in parts:
-            total = total + idem[p]
-            ok_sq = ok_sq and idem[p] * idem[p] == idem[p]
-            for q in parts:
-                if p != q and idem[p] * idem[q]:
-                    ok_orth = False
-            for key in bh.basis():
-                x = bh.basis_element(key)
-                if idem[p] * x != x * idem[p]:
-                    ok_central = False
-        recs.append(bool_record(f"idem:hecke-complete:n={n}", total == bh.one()))
-        recs.append(bool_record(f"idem:hecke-idempotent:n={n}", ok_sq))
-        recs.append(bool_record(f"idem:hecke-orthogonal:n={n}", ok_orth))
-        recs.append(bool_record(f"idem:hecke-central:n={n}", ok_central))
-        # multiplication table against plain tie elements
-        ok_table = True
-        for p in parts:
-            for q in linear_partitions(n):
-                prod = idem[p] * bh.e_of_partition(q)
-                want = idem[p] if q <= p else bh.zero()
-                ok_table = ok_table and prod == want
-        recs.append(bool_record(f"idem:hecke-table:n={n}", ok_table))
-
+        recs += _mobius_records("hecke", BHAlgebra(n), linear_partitions(n),
+                                central=True)
     for n in (2, 3):
-        bt = BTAlgebra(n)
-        parts = all_partitions(range(1, n + 1))
-        idem = {p: bt.mobius_idempotent(p) for p in parts}
-        total = bt.zero()
-        ok_sq = ok_orth = ok_table = True
-        for p in parts:
-            total = total + idem[p]
-            ok_sq = ok_sq and idem[p] * idem[p] == idem[p]
-            for q in parts:
-                if p != q and idem[p] * idem[q]:
-                    ok_orth = False
-                prod = idem[p] * bt.e_of_partition(q)
-                want = idem[p] if q <= p else bt.zero()
-                ok_table = ok_table and prod == want
-        recs.append(bool_record(f"idem:tied-complete:n={n}", total == bt.one()))
-        recs.append(bool_record(f"idem:tied-idempotent:n={n}", ok_sq))
-        recs.append(bool_record(f"idem:tied-orthogonal:n={n}", ok_orth))
-        recs.append(bool_record(f"idem:tied-table:n={n}", ok_table))
+        recs += _mobius_records("tied", BTAlgebra(n),
+                                all_partitions(range(1, n + 1)),
+                                central=False)
 
     # in the full tied algebra only the type-summed idempotents are central
     for n in (2, 3) if quick else (2, 3, 4):

@@ -1,16 +1,17 @@
 """Compositions, integer partitions, tableaux and the counting functions
-used throughout the package.  Everything is exact integer arithmetic."""
+used throughout the package.  Everything is exact integer arithmetic.
+
+A tableau is a tuple of rows, each a tuple of entries; a multitableau is a
+tuple of tableaux."""
 
 from functools import lru_cache
 from math import comb, factorial
 
 __all__ = [
-    "compositions", "int_partitions", "is_partition", "conjugate",
+    "compositions", "int_partitions", "conjugate",
     "bell", "catalan", "double_factorial_odd", "boxed_sizes", "bn_alpha",
-    "dominates", "strictly_dominates",
-    "Tableau", "standard_tableaux", "row_reading_tableau", "d_of_tableau",
-    "multipartitions_of_composition", "initial_kind_multitableaux",
-    "composition_join", "two_column_partitions",
+    "dominates", "standard_tableaux", "multipartitions_of_composition",
+    "initial_kind_multitableaux", "d_of_multitableau", "composition_join",
 ]
 
 
@@ -40,11 +41,6 @@ def int_partitions(n, max_part=None):
         for rest in int_partitions(n - k, k):
             out.append((k,) + rest)
     return sorted(out)
-
-
-def is_partition(lam):
-    return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1)) and \
-        all(x > 0 for x in lam)
 
 
 def conjugate(lam):
@@ -133,87 +129,15 @@ def dominates(lam, mu):
     return True
 
 
-def strictly_dominates(lam, mu):
-    return lam != mu and dominates(lam, mu)
-
-
-def two_column_partitions(n):
-    """Partitions of n with at most two columns (every part at most 2)."""
-    return [lam for lam in int_partitions(n) if not lam or lam[0] <= 2]
-
-
-class Tableau:
-    """A filling of the Young diagram of a partition, rows of entries.
-
-    Nodes are addressed as 1-based (row, col).
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
-
-    @property
-    def shape(self):
-        return tuple(len(r) for r in self.rows)
-
-    def entries(self):
-        return [x for r in self.rows for x in r]
-
-    def is_standard(self):
-        sh = self.shape
-        if not is_partition(sh) and sh != ():
-            return False
-        ent = sorted(self.entries())
-        if ent != list(range(1, len(ent) + 1)):
-            return False
-        for r in self.rows:
-            if any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
-                return False
-        for i in range(1, len(self.rows)):
-            for j in range(len(self.rows[i])):
-                if self.rows[i - 1][j] >= self.rows[i][j]:
-                    return False
-        return True
-
-    def act(self, w):
-        """Right action: replace each entry x by w(x)."""
-        return Tableau(tuple(tuple(w[x - 1] for x in r) for r in self.rows))
-
-    def shift(self, k):
-        return Tableau(tuple(tuple(x + k for x in r) for r in self.rows))
-
-    def __eq__(self, other):
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "Tableau(%s)" % (self.rows,)
-
-
-def row_reading_tableau(lam):
-    """The row tableau of shape lam: entries 1..n filled along rows."""
-    rows = []
-    x = 1
-    for m in lam:
-        rows.append(tuple(range(x, x + m)))
-        x += m
-    return Tableau(rows)
-
-
 def standard_tableaux(lam):
     """All standard tableaux of shape lam, sorted by row reading word."""
     n = sum(lam)
-    if n == 0:
-        return [Tableau(())]
     out = []
     rows = [[] for _ in lam]
 
     def rec(x):
         if x > n:
-            out.append(Tableau(tuple(tuple(r) for r in rows)))
+            out.append(tuple(map(tuple, rows)))
             return
         for i, m in enumerate(lam):
             if len(rows[i]) < m and (i == 0 or len(rows[i - 1]) > len(rows[i])):
@@ -222,18 +146,7 @@ def standard_tableaux(lam):
                 rows[i].pop()
 
     rec(1)
-    return sorted(out, key=lambda t: t.entries())
-
-
-def d_of_tableau(t):
-    """The permutation d with (row tableau of the shape) * d = t."""
-    base = row_reading_tableau(t.shape)
-    n = sum(t.shape)
-    w = [0] * n
-    for br, tr in zip(base.rows, t.rows):
-        for b, x in zip(br, tr):
-            w[b - 1] = x
-    return tuple(w)
+    return sorted(out, key=lambda t: [x for r in t for x in r])
 
 
 def multipartitions_of_composition(mu):
@@ -250,25 +163,18 @@ def initial_kind_multitableaux(lams):
     out = [()]
     shift = 0
     for lam in lams:
-        blocks = [t.shift(shift) for t in standard_tableaux(lam)]
+        blocks = [tuple(tuple(x + shift for x in r) for r in t)
+                  for t in standard_tableaux(lam)]
         out = [t + (b,) for t in out for b in blocks]
         shift += sum(lam)
     return out
 
 
 def d_of_multitableau(ts):
-    """Block permutation d with (row multitableau) * d = ts, as one-line."""
-    n = sum(sum(t.shape) for t in ts)
-    w = [0] * n
-    shift = 0
-    for t in ts:
-        sh = t.shape
-        base = row_reading_tableau(sh).shift(shift)
-        for br, tr in zip(base.rows, t.rows):
-            for b, x in zip(br, tr):
-                w[b - 1] = x
-        shift += sum(sh)
-    return tuple(w)
+    """The permutation d, in one-line notation, that maps the row-reading
+    multitableau of the same multishape (1..n along the rows, component by
+    component) onto ts: its reading word."""
+    return tuple(x for t in ts for r in t for x in r)
 
 
 def composition_join(mu, nu):

@@ -43,9 +43,6 @@ class Diagram:
     def __le__(self, other):
         return self.part <= other.part
 
-    def __ge__(self, other):
-        return other.part <= self.part
-
     def __mul__(self, other):
         return concat(self, other)[0]
 

@@ -21,12 +21,18 @@ __all__ = ["Presentation", "RewriteSystem", "kb_complete", "normal_forms",
            "presentation_check", "build_preset", "PRESET_NAMES"]
 
 
+def _check_generators(label, count):
+    """A ValueError if a word cannot hold one byte per generator.  Every
+    preset calls this with its generator count before it builds a name, a
+    relation or an element, so an oversized preset is rejected at once."""
+    if count > 256:
+        raise ValueError(f"{label} has {count} generators, at most 256")
+
+
 class Presentation:
     def __init__(self, generators, relations, name=""):
         self.generators = list(generators)       # names, fixing the order
-        if len(self.generators) > 256:
-            raise ValueError(f"{name or 'presentation'} has "
-                             f"{len(self.generators)} generators, at most 256")
+        _check_generators(name or "presentation", len(self.generators))
         self.relations = [(bytes(l), bytes(r)) for l, r in relations]
         self.name = name
 
@@ -237,6 +243,7 @@ def _pn_relations(n, e_names):
 
 
 def preset_pn(n):
+    _check_generators(f"pn:{n}", n * (n - 1) // 2)
     e_names = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     gens = [f"e_{i}_{j}" for (i, j) in e_names]
     pres = Presentation(gens, _pn_relations(n, e_names), name=f"pn:{n}")
@@ -285,25 +292,25 @@ def _sgroup_relations(off, n):
     return rels
 
 
-def _letters(n, *families):
-    """The generators of a preset in families of n - 1 letters, family by
-    family: a family (letter, make) has the names letter1 .. letter(n-1)
-    and the elements make(n, i).  Returns the names, for each family the
-    map i -> generator index of its letter i, and a function that builds
-    the elements, to be called once `Presentation` has accepted the
-    number of generators."""
+def _letters(label, n, *families):
+    """The generators of the preset `label` in families of n - 1 letters,
+    family by family: a family (letter, make) has the names letter1 ..
+    letter(n-1) and the elements make(n, i).  Returns the names, for each
+    family the map i -> generator index of its letter i, and the elements;
+    the generator count is checked first."""
+    _check_generators(label, len(families) * (n - 1))
     names, indices = [], []
     for letter, _ in families:
         indices.append(lambda i, off=len(names) - 1: off + i)
         names += [f"{letter}{i}" for i in range(1, n)]
-    return names, indices, lambda: [make(n, i) for _, make in families
-                                    for i in range(1, n)]
+    return names, indices, [make(n, i) for _, make in families
+                            for i in range(1, n)]
 
 
 def preset_brauer(n):
     """Brauer monoid presented by transpositions s_i and hooks t_i."""
     gens, (S, T), elements = _letters(
-        n, ("s", lambda n, i: perm_diagram(perms.sgen(n, i))),
+        f"brauer:{n}", n, ("s", lambda n, i: perm_diagram(perms.sgen(n, i))),
         ("t", lambda n, i: generator("t", n, i)))
     rels = _sgroup_relations(0, n)
     for i in range(1, n):
@@ -321,12 +328,13 @@ def preset_brauer(n):
                 rels.append(((T(i), S(j)), (S(j), T(i))))
     pres = Presentation(gens, rels, name=f"brauer:{n}")
     identity = perm_diagram(perms.identity(n))
-    return pres, elements(), identity, list(brauer_monoid(n))
+    return pres, elements, identity, list(brauer_monoid(n))
 
 
 def preset_rsn(n):
     """R(S_n) presented by e_i (ties) and s_i."""
-    gens, (E, S), elements = _letters(n, ("e", gen_e), ("s", gen_s))
+    gens, (E, S), elements = _letters(
+        f"rsn:{n}", n, ("e", gen_e), ("s", gen_s))
     rels = _tie_relations(n, E) + _sgroup_relations(n - 1, n)
     for i in range(1, n):
         for j in range(1, n):
@@ -338,7 +346,7 @@ def preset_rsn(n):
             else:
                 rels.append(((S(i), E(j)), (E(j), S(i))))
     pres = Presentation(gens, rels, name=f"rsn:{n}")
-    return pres, elements(), ramified_identity(n), list(r_symmetric(n))
+    return pres, elements, ramified_identity(n), list(r_symmetric(n))
 
 
 def _ez_relations(n, E, Z):
@@ -363,14 +371,15 @@ def _ez_relations(n, E, Z):
 
 def preset_brsn(n):
     """BR(S_n) presented by ties e_i and tied transpositions z_i."""
-    gens, (E, Z), elements = _letters(n, ("e", gen_e), ("z", gen_z))
+    gens, (E, Z), elements = _letters(
+        f"brsn:{n}", n, ("e", gen_e), ("z", gen_z))
     pres = Presentation(gens, _ez_relations(n, E, Z), name=f"brsn:{n}")
-    return pres, elements(), ramified_identity(n), list(br_symmetric(n))
+    return pres, elements, ramified_identity(n), list(br_symmetric(n))
 
 
 def preset_brsn_z(n):
     """BR(S_n) presented by the tied transpositions alone."""
-    gens, (Z,), elements = _letters(n, ("z", gen_z))
+    gens, (Z,), elements = _letters(f"brsn-z:{n}", n, ("z", gen_z))
     rels = []
     for i in range(1, n):
         rels.append(((Z(i), Z(i), Z(i)), (Z(i),)))
@@ -385,12 +394,13 @@ def preset_brsn_z(n):
                              (Z(j), Z(j), Z(i), Z(i))))
                 rels.append(((Z(i), Z(i), Z(j)), (Z(j), Z(i), Z(i))))
     pres = Presentation(gens, rels, name=f"brsn-z:{n}")
-    return pres, elements(), ramified_identity(n), list(br_symmetric(n))
+    return pres, elements, ramified_identity(n), list(br_symmetric(n))
 
 
 def preset_brjn(n):
     """BR(J_n) presented by ties e_i and tied hooks d_i."""
-    gens, (E, D), elements = _letters(n, ("e", gen_e), ("d", gen_d))
+    gens, (E, D), elements = _letters(
+        f"brjn:{n}", n, ("e", gen_e), ("d", gen_d))
     rels = _tie_relations(n, E)
     for i in range(1, n):
         rels.append(((D(i), D(i)), (D(i),)))
@@ -406,7 +416,7 @@ def preset_brjn(n):
                     rels.append(((D(i), D(j)), (D(j), D(i))))
                 rels.append(((D(i), E(j)), (E(j), D(i))))
     pres = Presentation(gens, rels, name=f"brjn:{n}")
-    return pres, elements(), ramified_identity(n), list(br_jones(n))
+    return pres, elements, ramified_identity(n), list(br_jones(n))
 
 
 def _brbr_relations(n, E, Z, D):
@@ -435,9 +445,9 @@ def _brbr_relations(n, E, Z, D):
 def preset_brbrn(n):
     """BR(Br_n) presented by e_i, z_i, d_i."""
     gens, (E, Z, D), elements = _letters(
-        n, ("e", gen_e), ("z", gen_z), ("d", gen_d))
+        f"brbrn:{n}", n, ("e", gen_e), ("z", gen_z), ("d", gen_d))
     pres = Presentation(gens, _brbr_relations(n, E, Z, D), name=f"brbrn:{n}")
-    return pres, elements(), ramified_identity(n), list(br_brauer(n))
+    return pres, elements, ramified_identity(n), list(br_brauer(n))
 
 
 def preset_brbrn_abstract(n):
@@ -452,6 +462,7 @@ def preset_srsn(n):
     the decorated z^r_{i,j}, with ground instances of the braid-style
     relations on superindices.  A formal identity is adjoined for the
     rewriting (the normal form count is |sR(S_n)| + 1)."""
+    _check_generators(f"srsn:{n}", n * (n * (n - 1) // 2))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     rs = list(range(1, n))
     e_names = [f"e_{i}_{j}" for (i, j) in pairs]

@@ -10,7 +10,7 @@ from .combinatorics import bell, boxed_sizes, catalan, compositions, \
     double_factorial_odd
 from .setpartitions import SetPartition, all_partitions
 from .diagrams import (Diagram, check_budget, perm_diagram,
-                       generator, boxed_diagram, is_boxed,
+                       generator, boxed_diagram,
                        boxed_composition, over, symmetric_diagrams,
                        jones_monoid, brauer_monoid, partition_monoid)
 from . import perms
@@ -50,12 +50,6 @@ class Ramified:
 
     def __hash__(self):
         return hash((self.left, self.right))
-
-    def is_boxed(self):
-        return is_boxed(self.right)
-
-    def flip(self):
-        return Ramified(self.left.flip(), self.right.flip())
 
     def __str__(self):
         return f"{self.left.n}; {self.left.part} ; {self.right.part}"

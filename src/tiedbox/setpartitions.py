@@ -71,9 +71,6 @@ class SetPartition:
     def singletons(ground):
         return SetPartition([(x,) for x in ground])
 
-    def __len__(self):
-        return len(self.blocks)
-
     def __eq__(self, other):
         if not isinstance(other, SetPartition):
             return NotImplemented
@@ -87,9 +84,6 @@ class SetPartition:
         if self.ground != other.ground:
             raise ValueError("different ground sets")
         return all(len({other._index[x] for x in b}) == 1 for b in self.blocks)
-
-    def __ge__(self, other):
-        return other <= self
 
     def join(self, other):
         """Least common coarsening."""

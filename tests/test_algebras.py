@@ -124,6 +124,18 @@ def test_tie_transport_convention():
             assert wd * tie(q_part) == tie(q_part.act(inverse(w))) * wd
 
 
+def test_tied_rule_keeps_tied_boxed_keys():
+    # BHAlgebra multiplies by the rule of BTAlgebra; that is exact because
+    # the rule takes tied-boxed keys only to tied-boxed keys
+    for n in range(5):
+        keys = set(BHAlgebra(n).basis())
+        bt = BTAlgebra(n)
+        for a in keys:
+            assert bt.star_basis(a)[0] in keys
+            for b in keys:
+                assert set(bt.mul_basis(a, b)) <= keys
+
+
 def test_tied_boxed_hecke_relations():
     bh = BHAlgebra(3)
     e1, e2 = bh.e(1), bh.e(2)

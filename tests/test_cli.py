@@ -291,6 +291,35 @@ def test_too_many_generators_is_a_usage_error(capsys):
     assert "srsn:9 has 324 generators, at most 256" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset, n, message", [
+    ("pn", 30, "pn:30 has 435 generators"),
+    ("brauer", 300, "brauer:300 has 598 generators"),
+    ("rsn", 300, "rsn:300 has 598 generators"),
+    ("brsn", 300, "brsn:300 has 598 generators"),
+    ("brsn-z", 600, "brsn-z:600 has 599 generators"),
+    ("brjn", 300, "brjn:300 has 598 generators"),
+    ("brbrn", 300, "brbrn:300 has 897 generators"),
+    ("brbrn-abstract", 300, "brbrn:300 has 897 generators"),
+    ("srsn", 30, "srsn:30 has 13050 generators"),
+])
+def test_generator_limit_comes_before_any_relation(monkeypatch, capsys,
+                                                   preset, n, message):
+    # a preset over the limit is rejected before it builds a relation or
+    # a generator element, so the rejection is immediate at any n
+    from tiedbox import presentations
+
+    def built(*args):
+        raise AssertionError("built before the generator count was checked")
+
+    for name in ("_pn_relations", "_tie_relations", "_sgroup_relations",
+                 "gen_e", "gen_s", "gen_z", "gen_d", "gen_e_pair",
+                 "gen_z_pair", "perm_diagram", "generator"):
+        monkeypatch.setattr(presentations, name, built)
+    code = main(["present-check", "--preset", preset, "--n", str(n)])
+    assert code == 64
+    assert f"{message}, at most 256" in capsys.readouterr().err
+
+
 def test_bad_element_exit_code(capsys):
     code = main(["multiply", "--algebra", "bh", "--n", "2",
                  "--lhs", "garbage", "--rhs", "(1*q^0) * 0"])

@@ -6,25 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiedbox.combinatorics import (
-    Tableau,
     bell,
     bn_alpha,
     catalan,
     composition_join,
     compositions,
     conjugate,
-    d_of_tableau,
+    d_of_multitableau,
     dominates,
     double_factorial_odd,
     initial_kind_multitableaux,
     int_partitions,
     multipartitions_of_composition,
     ptl_dim,
-    row_reading_tableau,
     standard_tableaux,
-    two_column_partitions,
 )
-from tiedbox.perms import length, perm_from_word
 
 
 def bell_oracle(n):
@@ -82,35 +78,45 @@ def test_dominance():
     assert dominates((2, 2), (2, 2))
 
 
-def test_two_column_partitions():
-    assert set(two_column_partitions(4)) == {
-        (2, 2), (2, 1, 1), (1, 1, 1, 1)}
-
-
 def test_standard_tableaux_hook_length():
     for n in range(1, 7):
         for lam in int_partitions(n):
             ts = standard_tableaux(lam)
             assert len(ts) == hook_length_count(lam)
-            assert all(t.is_standard() for t in ts)
+            assert all(is_standard(t, n) for t in ts)
             assert len(set(map(str, ts))) == len(ts)
 
 
+def is_standard(t, n):
+    # entries 1..n, rows increasing left to right, columns top to bottom
+    entries = sorted(x for row in t for x in row)
+    rows_increase = all(list(row) == sorted(set(row)) for row in t)
+    columns_increase = all(
+        upper[j] < lower[j] for upper, lower in zip(t, t[1:])
+        for j in range(len(lower)))
+    return entries == list(range(1, n + 1)) and rows_increase \
+        and columns_increase
+
+
 def test_row_reading_and_d():
-    lam = (2, 1)
-    t0 = row_reading_tableau(lam)
-    for t in standard_tableaux(lam):
-        w = d_of_tableau(t)
-        # the permutation moves the row-reading filling onto t, reduced
-        assert t0.act(w) == t
-        assert length(w) == min(
-            length(v) for v in _perms_with(t0, t, 3))
-
-
-def _perms_with(t0, t, n):
-    from tiedbox.perms import all_perms
-
-    return [w for w in all_perms(n) if t0.act(w) == t]
+    # d maps the row-reading multitableau (1..n along the rows, component
+    # by component) entrywise onto ts
+    for n in range(6):
+        for mu in compositions(n):
+            for lams in multipartitions_of_composition(mu):
+                row_reading, x = [], 1
+                for lam in lams:
+                    rows = []
+                    for m in lam:
+                        rows.append(tuple(range(x, x + m)))
+                        x += m
+                    row_reading.append(tuple(rows))
+                for ts in initial_kind_multitableaux(lams):
+                    w = d_of_multitableau(ts)
+                    assert sorted(w) == list(range(1, n + 1))
+                    assert tuple(tuple(tuple(w[b - 1] for b in row)
+                                       for row in t)
+                                 for t in row_reading) == ts
 
 
 def test_multitableaux_counts():

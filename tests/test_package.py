@@ -1,5 +1,5 @@
-"""Package hygiene: every exported name and every traced name exists, no
-module changes a coefficient dict in place, no module but setpartitions.py
+"""Package hygiene: every exported name and every traced name exists, the
+traced algebra classes are unrelated, no module changes a coefficient dict in place, no module but setpartitions.py
 writes the fields of a set partition, and no module computes with anything
 but integers."""
 
@@ -24,13 +24,18 @@ def test_all_exports_resolve(name):
     assert not missing
 
 
-def test_traced_names_resolve():
-    # the traced benchmark run rebinds these paths; a rename under src/
-    # must fail here rather than silently drop a layer from the trace
+def load_tracing():
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    # the traced benchmark run rebinds these paths; a rename under src/
+    # must fail here rather than silently drop a layer from the trace
+    tracing = load_tracing()
     targets = [t for _, t in tracing.SPANS + tracing.COUNTERS]
     targets += [tracing.ECHELON_INSERT[1], tracing.KB_COMPLETE[1]]
     targets += [f"tiedbox.algebras:{cls}.mul_basis" for cls in tracing.ALGEBRAS]
@@ -43,6 +48,18 @@ def test_traced_names_resolve():
         except AttributeError:
             missing.append(target)
     assert not missing
+
+
+def test_traced_algebra_classes_are_unrelated():
+    # the trace wraps `mul_basis` once per class of ALGEBRAS; a class that
+    # inherited from another would inherit its wrapper too, and its products
+    # would also count under the other class (the pinned BTAlgebra count)
+    from tiedbox import algebras
+
+    classes = [getattr(algebras, name) for name in load_tracing().ALGEBRAS]
+    related = [(a.__name__, b.__name__) for a in classes for b in classes
+               if a is not b and issubclass(a, b)]
+    assert not related
 
 
 MUTATORS = {"pop", "popitem", "update", "setdefault", "clear"}
