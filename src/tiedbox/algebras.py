@@ -195,7 +195,7 @@ def _act(p, w):
 @lru_cache(maxsize=None)
 def _tie(n, i):
     """The set partition of {1..n} tying i and i+1 only."""
-    return SetPartition([(i, i + 1)], tuple(range(1, n + 1)))
+    return SetPartition([(i, i + 1)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ class _Tied(_Straightened):
     lies inside a block of K and K join that tie = K."""
 
     def one_key(self):
-        return (SetPartition.singletons(range(1, self.n + 1)),
+        return (SetPartition.singletons(self.n),
                 perms.identity(self.n))
 
     def e(self, i):
@@ -324,12 +324,12 @@ class BTAlgebra(_Tied):
     def basis(self):
         check_budget("R(S_{})", self.n,
                      (factorial(k) * bell(k) for k in count()))
-        return [(p, w) for p in all_partitions(range(1, self.n + 1))
+        return [(p, w) for p in all_partitions(self.n)
                 for w in perms.all_perms(self.n)]
 
     def g(self, i):
-        return self.basis_element((SetPartition.singletons(
-            range(1, self.n + 1)), perms.sgen(self.n, i)))
+        return self.basis_element((SetPartition.singletons(self.n),
+                                   perms.sgen(self.n, i)))
 
     braid = g
 
@@ -346,7 +346,7 @@ class BTAlgebra(_Tied):
     def mobius_type_idempotent(self, alpha):
         """Sum of the Mobius idempotents over all partitions of type alpha."""
         out = self.zero()
-        for p in all_partitions(range(1, self.n + 1)):
+        for p in all_partitions(self.n):
             if p.type_of() == tuple(alpha):
                 out = out + self.mobius_idempotent(p)
         return out

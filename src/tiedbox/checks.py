@@ -41,7 +41,7 @@ from .combinatorics import (
 from .diagrams import brauer_monoid, jones_monoid
 from .laurent import DELTA, QDIFF, matrix_rank
 from .presentations import build_preset, presentation_check
-from .setpartitions import all_partitions, linear_partitions
+from .setpartitions import SetPartition, all_partitions, linear_partitions
 from .tensorrep import TensorRep, flatten_matrix, mat_add, mat_mul, mat_scale
 
 
@@ -172,7 +172,7 @@ def check_representation(seed=0):
         "rep:z-absorbs-tie": mat_mul(e1, z1) == z1,
         "rep:z-tie-commute": mat_mul(e1, z2) == mat_mul(z2, e1),
         "rep:z-quadratic": mat_mul(z1, z1) == mat_add(e1, mat_scale(z1, QDIFF)),
-        "rep:conjugated-tie": (rep.E_pair(1, 3)
+        "rep:conjugated-tie": (rep.rho_ties(SetPartition([(1, 3)], 3))
                                == mat_mul(mat_mul(g1, e2), rep.G_inv(1))),
     }
     recs = [bool_record(name, ok) for name, ok in identities.items()]
@@ -252,13 +252,13 @@ def check_idempotents(quick=False):
                                 central=True)
     for n in (2, 3):
         recs += _mobius_records("tied", BTAlgebra(n),
-                                all_partitions(range(1, n + 1)),
+                                all_partitions(n),
                                 central=False)
 
     # in the full tied algebra only the type-summed idempotents are central
     for n in (2, 3) if quick else (2, 3, 4):
         bt = BTAlgebra(n)
-        types = sorted({p.type_of() for p in all_partitions(range(1, n + 1))})
+        types = sorted({p.type_of() for p in all_partitions(n)})
         ok = True
         for alpha in types:
             x = bt.mobius_type_idempotent(alpha)

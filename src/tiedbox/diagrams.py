@@ -22,23 +22,26 @@ __all__ = [
 
 
 class Diagram:
-    __slots__ = ("n", "part")
+    __slots__ = ("part",)
 
     def __init__(self, n, part):
         if isinstance(part, (list, tuple)):
-            part = SetPartition(part, tuple(range(1, 2 * n + 1)))
-        if part.ground != tuple(range(1, 2 * n + 1)):
+            part = SetPartition(part, 2 * n)
+        if part.size != 2 * n:
             raise ValueError("diagram must partition {1..2n}")
-        self.n = n
         self.part = part
+
+    @property
+    def n(self):
+        return self.part.size // 2
 
     def __eq__(self, other):
         if not isinstance(other, Diagram):
             return NotImplemented
-        return self.n == other.n and self.part == other.part
+        return self.part == other.part
 
     def __hash__(self):
-        return hash((self.n, self.part))
+        return hash(self.part)
 
     def __le__(self, other):
         return self.part <= other.part
@@ -53,8 +56,8 @@ class Diagram:
     def flip(self):
         """Swap top and bottom (the diagram antiautomorphism)."""
         n = self.n
-        return Diagram(n, self.part.relabel(
-            lambda x: x + n if x <= n else x - n))
+        return Diagram(n, self.part.act(tuple(range(n + 1, 2 * n + 1)) +
+                                        tuple(range(1, n + 1))))
 
     def __str__(self):
         return f"{self.n}; {self.part}"
@@ -66,16 +69,15 @@ class Diagram:
     def parse(text):
         head, _, rest = text.partition(";")
         n = int(head)
-        part = SetPartition.parse(rest, ground=tuple(range(1, 2 * n + 1)))
-        return Diagram(n, part)
+        return Diagram(n, SetPartition.parse(rest, 2 * n))
 
 
 def concat(d1, d2):
     """Concatenate (d1 on top of d2).  Returns (diagram, loops)."""
-    if d1.n != d2.n:
-        raise ValueError("different strand counts")
-    n = d1.n
     p1, p2 = d1.part, d2.part
+    if p1.size != p2.size:
+        raise ValueError("different strand counts")
+    n = p1.size // 2
     index1, index2 = p1._index, p2._index
     # one node per block: those of d1 first, then those of d2; middle
     # point m is bottom point n+m of d1 and top point m of d2
@@ -91,8 +93,7 @@ def concat(d1, d2):
     labels = [_find(parent, index1[x]) for x in range(1, n + 1)]
     labels += [_find(parent, k + index2[x]) for x in range(n + 1, 2 * n + 1)]
     d = object.__new__(Diagram)
-    d.n = n
-    d.part = SetPartition._from_labels(p1.ground, labels)
+    d.part = SetPartition._from_labels(labels)
     return d, components - len(set(labels))
 
 
@@ -243,4 +244,4 @@ def brauer_monoid(n):
 def partition_monoid(n):
     """All bell(2n) diagrams on n strands; see `check_budget`."""
     check_budget("P_{}", n, (bell(2 * k) for k in count()))
-    return [Diagram(n, p) for p in all_partitions(range(1, 2 * n + 1))]
+    return [Diagram(n, p) for p in all_partitions(2 * n)]

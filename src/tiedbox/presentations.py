@@ -84,10 +84,16 @@ def _join(rules, u, v):
         rules.append((u, v) if _shortlex_key(u) > _shortlex_key(v) else (v, u))
 
 
-def kb_complete(pres, max_rules=20000, max_steps=10 ** 6):
+# Budgets of one Knuth-Bendix completion: rules held and overlap or
+# containment tests made.
+KB_MAX_RULES = 20000
+KB_MAX_STEPS = 10 ** 6
+
+
+def kb_complete(pres):
     """Knuth-Bendix completion with the shortlex order induced by the
-    generator list.  Returns a RewriteSystem; `complete` is False if a
-    budget was exhausted.
+    generator list.  Returns a RewriteSystem; `complete` is False if
+    KB_MAX_RULES or KB_MAX_STEPS was exhausted.
 
     One pass: rule i meets every rule j <= i in both orders, so each
     critical pair is examined once; rules added on the way get their own
@@ -111,7 +117,7 @@ def kb_complete(pres, max_rules=20000, max_steps=10 ** 6):
                 # overlaps: a suffix of l1 is a prefix of l2
                 for k in range(1, min(len(l1), len(l2)) + 1):
                     steps += 1
-                    if steps > max_steps or len(rules) > max_rules:
+                    if steps > KB_MAX_STEPS or len(rules) > KB_MAX_RULES:
                         return RewriteSystem(_interreduce(rules),
                                              len(pres.generators), False)
                     if l1[len(l1) - k:] == l2[:k]:
@@ -133,7 +139,7 @@ def _interreduce(rules):
             if not any(l2 in l for l2, _ in rules[:i])]
 
 
-def normal_forms(rs, cap=10 ** 6):
+def normal_forms(rs, cap):
     """All irreducible words of a complete rewrite system, by breadth
     first search over lengths.  Raises BudgetExceeded beyond `cap` words
     and RuntimeError for an incomplete system."""
@@ -248,34 +254,10 @@ def preset_pn(n):
     gens = [f"e_{i}_{j}" for (i, j) in e_names]
     pres = Presentation(gens, _pn_relations(n, e_names), name=f"pn:{n}")
 
-    def tie(i, j):
-        return SetPartition([(i, j)], tuple(range(1, n + 1)))
-
-    gen_elems = [_JoinElem(tie(i, j)) for (i, j) in e_names]
-    identity = _JoinElem(SetPartition.singletons(range(1, n + 1)))
+    gen_elems = [SetPartition([(i, j)], n) for (i, j) in e_names]
+    identity = SetPartition.singletons(n)
     check_budget("Pi_{}", n, map(bell, count()))
-    target = [_JoinElem(p) for p in all_partitions(range(1, n + 1))]
-    return pres, gen_elems, identity, target
-
-
-class _JoinElem:
-    """Set partitions as a monoid under join."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        self.p = p
-
-    def __mul__(self, other):
-        return _JoinElem(self.p.join(other.p))
-
-    def __eq__(self, other):
-        if not isinstance(other, _JoinElem):
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self):
-        return hash(self.p)
+    return pres, gen_elems, identity, list(all_partitions(n))
 
 
 def _sgroup_relations(off, n):

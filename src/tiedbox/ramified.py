@@ -64,9 +64,8 @@ class Ramified:
             raise ValueError(f"bad element {text!r}: expected `n; blocks ; blocks`")
         head, mid, tail = pieces
         n = int(head)
-        g = tuple(range(1, 2 * n + 1))
-        return Ramified(Diagram(n, SetPartition.parse(mid, g)),
-                        Diagram(n, SetPartition.parse(tail, g)))
+        return Ramified(Diagram(n, SetPartition.parse(mid, 2 * n)),
+                        Diagram(n, SetPartition.parse(tail, 2 * n)))
 
 
 def ramified_identity(n):
@@ -121,7 +120,7 @@ def r_symmetric(n):
     check_budget("R(S_{})", n, (factorial(k) * bell(k) for k in count()))
     out = []
     for w in perms.all_perms(n):
-        for ties in all_partitions(range(1, n + 1)):
+        for ties in all_partitions(n):
             out.append(from_perm_and_ties(w, ties))
     return tuple(out)
 
@@ -140,7 +139,7 @@ def _boxed_family(name, n, block_family, block_size):
     check_budget(f"BR({name}_{{}})", n, boxed_sizes(block_size))
     out = []
     for mu in compositions(n):
-        lefts = [Diagram(0, SetPartition([], ()))]
+        lefts = [Diagram(0, SetPartition([], 0))]
         for m in mu:
             lefts = [over(d, x) for d in lefts for x in block_family(m)]
         b = boxed_diagram(mu)
@@ -333,9 +332,7 @@ def normal_form_brbr(x):
     for a, m in zip(cuts, mu):
         pts = list(range(a + 1, a + m + 1)) + \
             list(range(n + a + 1, n + a + m + 1))
-        sub = x.left.part.restrict(pts)
-        sub = sub.relabel(lambda v: v - a if v <= n else v - n - a + m)
-        factors.append(Diagram(m, sub))
+        factors.append(Diagram(m, x.left.part.restrict(pts)))
     for m, f in zip(mu, factors):
         s, k, s2 = _brauer_factorization(f)
         s_parts.append(s)

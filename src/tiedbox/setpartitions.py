@@ -1,11 +1,14 @@
-"""Set partitions of finite ground sets of integers.
+"""Set partitions of {1..n}: the ties on n strands, and (for n = 2m) the
+diagrams on m strands.
 
 The refinement order is written I <= J ("I is finer than J").  Linear
 partitions (all blocks are intervals) are identified with compositions.
+Under join, the set partitions of {1..n} form a monoid (E_I E_J = E_(I join
+J)), and `*` is join.
 
 Values are immutable and may be shared (the algebras cache products whose
-keys hold set partitions), so nothing changes `blocks`, `ground` or
-`_index` after construction.
+keys hold set partitions), so nothing changes `blocks`, `size` or `_index`
+after construction.
 """
 
 from functools import lru_cache
@@ -23,37 +26,38 @@ def _find(parent, i):
 
 
 class SetPartition:
-    """An immutable set partition; blocks are kept sorted by minimum."""
+    """An immutable set partition of {1..size}; blocks are kept sorted by
+    minimum."""
 
-    __slots__ = ("blocks", "ground", "_index")
+    __slots__ = ("blocks", "size", "_index")
 
-    def __init__(self, blocks, ground=None):
-        bl = tuple(tuple(sorted(b)) for b in blocks)
-        bl = tuple(sorted(bl, key=lambda b: b[0]))
-        elems = [x for b in bl for x in b]
-        if len(set(elems)) != len(elems):
+    def __init__(self, blocks, size=None):
+        """`size` defaults to the largest point; points of 1..size in no
+        block become singletons."""
+        bl = [tuple(sorted(b)) for b in blocks]
+        elems = {x for b in bl for x in b}
+        if len(elems) != sum(map(len, bl)):
             raise ValueError("blocks overlap")
-        if ground is None:
-            ground = elems
-        ground = tuple(sorted(ground))
-        extra = set(ground) - set(elems)
-        if set(elems) - set(ground):
-            raise ValueError("blocks not inside the ground set")
-        if extra:
-            bl = tuple(sorted(bl + tuple((x,) for x in sorted(extra)),
-                              key=lambda b: b[0]))
-        self.blocks = bl
-        self.ground = ground
+        if size is None:
+            size = max(elems, default=0)
+        if size < 0:
+            raise ValueError(f"negative size {size}")
+        if not elems <= set(range(1, size + 1)):
+            raise ValueError(f"blocks not inside 1..{size}")
+        bl += [(x,) for x in range(1, size + 1) if x not in elems]
+        bl.sort(key=lambda b: b[0])
+        self.blocks = tuple(bl)
+        self.size = size
         self._index = {x: i for i, b in enumerate(bl) for x in b}
 
     @classmethod
-    def _from_labels(cls, ground, labels):
-        """The partition of the sorted tuple `ground` whose blocks are the
-        points with equal labels (`labels[k]` is the label of `ground[k]`).
-        Points are grouped by first occurrence, so the blocks come out
-        sorted and ordered by their least point; nothing is re-validated."""
+    def _from_labels(cls, labels):
+        """The partition of {1..len(labels)} whose blocks are the points
+        with equal labels (`labels[k]` is the label of point k + 1).  Points
+        are grouped by first occurrence, so the blocks come out sorted and
+        ordered by their least point; nothing is re-validated."""
         blocks, index, slot = [], {}, {}
-        for x, label in zip(ground, labels):
+        for x, label in enumerate(labels, 1):
             i = slot.get(label)
             if i is None:
                 slot[label] = i = len(blocks)
@@ -63,31 +67,32 @@ class SetPartition:
             index[x] = i
         self = object.__new__(cls)
         self.blocks = tuple(map(tuple, blocks))
-        self.ground = ground
+        self.size = len(labels)
         self._index = index
         return self
 
     @staticmethod
-    def singletons(ground):
-        return SetPartition([(x,) for x in ground])
+    def singletons(size):
+        return SetPartition((), size)
 
     def __eq__(self, other):
+        # blocks that cover 1..size determine size
         if not isinstance(other, SetPartition):
             return NotImplemented
-        return self.blocks == other.blocks and self.ground == other.ground
+        return self.blocks == other.blocks
 
     def __hash__(self):
-        return hash((self.blocks, self.ground))
+        return hash(self.blocks)
 
     def __le__(self, other):
         """Refinement: every block of self lies inside a block of other."""
-        if self.ground != other.ground:
+        if self.size != other.size:
             raise ValueError("different ground sets")
         return all(len({other._index[x] for x in b}) == 1 for b in self.blocks)
 
     def join(self, other):
         """Least common coarsening."""
-        if self.ground != other.ground:
+        if self.size != other.size:
             raise ValueError("different ground sets")
         # merge the blocks of self that one block of other meets
         parent = list(range(len(self.blocks)))
@@ -99,32 +104,29 @@ class SetPartition:
                 if r != root:
                     parent[r] = root
         return SetPartition._from_labels(
-            self.ground, [_find(parent, index[x]) for x in self.ground])
+            [_find(parent, index[x]) for x in range(1, self.size + 1)])
 
-    def restrict(self, subset):
-        subset = set(subset)
-        return SetPartition([tuple(x for x in b if x in subset)
-                             for b in self.blocks if set(b) & subset],
-                            tuple(sorted(subset)))
+    def __mul__(self, other):
+        return self.join(other)
+
+    def restrict(self, points):
+        """The partition induced on `points`, with points[k] renamed k + 1."""
+        index = self._index
+        return SetPartition._from_labels([index[x] for x in points])
 
     def type_of(self):
         """Block sizes as a partition (weakly decreasing)."""
         return tuple(sorted((len(b) for b in self.blocks), reverse=True))
 
-    def block_sizes(self):
-        """Block sizes in order of block minima."""
-        return tuple(len(b) for b in self.blocks)
-
     def is_linear(self):
         """True if every block is an interval of consecutive integers."""
-        return all(b[-1] - b[0] == len(b) - 1 for b in self.blocks) and \
-            all(self.ground[i + 1] - self.ground[i] == 1
-                for i in range(len(self.ground) - 1))
+        return all(b[-1] - b[0] == len(b) - 1 for b in self.blocks)
 
     def to_composition(self):
+        """Block sizes in order of block minima, for a linear partition."""
         if not self.is_linear():
             raise ValueError("not a linear partition")
-        return self.block_sizes()
+        return tuple(len(b) for b in self.blocks)
 
     @staticmethod
     def from_composition(mu):
@@ -135,36 +137,24 @@ class SetPartition:
             x += m
         return SetPartition(blocks)
 
-    def relabel(self, mapping):
-        """Apply an injective relabeling to all elements.  `mapping` is a
-        dict or a callable."""
-        f = mapping.__getitem__ if isinstance(mapping, dict) else mapping
-        return SetPartition([tuple(f(x) for x in b) for b in self.blocks])
-
     def act(self, w):
-        """Right action of a permutation in one-line notation on a partition
-        of {1..n}: replace x by w(x).  Raises ValueError unless the ground
-        is 1..n and w is a permutation of it."""
-        ground = self.ground
-        n = len(ground)
-        if ground != tuple(range(1, n + 1)):
-            raise ValueError(f"act needs the ground 1..n, not {ground}")
-        if sorted(w) != list(ground):
+        """Right action of a permutation of 1..size in one-line notation:
+        replace x by w(x).  Raises ValueError unless w permutes 1..size."""
+        n = self.size
+        if sorted(w) != list(range(1, n + 1)):
             raise ValueError(f"{tuple(w)} is not a permutation of 1..{n}")
         labels = [0] * n
         for i, b in enumerate(self.blocks):
             for x in b:
                 labels[w[x - 1] - 1] = i
-        return SetPartition._from_labels(ground, labels)
+        return SetPartition._from_labels(labels)
 
     def coarsenings(self):
         """All partitions J with J >= self."""
-        out = []
-        for grouping in all_partitions(tuple(range(len(self.blocks)))):
-            blocks = [tuple(sorted(x for i in g for x in self.blocks[i]))
-                      for g in grouping.blocks]
-            out.append(SetPartition(blocks, self.ground))
-        return out
+        blocks = self.blocks
+        return [SetPartition([sum((blocks[i - 1] for i in g), ())
+                              for g in grouping.blocks], self.size)
+                for grouping in all_partitions(len(blocks))]
 
     def __str__(self):
         return "|".join(",".join(str(x) for x in b) for b in self.blocks)
@@ -173,21 +163,21 @@ class SetPartition:
         return f"SetPartition({self})"
 
     @staticmethod
-    def parse(text, ground=None):
+    def parse(text, size):
         blocks = [tuple(int(x) for x in piece.split(","))
                   for piece in text.strip().split("|") if piece.strip()]
-        return SetPartition(blocks, ground)
+        return SetPartition(blocks, size)
 
 
 @lru_cache(maxsize=None)
-def _partitions_of_range(n):
-    """Set partitions of (1..n) by the standard restricted-growth recursion,
-    in a fixed deterministic order."""
+def all_partitions(n):
+    """All set partitions of {1..n}, as a tuple, by the standard
+    restricted-growth recursion in a fixed deterministic order."""
     out = []
 
     def rec(x, blocks):
         if x > n:
-            out.append(SetPartition([tuple(b) for b in blocks]))
+            out.append(SetPartition(blocks, n))
             return
         for b in blocks:
             b.append(x)
@@ -197,21 +187,8 @@ def _partitions_of_range(n):
         rec(x + 1, blocks)
         blocks.pop()
 
-    if n == 0:
-        return (SetPartition([], ()),)
     rec(1, [])
     return tuple(out)
-
-
-def all_partitions(ground):
-    """All set partitions of a ground set, as a list."""
-    ground = tuple(sorted(ground))
-    n = len(ground)
-    base = _partitions_of_range(n)
-    if ground == tuple(range(1, n + 1)):
-        return list(base)
-    relabel = {i + 1: x for i, x in enumerate(ground)}
-    return [p.relabel(relabel) for p in base]
 
 
 def linear_partitions(n):

@@ -13,6 +13,7 @@ matrices; the LaurentPoly entries themselves are immutable and shared.
 from functools import lru_cache
 
 from .laurent import ONE, Q, QDIFF, add_term
+from .setpartitions import SetPartition
 from . import perms
 
 __all__ = ["TensorRep", "mat_mul", "mat_add", "mat_scale", "flatten_matrix"]
@@ -83,19 +84,8 @@ class TensorRep:
             out.append((i + 1, a + 1))
         return tuple(reversed(out))
 
-    @lru_cache(maxsize=None)
-    def E_pair(self, i, j):
-        """Tie projector on tensor positions i and j (1-based): keeps the
-        basis vectors whose two factors carry the same color."""
-        out = {}
-        for idx in range(self.dim):
-            f = self._factors(idx)
-            if f[i - 1][1] == f[j - 1][1]:
-                out[idx] = {idx: ONE}
-        return out
-
     def E(self, i):
-        return self.E_pair(i, i + 1)
+        return self.rho_ties(SetPartition([(i, i + 1)], self.n))
 
     @lru_cache(maxsize=None)
     def G(self, i):

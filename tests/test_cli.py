@@ -263,6 +263,15 @@ def test_bad_brauer_element_is_a_usage_error(element, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("monoid", ["br-symmetric", "sr-symmetric", "br-brauer"])
+def test_negative_strand_count_in_an_element_is_a_usage_error(monoid, capsys):
+    code = main(["normal-form", "--monoid", monoid, "--element", "-1; ; "])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert "negative size -2" in captured.err
+
+
 def test_other_errors_still_surface(monkeypatch, capsys):
     from tiedbox import cli
 

@@ -1,7 +1,8 @@
 """Package hygiene: every exported name and every traced name exists, the
-traced algebra classes are unrelated, no module changes a coefficient dict in place, no module but setpartitions.py
-writes the fields of a set partition, and no module computes with anything
-but integers."""
+traced algebra classes are unrelated, no module changes a coefficient dict
+in place, no module but setpartitions.py writes the fields of a set
+partition, no module computes with anything but integers, and no module or
+test imports a name it does not use."""
 
 import ast
 import functools
@@ -99,12 +100,12 @@ def test_coefficient_dicts_are_never_changed_in_place():
     assert not edits
 
 
-PARTITION_FIELDS = {"blocks", "ground", "_index"}
+PARTITION_FIELDS = {"blocks", "size", "_index"}
 
 
 def partition_field_writes(tree):
     """Line numbers where a field of a SetPartition is written: assignment
-    to or deletion of `<expr>.blocks`, `.ground` or `._index`, or an item
+    to or deletion of `<expr>.blocks`, `.size` or `._index`, or an item
     write or mutating method call on `<expr>._index`."""
     def is_field(node, names=PARTITION_FIELDS):
         return isinstance(node, ast.Attribute) and node.attr in names
@@ -121,7 +122,7 @@ def partition_field_writes(tree):
 
 
 def test_partition_field_scan_finds_writes():
-    code = "p.blocks = ()\np.ground += (1,)\ndel p._index\np._index[1] = 0\n" \
+    code = "p.blocks = ()\np.size += 1\ndel p._index\np._index[1] = 0\n" \
            "p._index.update({})\nx = p.blocks\nq = p._index[1]\nd.part = p\n"
     assert sorted(partition_field_writes(ast.parse(code))) == [1, 2, 3, 4, 5]
 
@@ -166,4 +167,38 @@ def test_modules_compute_with_integers_only():
     package = pathlib.Path(tiedbox.__file__).parent
     found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
              for line in inexact_numbers(ast.parse(path.read_text()))]
+    assert not found
+
+
+def unused_imports(tree):
+    """Line numbers of the imported names that the module never reads and
+    does not list in `__all__`."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name.split(".")[0], node.lineno)
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [(a.asname or a.name, node.lineno) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [line for name, line in imported if name not in used]
+
+
+def test_unused_import_scan_finds_them():
+    code = "import os\nimport sys as system\nfrom a import b, c\n" \
+           "from . import d\nimport x.y\nfrom e import f\n" \
+           "__all__ = ['c']\nprint(os.sep, d, x.y.z, system.argv)\n"
+    assert sorted(unused_imports(ast.parse(code))) == [3, 6]
+
+
+def test_modules_and_tests_import_only_what_they_use():
+    package = pathlib.Path(tiedbox.__file__).parent
+    paths = sorted(package.glob("*.py")) + \
+        sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    found = [f"{path.parent.name}/{path.name}:{line}" for path in paths
+             for line in unused_imports(ast.parse(path.read_text()))]
     assert not found

@@ -18,7 +18,7 @@ def test_bicyclic_style_toy_system():
                                      ((1, 0), (0, 1))])
     rs = kb_complete(pres)
     assert rs is not None
-    nfs = normal_forms(rs)
+    nfs = normal_forms(rs, 10)
     # normal forms: empty, x, y, xy
     assert len(nfs) == 4
 
@@ -126,9 +126,7 @@ def test_inconclusive_verdict_is_recorded_as_is(monkeypatch):
 def test_incomplete_completion_is_inconclusive(monkeypatch):
     from tiedbox import presentations
 
-    budgeted = presentations.kb_complete
-    monkeypatch.setattr(presentations, "kb_complete",
-                        lambda pres: budgeted(pres, max_steps=10))
+    monkeypatch.setattr(presentations, "KB_MAX_STEPS", 10)
     report = presentation_check(*build_preset("brsn", 3))
     assert report["kb_complete"] is False
     assert report["status"] == "inconclusive"
