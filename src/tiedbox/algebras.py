@@ -22,8 +22,7 @@ from .laurent import LaurentPoly, ONE, Q, QINV, QDIFF, DELTA, add_term, \
     echelon_insert, echelon_reduce
 from .setpartitions import SetPartition, all_partitions, linear_partitions, \
     mobius_linear, mobius_partition
-from .diagrams import check_budget, concat, jones_monoid, generator, \
-    perm_diagram
+from .diagrams import check_budget, concat, hook, jones_monoid, perm_diagram
 from .combinatorics import bell, boxed_sizes, catalan, compositions
 from . import perms
 
@@ -241,7 +240,7 @@ class TLAlgebra(_Algebra):
         return sorted(jones_monoid(self.n), key=lambda d: d.part.blocks)
 
     def hook(self, i):
-        return self.basis_element(generator("t", self.n, i))
+        return self.basis_element(hook(self.n, i))
 
     def mul_basis(self, d1, d2):
         d, loops = concat(d1, d2)

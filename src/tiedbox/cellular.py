@@ -184,7 +184,6 @@ def cell_axiom_check(datum, generators):
         minv = _frac_inverse(rows, dim)
     except ValueError as exc:
         return {"status": "fail", "witness": str(exc)}
-    tri_pos = {tri: r for r, tri in enumerate(triples)}
 
     def expand(x):
         vec = coords(x, index)

@@ -356,32 +356,25 @@ def check_quotients():
 
 
 def check_normal_forms(quick=False):
-    recs = []
-    for n in (1, 2, 3) if quick else (1, 2, 3, 4):
-        seen = {}
-        ok = True
-        for el in ramified.br_symmetric(n):
-            nf = ramified.normal_form_brs(el)
-            key = (nf["e_boxes"], nf["z_word"])
-            ok = ok and key not in seen and ramified.evaluate_normal_form(nf) == el
-            seen[key] = el
-        recs.append(bool_record(f"nf:boxed-symmetric:n={n}", ok))
-    for label, family, normal_form, key_of in (
-        ("singular-ramified-symmetric",
-         ramified.sr_symmetric(3), ramified.normal_form_srs,
-         lambda nf: (nf["e_pairs"], nf["z_pairs"])),
-        ("boxed-brauer",
-         ramified.br_brauer(3), ramified.normal_form_brbr,
+    rows = [("boxed-symmetric", n, ramified.br_symmetric,
+             ramified.normal_form_brs, lambda nf: (nf["e_boxes"], nf["z_word"]))
+            for n in ((1, 2, 3) if quick else (1, 2, 3, 4))]
+    rows += [
+        ("singular-ramified-symmetric", 3, ramified.sr_symmetric,
+         ramified.normal_form_srs, lambda nf: (nf["e_pairs"], nf["z_pairs"])),
+        ("boxed-brauer", 3, ramified.br_brauer, ramified.normal_form_brbr,
          lambda nf: (nf["e_boxes"], nf["z_word"], nf["d_word"], nf["z_word_2"])),
-    ):
+    ]
+    recs = []
+    for label, n, family, normal_form, key_of in rows:
         seen = {}
         ok = True
-        for el in family:
+        for el in family(n):
             nf = normal_form(el)
             key = key_of(nf)
             ok = ok and key not in seen and ramified.evaluate_normal_form(nf) == el
             seen[key] = el
-        recs.append(bool_record(f"nf:{label}:n=3", ok))
+        recs.append(bool_record(f"nf:{label}:n={n}", ok))
 
     # worked examples: a fully boxed word and a two-tie singular word
     x, nf = ramified.brs_from_word(4, (4,), (2, 1, 3, 2, 3))

@@ -14,8 +14,8 @@ from .combinatorics import bell
 from . import perms
 
 __all__ = [
-    "BUDGET", "BudgetExceeded", "Diagram", "concat", "perm_diagram",
-    "generator", "closure", "boxed_diagram", "is_boxed", "boxed_composition",
+    "BUDGET", "BudgetExceeded", "Diagram", "concat", "perm_diagram", "hook",
+    "tie", "closure", "boxed_diagram", "is_boxed", "boxed_composition",
     "over", "shift_blocks", "symmetric_diagrams", "jones_monoid",
     "brauer_monoid", "partition_monoid",
 ]
@@ -103,32 +103,16 @@ def perm_diagram(w):
     return Diagram(n, [(i, n + w[i - 1]) for i in range(1, n + 1)])
 
 
-def generator(kind, n, i, j=None):
-    """Named generators on n strands.
+def hook(n, i):
+    """The Brauer/Jones hook t_i: blocks {i, i+1} and {i', (i+1)'}."""
+    blocks = [(k, n + k) for k in range(1, n + 1) if k not in (i, i + 1)]
+    return Diagram(n, blocks + [(i, i + 1), (n + i, n + i + 1)])
 
-    's': transposition diagram s_i.
-    't': Brauer/Jones hook t_i (blocks {i,i+1} and {i',(i+1)'}).
-    'b': boxed join b_i = identity with blocks i and i+1 merged.
-    'e': identity with a tie joining strands i and j (needs j).
-    """
-    ident = [(k, n + k) for k in range(1, n + 1)]
-    if kind == "s":
-        return perm_diagram(perms.sgen(n, i))
-    if kind == "t":
-        blocks = [b for b in ident if b[0] not in (i, i + 1)]
-        blocks += [(i, i + 1), (n + i, n + i + 1)]
-        return Diagram(n, blocks)
-    if kind == "b":
-        blocks = [b for b in ident if b[0] not in (i, i + 1)]
-        blocks += [(i, i + 1, n + i, n + i + 1)]
-        return Diagram(n, blocks)
-    if kind == "e":
-        if j is None:
-            raise ValueError("'e' needs two strand indices")
-        blocks = [b for b in ident if b[0] not in (i, j)]
-        blocks += [(i, j, n + i, n + j)]
-        return Diagram(n, blocks)
-    raise ValueError(f"unknown generator kind {kind!r}")
+
+def tie(n, i, j):
+    """The identity with strands i and j tied."""
+    blocks = [(k, n + k) for k in range(1, n + 1) if k not in (i, j)]
+    return Diagram(n, blocks + [(i, j, n + i, n + j)])
 
 
 class BudgetExceeded(RuntimeError):
@@ -229,15 +213,15 @@ def symmetric_diagrams(n):
 def jones_monoid(n):
     """The Jones (Temperley-Lieb) monoid: closure of identity and hooks."""
     gens = [perm_diagram(perms.identity(n))]
-    gens += [generator("t", n, i) for i in range(1, n)]
+    gens += [hook(n, i) for i in range(1, n)]
     return tuple(closure(gens))
 
 
 @lru_cache(maxsize=None)
 def brauer_monoid(n):
     gens = [perm_diagram(perms.identity(n))]
-    gens += [generator("s", n, i) for i in range(1, n)]
-    gens += [generator("t", n, i) for i in range(1, n)]
+    gens += [perm_diagram(perms.sgen(n, i)) for i in range(1, n)]
+    gens += [hook(n, i) for i in range(1, n)]
     return tuple(closure(gens))
 
 

@@ -76,7 +76,6 @@ def right_longer(w, i):
 
 def young_subgroup(composition):
     """All permutations preserving the consecutive blocks of a composition."""
-    n = sum(composition)
     starts = []
     acc = 0
     for m in composition:
@@ -86,8 +85,7 @@ def young_subgroup(composition):
     for s, m in zip(starts, composition):
         block = [tuple(p) for p in _permutations(range(s + 1, s + m + 1))]
         out = [w + b for w in out for b in block]
-    # each w is currently a flat tuple of images in block order = one-line
-    return [tuple(w) for w in out]
+    return out
 
 
 def block_components(w, composition):

@@ -6,12 +6,12 @@ most 256 generators.  Bytes slice, concatenate and compare like tuples of
 ints, and the order of the generator list fixes the shortlex order.
 """
 
-from itertools import count
+from itertools import combinations, count, permutations
 
 from . import perms
 from .combinatorics import bell
 from .diagrams import BudgetExceeded, brauer_monoid, check_budget, closure, \
-    generator, perm_diagram
+    hook, perm_diagram
 from .ramified import br_brauer, br_jones, br_symmetric, gen_d, gen_e, \
     gen_e_pair, gen_s, gen_z, gen_z_pair, r_symmetric, ramified_identity, \
     sr_symmetric
@@ -215,36 +215,81 @@ def presentation_check(pres, gen_elems, identity, target_set):
 
 
 # ---------------------------------------------------------------------------
-# presentation presets
+# presentation presets: sums of relation blocks.  A block takes n and, per
+# letter family, the map i -> generator index of letter i; it lists each
+# relation once, not also with its sides swapped.
 
 
-def _tie_relations(n, E):
+def _ties(n, E):
     """Idempotent, pairwise commuting ties e_1..e_{n-1}."""
     rels = []
     for i in range(1, n):
         rels.append(((E(i), E(i)), (E(i),)))
-        for j in range(i + 1, n):
-            rels.append(((E(i), E(j)), (E(j), E(i))))
+        rels += [((E(i), E(j)), (E(j), E(i))) for j in range(i + 1, n)]
     return rels
 
 
-def _pn_relations(n, e_names):
-    """Relations of the presentation of P_n by the tie generators e_{i,j}."""
-    idx = {p: i for i, p in enumerate(e_names)}
+def _squares(n, X, v):
+    """x_i x_i = v(i)."""
+    return [((X(i), X(i)), v(i)) for i in range(1, n)]
+
+
+def _far(n, X):
+    """x_i x_j = x_j x_i for |i - j| > 1."""
+    return [((X(i), X(j)), (X(j), X(i)))
+            for i in range(1, n) for j in range(i + 2, n)]
+
+
+def _braids(n, X):
+    """The braid relation for neighbours; far letters commute."""
+    return [((X(i), X(i + 1), X(i)), (X(i + 1), X(i), X(i + 1)))
+            for i in range(1, n - 1)] + _far(n, X)
+
+
+def _neighbours(n):
+    """The ordered pairs (i, j) of letters with |i - j| = 1."""
+    return [(i, j) for i in range(1, n) for j in (i - 1, i + 1) if 0 < j < n]
+
+
+def _jones(n, X, m):
+    """x_i^2 = x_i, x_i x_j x_i = m(i, j) for |i - j| = 1, and far letters
+    commute."""
+    return _squares(n, X, lambda i: (X(i),)) + \
+        [((X(i), X(j), X(i)), m(i, j)) for i, j in _neighbours(n)] + \
+        _far(n, X)
+
+
+def _tied(n, E, X):
+    """e_i x_i = x_i = x_i e_i, and e_i x_j = x_j e_i for j != i."""
     rels = []
-    pairs = list(e_names)
-    for p in pairs:
-        rels.append(((idx[p], idx[p]), (idx[p],)))
-    for a in pairs:
-        for b in pairs:
-            if a < b:
-                rels.append(((idx[a], idx[b]), (idx[b], idx[a])))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                ij, ik, jk = idx[(i, j)], idx[(i, k)], idx[(j, k)]
-                rels.append(((ij, ik), (ij, jk)))
-                rels.append(((ij, jk), (ik, jk)))
+    for i in range(1, n):
+        rels += [((E(i), X(i)), (X(i),)), ((X(i), E(i)), (X(i),))]
+    return rels + [((E(i), X(j)), (X(j), E(i)))
+                   for i, j in permutations(range(1, n), 2)]
+
+
+def _brauer(n, S, T):
+    """t_i s_i = t_i = s_i t_i; s_i t_j t_i = s_j t_i and t_i t_j s_i =
+    t_i s_j for |i - j| = 1; t_i s_j = s_j t_i for |i - j| > 1."""
+    rels = []
+    for i in range(1, n):
+        rels += [((T(i), S(i)), (T(i),)), ((S(i), T(i)), (T(i),))]
+    rels += [((T(i), S(j)), (S(j), T(i)))
+             for i, j in permutations(range(1, n), 2) if abs(i - j) > 1]
+    for i, j in _neighbours(n):
+        rels += [((S(i), T(j), T(i)), (S(j), T(i))),
+                 ((T(i), T(j), S(i)), (T(i), S(j)))]
+    return rels
+
+
+def _pn_relations(n, pairs):
+    """Relations of P_n in the ties e_{i,j}, one per pair i < j of `pairs`:
+    the ties, and e_ij e_ik = e_ij e_jk = e_ik e_jk for i < j < k."""
+    idx = {p: k for k, p in enumerate(pairs)}
+    rels = _ties(len(pairs) + 1, lambda k: k - 1)
+    for i, j, k in combinations(range(1, n + 1), 3):
+        ij, ik, jk = idx[i, j], idx[i, k], idx[j, k]
+        rels += [((ij, ik), (ij, jk)), ((ij, jk), (ik, jk))]
     return rels
 
 
@@ -258,20 +303,6 @@ def preset_pn(n):
     identity = SetPartition.singletons(n)
     check_budget("Pi_{}", n, map(bell, count()))
     return pres, gen_elems, identity, list(all_partitions(n))
-
-
-def _sgroup_relations(off, n):
-    """Symmetric group relations on generators s_1..s_{n-1} at offset off."""
-    rels = []
-    for i in range(n - 1):
-        rels.append(((off + i, off + i), ()))
-    for i in range(n - 2):
-        rels.append(((off + i, off + i + 1, off + i),
-                     (off + i + 1, off + i, off + i + 1)))
-    for i in range(n - 1):
-        for j in range(i + 2, n - 1):
-            rels.append(((off + i, off + j), (off + j, off + i)))
-    return rels
 
 
 def _letters(label, n, *families):
@@ -289,147 +320,95 @@ def _letters(label, n, *families):
                             for i in range(1, n)]
 
 
+def _ramified(label, n, families, relations, monoid):
+    """A preset of the ramified monoid `monoid(n)`: the generators of
+    `families` (see `_letters`) and relations(n, *their index maps)."""
+    gens, indices, elements = _letters(label, n, *families)
+    pres = Presentation(gens, relations(n, *indices), name=label)
+    return pres, elements, ramified_identity(n), list(monoid(n))
+
+
 def preset_brauer(n):
     """Brauer monoid presented by transpositions s_i and hooks t_i."""
     gens, (S, T), elements = _letters(
         f"brauer:{n}", n, ("s", lambda n, i: perm_diagram(perms.sgen(n, i))),
-        ("t", lambda n, i: generator("t", n, i)))
-    rels = _sgroup_relations(0, n)
-    for i in range(1, n):
-        rels.append(((T(i), T(i)), (T(i),)))
-        rels.append(((T(i), S(i)), (T(i),)))
-        rels.append(((S(i), T(i)), (T(i),)))
-        for j in range(1, n):
-            d = abs(i - j)
-            if d == 1:
-                rels.append(((T(i), T(j), T(i)), (T(i),)))
-                rels.append(((S(i), T(j), T(i)), (S(j), T(i))))
-                rels.append(((T(i), T(j), S(i)), (T(i), S(j))))
-            elif d > 1:
-                rels.append(((T(i), T(j)), (T(j), T(i))))
-                rels.append(((T(i), S(j)), (S(j), T(i))))
+        ("t", hook))
+    rels = _squares(n, S, lambda i: ()) + _braids(n, S) + \
+        _jones(n, T, lambda i, j: (T(i),)) + _brauer(n, S, T)
     pres = Presentation(gens, rels, name=f"brauer:{n}")
     identity = perm_diagram(perms.identity(n))
     return pres, elements, identity, list(brauer_monoid(n))
 
 
-def preset_rsn(n):
-    """R(S_n) presented by e_i (ties) and s_i."""
-    gens, (E, S), elements = _letters(
-        f"rsn:{n}", n, ("e", gen_e), ("s", gen_s))
-    rels = _tie_relations(n, E) + _sgroup_relations(n - 1, n)
+def _rsn_relations(n, E, S):
+    rels = _ties(n, E) + _squares(n, S, lambda i: ()) + _braids(n, S)
     for i in range(1, n):
         for j in range(1, n):
-            d = abs(i - j)
-            if d == 1:
+            if abs(i - j) == 1:
                 rels.append(((E(i), S(j), S(i)), (S(j), S(i), E(j))))
                 rels.append(((E(i), E(j), S(i)), (E(j), S(i), E(j))))
                 rels.append(((E(j), S(i), E(j)), (S(i), E(j), E(i))))
             else:
                 rels.append(((S(i), E(j)), (E(j), S(i))))
-    pres = Presentation(gens, rels, name=f"rsn:{n}")
-    return pres, elements, ramified_identity(n), list(r_symmetric(n))
-
-
-def _ez_relations(n, E, Z):
-    """Common tie/tied-braid relations: idempotent commuting ties, braid
-    relations for z, z_i^2 = e_i, e_i z_i = z_i, and e-z commutation."""
-    rels = _tie_relations(n, E)
-    for i in range(1, n):
-        for j in range(1, n):
-            d = abs(i - j)
-            if d == 1:
-                rels.append(((Z(i), Z(j), Z(i)), (Z(j), Z(i), Z(j))))
-            elif d > 1 and i < j:
-                rels.append(((Z(i), Z(j)), (Z(j), Z(i))))
-            if i != j:
-                rels.append(((E(i), Z(j)), (Z(j), E(i))))
-    for i in range(1, n):
-        rels.append(((Z(i), Z(i)), (E(i),)))
-        rels.append(((E(i), Z(i)), (Z(i),)))
-        rels.append(((Z(i), E(i)), (Z(i),)))
     return rels
+
+
+def preset_rsn(n):
+    """R(S_n) presented by e_i (ties) and s_i."""
+    return _ramified(f"rsn:{n}", n, (("e", gen_e), ("s", gen_s)),
+                     _rsn_relations, r_symmetric)
+
+
+def _brsn_relations(n, E, Z):
+    """The relations of BR(S_n) in the ties e_i and the tied
+    transpositions z_i: z_i^2 = e_i, braids, z_i tied by e_i."""
+    return _ties(n, E) + _squares(n, Z, lambda i: (E(i),)) + \
+        _braids(n, Z) + _tied(n, E, Z)
 
 
 def preset_brsn(n):
     """BR(S_n) presented by ties e_i and tied transpositions z_i."""
-    gens, (E, Z), elements = _letters(
-        f"brsn:{n}", n, ("e", gen_e), ("z", gen_z))
-    pres = Presentation(gens, _ez_relations(n, E, Z), name=f"brsn:{n}")
-    return pres, elements, ramified_identity(n), list(br_symmetric(n))
+    return _ramified(f"brsn:{n}", n, (("e", gen_e), ("z", gen_z)),
+                     _brsn_relations, br_symmetric)
+
+
+def _brsn_z_relations(n, Z):
+    """z_i^3 = z_i, braids, and z_i^2 commutes with z_j^2 and z_j."""
+    rels = [((Z(i), Z(i), Z(i)), (Z(i),)) for i in range(1, n)] + _braids(n, Z)
+    rels += [((Z(i), Z(i), Z(j), Z(j)), (Z(j), Z(j), Z(i), Z(i)))
+             for i, j in combinations(range(1, n), 2)]
+    return rels + [((Z(i), Z(i), Z(j)), (Z(j), Z(i), Z(i)))
+                   for i, j in permutations(range(1, n), 2)]
 
 
 def preset_brsn_z(n):
     """BR(S_n) presented by the tied transpositions alone."""
-    gens, (Z,), elements = _letters(f"brsn-z:{n}", n, ("z", gen_z))
-    rels = []
-    for i in range(1, n):
-        rels.append(((Z(i), Z(i), Z(i)), (Z(i),)))
-        for j in range(1, n):
-            d = abs(i - j)
-            if d == 1 and i < j:
-                rels.append(((Z(i), Z(j), Z(i)), (Z(j), Z(i), Z(j))))
-            elif d > 1 and i < j:
-                rels.append(((Z(i), Z(j)), (Z(j), Z(i))))
-            if i != j:
-                rels.append(((Z(i), Z(i), Z(j), Z(j)),
-                             (Z(j), Z(j), Z(i), Z(i))))
-                rels.append(((Z(i), Z(i), Z(j)), (Z(j), Z(i), Z(i))))
-    pres = Presentation(gens, rels, name=f"brsn-z:{n}")
-    return pres, elements, ramified_identity(n), list(br_symmetric(n))
+    return _ramified(f"brsn-z:{n}", n, (("z", gen_z),), _brsn_z_relations,
+                     br_symmetric)
+
+
+def _tied_hooks(n, E, D):
+    """The relations of BR(J_n) besides the ties: d_i is a Jones hook with
+    d_i d_j d_i = e_j d_i e_j for |i - j| = 1, tied by e_i."""
+    return _jones(n, D, lambda i, j: (E(j), D(i), E(j))) + _tied(n, E, D)
 
 
 def preset_brjn(n):
     """BR(J_n) presented by ties e_i and tied hooks d_i."""
-    gens, (E, D), elements = _letters(
-        f"brjn:{n}", n, ("e", gen_e), ("d", gen_d))
-    rels = _tie_relations(n, E)
-    for i in range(1, n):
-        rels.append(((D(i), D(i)), (D(i),)))
-        rels.append(((D(i), E(i)), (D(i),)))
-        rels.append(((E(i), D(i)), (D(i),)))
-        for j in range(1, n):
-            d = abs(i - j)
-            if d == 1:
-                rels.append(((D(i), D(j), D(i)), (E(j), D(i), E(j))))
-                rels.append(((D(i), E(j)), (E(j), D(i))))
-            elif d > 1:
-                if i < j:
-                    rels.append(((D(i), D(j)), (D(j), D(i))))
-                rels.append(((D(i), E(j)), (E(j), D(i))))
-    pres = Presentation(gens, rels, name=f"brjn:{n}")
-    return pres, elements, ramified_identity(n), list(br_jones(n))
-
-
-def _brbr_relations(n, E, Z, D):
-    rels = _ez_relations(n, E, Z)
-    for i in range(1, n):
-        rels.append(((D(i), D(i)), (D(i),)))
-        rels.append(((D(i), E(i)), (D(i),)))
-        rels.append(((E(i), D(i)), (D(i),)))
-        rels.append(((Z(i), D(i)), (D(i),)))
-        rels.append(((D(i), Z(i)), (D(i),)))
-        for j in range(1, n):
-            d = abs(i - j)
-            if d == 1:
-                rels.append(((D(i), D(j), D(i)), (E(j), D(i), E(j))))
-                rels.append(((D(i), E(j)), (E(j), D(i))))
-                rels.append(((Z(i), D(j), D(i)), (Z(j), D(i))))
-                rels.append(((D(i), D(j), Z(i)), (D(i), Z(j))))
-            elif d > 1:
-                if i < j:
-                    rels.append(((D(i), D(j)), (D(j), D(i))))
-                rels.append(((D(i), E(j)), (E(j), D(i))))
-                rels.append(((Z(i), D(j)), (D(j), Z(i))))
-    return rels
+    return _ramified(f"brjn:{n}", n, (("e", gen_e), ("d", gen_d)),
+                     lambda n, E, D: _ties(n, E) + _tied_hooks(n, E, D),
+                     br_jones)
 
 
 def preset_brbrn(n):
-    """BR(Br_n) presented by e_i, z_i, d_i."""
-    gens, (E, Z, D), elements = _letters(
-        f"brbrn:{n}", n, ("e", gen_e), ("z", gen_z), ("d", gen_d))
-    pres = Presentation(gens, _brbr_relations(n, E, Z, D), name=f"brbrn:{n}")
-    return pres, elements, ramified_identity(n), list(br_brauer(n))
+    """BR(Br_n) presented by e_i, z_i, d_i.  Its relations are those of
+    BR(S_n) (`preset_brsn`), those of BR(J_n) without the ties
+    (`preset_brjn`), and the Brauer relations between the transpositions
+    and the hooks (Kudryavtseva-Mazorchuk) with s -> z and t -> d."""
+    return _ramified(f"brbrn:{n}", n,
+                     (("e", gen_e), ("z", gen_z), ("d", gen_d)),
+                     lambda n, E, Z, D: _brsn_relations(n, E, Z) +
+                     _tied_hooks(n, E, D) + _brauer(n, Z, D), br_brauer)
 
 
 def preset_brbrn_abstract(n):
@@ -464,16 +443,17 @@ def preset_srsn(n):
         return (a, b) if a < b else (b, a)
 
     rels = _pn_relations(n, pairs)
+    # (t, r) gives the relation of (r, t) with its sides swapped
     for r in rs:
-        for t in rs:
-            if abs(r - t) == 1:
+        for t in range(r + 1, n):
+            if t - r == 1:
                 for p in pairs:
                     # braid-style relation on superindices
                     l = (Z(r, p), Z(t, ap(r, p)), Z(r, ap(t, ap(r, p))))
                     rr = (Z(t, p), Z(r, ap(t, p)), Z(t, ap(r, ap(t, p))))
                     if l != rr:
                         rels.append((l, rr))
-            if abs(r - t) > 1:
+            else:
                 for p in pairs:
                     rels.append(((Z(r, p), Z(t, ap(r, p))),
                                  (Z(t, p), Z(r, ap(t, p)))))

@@ -9,10 +9,10 @@ from math import factorial
 from .combinatorics import bell, boxed_sizes, catalan, compositions, \
     double_factorial_odd
 from .setpartitions import SetPartition, all_partitions
-from .diagrams import (Diagram, check_budget, perm_diagram,
-                       generator, boxed_diagram,
-                       boxed_composition, over, symmetric_diagrams,
-                       jones_monoid, brauer_monoid, partition_monoid)
+from .diagrams import (Diagram, check_budget, perm_diagram, hook, tie,
+                       boxed_diagram, boxed_composition, over,
+                       symmetric_diagrams, jones_monoid, brauer_monoid,
+                       partition_monoid)
 from . import perms
 
 __all__ = [
@@ -80,12 +80,12 @@ def gen_s(n, i):
 
 def gen_e(n, i):
     """e_i: identity with strands i, i+1 tied."""
-    return Ramified(perm_diagram(perms.identity(n)), generator("b", n, i))
+    return gen_e_pair(n, i, i + 1)
 
 
 def gen_e_pair(n, i, j):
     """e_{i,j}: identity with strands i and j tied."""
-    return Ramified(perm_diagram(perms.identity(n)), generator("e", n, i, j))
+    return Ramified(perm_diagram(perms.identity(n)), tie(n, i, j))
 
 
 def gen_z(n, i):
@@ -95,7 +95,7 @@ def gen_z(n, i):
 
 def gen_d(n, i):
     """d_i = e_i t_i: tied hook."""
-    return Ramified(generator("t", n, i), generator("b", n, i))
+    return Ramified(hook(n, i), tie(n, i, i + 1))
 
 
 def gen_z_pair(n, r, i, j):
@@ -290,20 +290,21 @@ def srs_from_word(n, pairs, word):
 def _brauer_factorization(d):
     """Factor a Brauer diagram as s * t_1 t_3 ... t_(2k-1) * s', choosing the
     canonical (shortest, then lexicographically least) pair of permutations.
-    Exhaustive search; intended for small strand counts."""
+    Exhaustive search over the (n!)^2 pairs, within `diagrams.check_budget`."""
     if any(len(b) != 2 for b in d.part.blocks):
         raise ValueError("not a Brauer diagram")
     n = d.n
     k = (n - len([b for b in d.part.blocks
                   if b[0] <= n < b[1] and len(b) == 2])) // 2
+    check_budget("S_{0} x S_{0}", n, (factorial(m) ** 2 for m in count()))
     hooks = perm_diagram(perms.identity(n))
     for m in range(k):
-        hooks = hooks * generator("t", n, 2 * m + 1)
+        hooks = hooks * hook(n, 2 * m + 1)
     best = None
     for s in perms.all_perms(n):
-        sd = perm_diagram(s)
+        top = perm_diagram(s) * hooks
         for s2 in perms.all_perms(n):
-            if (sd * hooks) * perm_diagram(s2) == d:
+            if top * perm_diagram(s2) == d:
                 key = (perms.length(s) + perms.length(s2),
                        perms.lex_least_word(s), perms.lex_least_word(s2))
                 if best is None or key < best[0]:

@@ -140,8 +140,11 @@ def test_tied_boxed_hecke_relations():
     z1, z2 = bh.z(1), bh.z(2)
     assert z1 * z2 * z1 == z2 * z1 * z2
     assert e1 * z1 == z1
+    assert e2 * z2 == z2
     assert e1 * z2 == z2 * e1
+    assert e2 * z1 == z1 * e2
     assert z1 * z1 == e1 + z1.scale(QDIFF)
+    assert z2 * z2 == e2 + z2.scale(QDIFF)
 
 
 def test_embedding_is_injective():

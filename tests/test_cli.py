@@ -263,6 +263,17 @@ def test_bad_brauer_element_is_a_usage_error(element, message, capsys):
     assert message in captured.err
 
 
+def test_oversized_brauer_box_is_one_inconclusive_record(capsys):
+    # one box of 7 strands: its factorization would search 7!^2 pairs of
+    # permutations, so the budget stops it before the first product
+    element = "7; 1,8|2,9|3,10|4,11|5,12|6,13|7,14 ; 1,2,3,4,5,6,7,8,9,10,11,12,13,14"
+    code, records = run(capsys, "normal-form", "--monoid", "br-brauer",
+                        "--element", element)
+    assert code == 2
+    assert records == [{"name": "normal-form", "status": "inconclusive",
+                        "reason": "|S_7 x S_7| = 25401600 is above the budget 1000000"}]
+
+
 @pytest.mark.parametrize("monoid", ["br-symmetric", "sr-symmetric", "br-brauer"])
 def test_negative_strand_count_in_an_element_is_a_usage_error(monoid, capsys):
     code = main(["normal-form", "--monoid", monoid, "--element", "-1; ; "])
@@ -320,9 +331,11 @@ def test_generator_limit_comes_before_any_relation(monkeypatch, capsys,
     def built(*args):
         raise AssertionError("built before the generator count was checked")
 
-    for name in ("_pn_relations", "_tie_relations", "_sgroup_relations",
+    for name in ("_pn_relations", "_ties", "_squares", "_far", "_braids",
+                 "_neighbours", "_jones", "_tied", "_brauer", "_rsn_relations",
+                 "_brsn_relations", "_brsn_z_relations", "_tied_hooks",
                  "gen_e", "gen_s", "gen_z", "gen_d", "gen_e_pair",
-                 "gen_z_pair", "perm_diagram", "generator"):
+                 "gen_z_pair", "perm_diagram", "hook"):
         monkeypatch.setattr(presentations, name, built)
     code = main(["present-check", "--preset", preset, "--n", str(n)])
     assert code == 64

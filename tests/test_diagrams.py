@@ -9,7 +9,7 @@ from tiedbox.diagrams import (
     boxed_composition,
     boxed_diagram,
     brauer_monoid,
-    generator,
+    hook,
     is_boxed,
     jones_monoid,
     partition_monoid,
@@ -48,10 +48,10 @@ def test_perm_diagrams_multiply_like_permutations():
 def test_hook_relations():
     n = 4
     for i in (1, 2, 3):
-        t = generator("t", n, i)
+        t = hook(n, i)
         d, loops = concat(t, t)
         assert d == t and loops == 1  # t_i t_i closes one loop
-    t1, t2 = generator("t", n, 1), generator("t", n, 2)
+    t1, t2 = hook(n, 1), hook(n, 2)
     assert t1 * t2 * t1 == t1
     assert t2 * t1 * t2 == t2
 

@@ -2,7 +2,7 @@
 traced algebra classes are unrelated, no module changes a coefficient dict
 in place, no module but setpartitions.py writes the fields of a set
 partition, no module computes with anything but integers, and no module or
-test imports a name it does not use."""
+test imports a name it does not use or assigns a local it never reads."""
 
 import ast
 import functools
@@ -201,4 +201,51 @@ def test_modules_and_tests_import_only_what_they_use():
         sorted(pathlib.Path(__file__).parent.glob("*.py"))
     found = [f"{path.parent.name}/{path.name}:{line}" for path in paths
              for line in unused_imports(ast.parse(path.read_text()))]
+    assert not found
+
+
+def unread_locals(tree):
+    """(line, name) of each name that a function assigns and that neither it
+    nor a function nested in it reads.  Names starting with `_` are exempt,
+    and so are names declared global or nonlocal."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = {}, set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+        found |= {(line, name) for name, line in stored.items()
+                  if name not in read and not name.startswith("_")}
+    return sorted(found)
+
+
+def test_unread_local_scan_finds_them():
+    code = ("def f(a):\n"
+            "    b, c = a\n"              # c is never read
+            "    for i, _ in b:\n"        # i is never read; _ is exempt
+            "        d = 1\n"             # read by g below
+            "    def g():\n"
+            "        nonlocal d\n"
+            "        e = d\n"             # e is never read
+            "    h = [k for k in b]\n"    # h is never read
+            "    b += 1\n"
+            "    return b\n"
+            "x = 1\n")                    # module level: not a local
+    assert unread_locals(ast.parse(code)) == [
+        (2, "c"), (3, "i"), (7, "e"), (8, "h")]
+
+
+def test_modules_and_tests_read_every_local_they_assign():
+    package = pathlib.Path(tiedbox.__file__).parent
+    paths = sorted(package.glob("*.py")) + \
+        sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    found = [f"{path.parent.name}/{path.name}:{line} {name}" for path in paths
+             for line, name in unread_locals(ast.parse(path.read_text()))]
     assert not found

@@ -81,11 +81,13 @@ def _occurs(sub, word):
 
 
 RULE_COUNTS = {("brauer", 4): 89, ("brsn", 4): 42, ("brjn", 4): 43,
-               ("srsn", 3): 79, ("brbrn", 3): 47}
+               ("srsn", 3): 79, ("brbrn", 3): 47, ("brsn", 5): 119,
+               ("brjn", 5): 103, ("brsn-z", 5): 32}
 
 
 @pytest.mark.parametrize("name,n", [(name, 3) for name in PRESET_NAMES]
-                         + [("brauer", 4), ("brsn", 4), ("brjn", 4)])
+                         + [("brauer", 4), ("brsn", 4), ("brjn", 4),
+                            ("brsn", 5), ("brjn", 5), ("brsn-z", 5)])
 def test_completed_system_is_reduced(name, n):
     rs = kb_complete(build_preset(name, n)[0])
     assert rs.complete
@@ -95,6 +97,16 @@ def test_completed_system_is_reduced(name, n):
     assert not any(_occurs(l, r) for _, r in rs.rules for l in lhs)
     if (name, n) in RULE_COUNTS:
         assert len(rs.rules) == RULE_COUNTS[name, n]
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name in PRESET_NAMES
+                                    for n in (2, 3, 4)])
+def test_no_relation_is_listed_twice(name, n):
+    # a relation listed again, as is or with its sides swapped, is joined
+    # already when completion reaches it
+    relations = build_preset(name, n)[0].relations
+    unordered = {frozenset(relation) for relation in relations}
+    assert len(unordered) == len(relations)
 
 
 def test_broken_relation_is_detected():
