@@ -6,6 +6,7 @@ most 256 generators.  Bytes slice, concatenate and compare like tuples of
 ints, and the order of the generator list fixes the shortlex order.
 """
 
+from bisect import insort
 from itertools import combinations, count, permutations
 
 from . import perms
@@ -50,38 +51,85 @@ class Presentation:
 
 
 class RewriteSystem:
-    def __init__(self, rules, num_gens, complete):
+    def __init__(self, rules, num_gens, complete, steps):
         self.rules = rules            # list of (lhs, rhs), lhs > rhs shortlex
         self.num_gens = num_gens
         self.complete = complete
+        self.steps = steps            # overlap and containment tests made
+        self._rule_index = _RuleIndex(rules)
 
     def reduce(self, word):
         """A normal form of `word`; unique when the system is complete."""
-        return _reduce(bytes(word), self.rules)
+        return self._rule_index.reduce(bytes(word))
 
 
 def _shortlex_key(word):
     return (len(word), word)
 
 
-def _reduce(word, rules):
-    changed = True
-    while changed:
-        changed = False
+class _RuleIndex:
+    """Rewrite rules in order, found through their left-hand sides: a dict
+    from each lhs to its position in `rules`, and the distinct lhs lengths
+    in ascending order.  No two rules share an lhs (see `kb_complete`), so
+    the dict holds one position per lhs."""
+
+    def __init__(self, rules=()):
+        self.rules = []
+        self.position = {}
+        self.lengths = []
         for lhs, rhs in rules:
-            idx = word.find(lhs)
-            if idx >= 0:
-                word = word[:idx] + rhs + word[idx + len(lhs):]
-                changed = True
-    return word
+            self.append(lhs, rhs)
+
+    def append(self, lhs, rhs):
+        self.position[lhs] = len(self.rules)
+        self.rules.append((lhs, rhs))
+        if len(lhs) not in self.lengths:
+            insort(self.lengths, len(lhs))
+
+    def _next(self, word, p):
+        """(position, start) of the rule a sweep from rule p applies next:
+        the least position >= p whose lhs occurs in `word`, else the least
+        position whose lhs occurs, with its first occurrence.  None if no
+        lhs occurs."""
+        position = self.position
+        low = ahead = no_rule = len(self.rules)
+        low_at = ahead_at = 0
+        for k in self.lengths:
+            for s in range(len(word) - k + 1):
+                i = position.get(word[s:s + k])
+                if i is not None:
+                    # starts ascend, so a rule keeps its first occurrence
+                    if i < low:
+                        low, low_at = i, s
+                    if p <= i < ahead:
+                        ahead, ahead_at = i, s
+        if ahead < no_rule:
+            return ahead, ahead_at
+        return (low, low_at) if low < no_rule else None
+
+    def occurs_in(self, word):
+        return self._next(word, 0) is not None
+
+    def reduce(self, word):
+        """The word left by sweeps over the rules: a sweep tries each rule
+        in order and applies it once, at the first occurrence of its lhs in
+        the current word; sweeps repeat until no lhs occurs.  The index
+        finds the rule each sweep applies next, and skips the rest."""
+        p = 0
+        while (match := self._next(word, p)) is not None:
+            i, s = match
+            lhs, rhs = self.rules[i]
+            word = word[:s] + rhs + word[s + len(lhs):]
+            p = i + 1
+        return word
 
 
-def _join(rules, u, v):
+def _join(index, u, v):
     """Reduce u and v; if they still differ, add the rule between them,
     the shortlex-larger rewriting to the smaller."""
-    u, v = _reduce(u, rules), _reduce(v, rules)
+    u, v = index.reduce(u), index.reduce(v)
     if u != v:
-        rules.append((u, v) if _shortlex_key(u) > _shortlex_key(v) else (v, u))
+        index.append(*sorted((u, v), key=_shortlex_key, reverse=True))
 
 
 # Budgets of one Knuth-Bendix completion: rules held and overlap or
@@ -105,9 +153,10 @@ def kb_complete(pres):
     was already joined by rules with smaller lhs.  The result is the
     reduced complete system, unique for the order (Metivier 1983).
     """
-    rules = []
+    index = _RuleIndex()
+    rules = index.rules
     for l, r in pres.relations:
-        _join(rules, l, r)
+        _join(index, l, r)
     steps = 0
     i = 0
     while i < len(rules):
@@ -119,24 +168,31 @@ def kb_complete(pres):
                     steps += 1
                     if steps > KB_MAX_STEPS or len(rules) > KB_MAX_RULES:
                         return RewriteSystem(_interreduce(rules),
-                                             len(pres.generators), False)
+                                             len(pres.generators), False,
+                                             steps)
                     if l1[len(l1) - k:] == l2[:k]:
-                        _join(rules, r1 + l2[k:], l1[:len(l1) - k] + r2)
+                        _join(index, r1 + l2[k:], l1[:len(l1) - k] + r2)
                 # containment: l2 properly inside l1
                 idx = l1.find(l2) if len(l2) < len(l1) else -1
                 if idx >= 0:
                     steps += 1
-                    _join(rules, r1, l1[:idx] + r2 + l1[idx + len(l2):])
+                    _join(index, r1, l1[:idx] + r2 + l1[idx + len(l2):])
         i += 1
-    return RewriteSystem(_interreduce(rules), len(pres.generators), True)
+    return RewriteSystem(_interreduce(rules), len(pres.generators), True,
+                         steps)
 
 
 def _interreduce(rules):
     """Drop every rule whose lhs contains another lhs, reduce every rhs.
-    Sorted by lhs, only earlier lhs can occur in l or in its rhs r < l."""
-    rules = sorted(rules, key=lambda lr: _shortlex_key(lr[0]))
-    return [(l, _reduce(r, rules[:i])) for i, (l, r) in enumerate(rules)
-            if not any(l2 in l for l2, _ in rules[:i])]
+    Sorted by lhs, only earlier lhs can occur in l or in its rhs r < l, so
+    the index grows rule by rule and holds the earlier rules only."""
+    index = _RuleIndex()
+    kept = []
+    for l, r in sorted(rules, key=lambda lr: _shortlex_key(lr[0])):
+        if not index.occurs_in(l):
+            kept.append((l, index.reduce(r)))
+        index.append(l, r)
+    return kept
 
 
 def normal_forms(rs, cap):
@@ -188,9 +244,9 @@ def presentation_check(pres, gen_elems, identity, target_set):
             pres.relations.index(bad[0])]
         return report
     # 2: surjectivity
-    generated = set(closure(list(gen_elems) + [identity]))
+    generated = set(closure(gen_elems)) | {identity}
     target = set(target_set)
-    surj = generated == target or generated == target | {identity}
+    surj = generated == target | {identity}
     report["surjective"] = surj
     if not surj:
         report["witness"] = "generators do not generate the target"
@@ -199,6 +255,8 @@ def presentation_check(pres, gen_elems, identity, target_set):
     # 3: normal form count
     rs = kb_complete(pres)
     report["kb_complete"] = rs.complete
+    report["kb_rules"] = len(rs.rules)
+    report["kb_steps"] = rs.steps
     if not rs.complete:
         report["status"] = "inconclusive"
         return report

@@ -1,11 +1,12 @@
 """The label kernels of set-partition and diagram products (`join`, `act`,
-`concat`) against the dict-based union-find they replaced."""
+`concat`) against the dict-based union-find they replaced, and the indexed
+word reduction of Knuth-Bendix against the per-rule sweep it replaced."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiedbox import algebras
+from tiedbox import algebras, presentations
 from tiedbox.diagrams import Diagram, brauer_monoid, concat
 from tiedbox.setpartitions import SetPartition
 
@@ -64,6 +65,20 @@ def reference_concat(d1, d2):
     return Diagram(n, blocks), loops
 
 
+def reference_reduce(word, rules):
+    """Sweeps over the rules in order, each applied once at the first
+    occurrence of its lhs, until a sweep changes nothing."""
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in rules:
+            idx = word.find(lhs)
+            if idx >= 0:
+                word = word[:idx] + rhs + word[idx + len(lhs):]
+                changed = True
+    return word
+
+
 def assert_canonical(p):
     """p is exactly what the validating constructor makes of its blocks."""
     canon = SetPartition(p.blocks, p.size)
@@ -85,6 +100,14 @@ triples = st.integers(0, 5).flatmap(lambda n: st.tuples(
     partitions_of_range(n), partitions_of_range(n), partitions_of_range(n)))
 actions = st.integers(0, 5).flatmap(lambda n: st.tuples(
     partitions_of_range(n), st.permutations(range(1, n + 1))))
+words = st.lists(st.integers(0, 2), max_size=12).map(bytes)
+# a rule rewrites a nonempty word over 3 letters to a shortlex-smaller one,
+# so every reduction ends; no two rules share an lhs
+short_words = st.lists(st.integers(0, 2), max_size=4).map(bytes)
+rules = st.lists(
+    st.tuples(short_words, short_words).filter(lambda uv: uv[0] != uv[1]).map(
+        lambda uv: tuple(sorted(uv, key=lambda w: (len(w), w), reverse=True))),
+    max_size=8, unique_by=lambda lr: lr[0])
 diagram_pairs = st.integers(0, 5).flatmap(lambda n: st.tuples(
     partitions_of_range(2 * n), partitions_of_range(2 * n)).map(
         lambda ps: (Diagram(n, ps[0]), Diagram(n, ps[1]))))
@@ -161,3 +184,11 @@ def test_cached_join_and_act_of_the_algebras_match_the_reference(pw, data):
         joined = algebras._join(SetPartition(p.blocks, p.size), moved)
         assert moved == reference_act(q, w) and hash(moved) == hash(reference_act(q, w))
         assert joined == reference_join(p, moved)
+
+
+@given(rules, words)
+@settings(max_examples=300, deadline=None)
+def test_indexed_reduce_matches_the_sweep(rules, word):
+    index = presentations._RuleIndex(rules)
+    assert index.reduce(word) == reference_reduce(word, rules)
+    assert index.occurs_in(word) == any(lhs in word for lhs, _ in rules)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tiedbox import presentations
 from tiedbox.presentations import (
     PRESET_NAMES,
     Presentation,
@@ -82,12 +83,13 @@ def _occurs(sub, word):
 
 RULE_COUNTS = {("brauer", 4): 89, ("brsn", 4): 42, ("brjn", 4): 43,
                ("srsn", 3): 79, ("brbrn", 3): 47, ("brsn", 5): 119,
-               ("brjn", 5): 103, ("brsn-z", 5): 32}
+               ("brjn", 5): 103, ("brsn-z", 5): 32, ("rsn", 4): 97}
 
 
 @pytest.mark.parametrize("name,n", [(name, 3) for name in PRESET_NAMES]
                          + [("brauer", 4), ("brsn", 4), ("brjn", 4),
-                            ("brsn", 5), ("brjn", 5), ("brsn-z", 5)])
+                            ("brsn", 5), ("brjn", 5), ("brsn-z", 5),
+                            ("rsn", 4)])
 def test_completed_system_is_reduced(name, n):
     rs = kb_complete(build_preset(name, n)[0])
     assert rs.complete
@@ -136,12 +138,19 @@ def test_inconclusive_verdict_is_recorded_as_is(monkeypatch):
 
 
 def test_incomplete_completion_is_inconclusive(monkeypatch):
-    from tiedbox import presentations
-
     monkeypatch.setattr(presentations, "KB_MAX_STEPS", 10)
     report = presentation_check(*build_preset("brsn", 3))
     assert report["kb_complete"] is False
     assert report["status"] == "inconclusive"
+
+
+def test_srsn4_exhausts_the_step_budget_at_731_rules():
+    # the rule list at the budget depends on the order in which words are
+    # rewritten and pairs are joined, so this pins that order
+    rs = kb_complete(build_preset("srsn", 4)[0])
+    assert rs.complete is False
+    assert len(rs.rules) == 731
+    assert rs.steps == presentations.KB_MAX_STEPS + 1
 
 
 def test_too_many_normal_forms_is_a_sound_fail():
