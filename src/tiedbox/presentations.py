@@ -6,7 +6,6 @@ most 256 generators.  Bytes slice, concatenate and compare like tuples of
 ints, and the order of the generator list fixes the shortlex order.
 """
 
-from bisect import insort
 from itertools import combinations, count, permutations
 
 from . import perms
@@ -68,35 +67,44 @@ def _shortlex_key(word):
 
 
 class _RuleIndex:
-    """Rewrite rules in order, found through their left-hand sides: a dict
-    from each lhs to its position in `rules`, and the distinct lhs lengths
-    in ascending order.  No two rules share an lhs (see `kb_complete`), so
-    the dict holds one position per lhs."""
+    """Rewrite rules in order, found through a trie of their left-hand
+    sides (the index automaton of Sims, "Computation with Finitely
+    Presented Groups", ch. 3, without failure links).  A node is [children
+    by letter, position in `rules` of the rule whose lhs ends here, or
+    None].  No two rules share an lhs (see `kb_complete`), so a node ends
+    at most one."""
 
     def __init__(self, rules=()):
         self.rules = []
-        self.position = {}
-        self.lengths = []
+        self.root = [{}, None]
         for lhs, rhs in rules:
             self.append(lhs, rhs)
 
     def append(self, lhs, rhs):
-        self.position[lhs] = len(self.rules)
+        if not lhs:
+            raise ValueError("a rewrite rule needs a nonempty lhs")
+        node = self.root
+        for letter in lhs:
+            node = node[0].setdefault(letter, [{}, None])
+        node[1] = len(self.rules)
         self.rules.append((lhs, rhs))
-        if len(lhs) not in self.lengths:
-            insort(self.lengths, len(lhs))
 
     def _next(self, word, p):
         """(position, start) of the rule a sweep from rule p applies next:
         the least position >= p whose lhs occurs in `word`, else the least
         position whose lhs occurs, with its first occurrence.  None if no
-        lhs occurs."""
-        position = self.position
+        lhs occurs.  The trie is walked from every start s over word[s:]
+        until a letter has no child."""
+        root = self.root
         low = ahead = no_rule = len(self.rules)
         low_at = ahead_at = 0
-        for k in self.lengths:
-            for s in range(len(word) - k + 1):
-                i = position.get(word[s:s + k])
+        for s in range(len(word)):
+            node = root
+            for letter in word[s:]:
+                node = node[0].get(letter)
+                if node is None:
+                    break
+                i = node[1]
                 if i is not None:
                     # starts ascend, so a rule keeps its first occurrence
                     if i < low:

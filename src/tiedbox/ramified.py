@@ -290,7 +290,10 @@ def srs_from_word(n, pairs, word):
 def _brauer_factorization(d):
     """Factor a Brauer diagram as s * t_1 t_3 ... t_(2k-1) * s', choosing the
     canonical (shortest, then lexicographically least) pair of permutations.
-    Exhaustive search over the (n!)^2 pairs, within `diagrams.check_budget`."""
+    The pairs range over S_n x S_n, within `diagrams.check_budget`, but are
+    found by lookup: permutation diagrams are units, so s * hooks * s' = d
+    exactly when s * hooks = d * s'^-1, and the s' are filed under
+    d * s'^-1 once."""
     if any(len(b) != 2 for b in d.part.blocks):
         raise ValueError("not a Brauer diagram")
     n = d.n
@@ -300,15 +303,16 @@ def _brauer_factorization(d):
     hooks = perm_diagram(perms.identity(n))
     for m in range(k):
         hooks = hooks * hook(n, 2 * m + 1)
+    by_top = {}
+    for s2 in perms.all_perms(n):
+        by_top.setdefault(d * perm_diagram(perms.inverse(s2)), []).append(s2)
     best = None
     for s in perms.all_perms(n):
-        top = perm_diagram(s) * hooks
-        for s2 in perms.all_perms(n):
-            if top * perm_diagram(s2) == d:
-                key = (perms.length(s) + perms.length(s2),
-                       perms.lex_least_word(s), perms.lex_least_word(s2))
-                if best is None or key < best[0]:
-                    best = (key, s, s2)
+        for s2 in by_top.get(perm_diagram(s) * hooks, ()):
+            key = (perms.length(s) + perms.length(s2),
+                   perms.lex_least_word(s), perms.lex_least_word(s2))
+            if best is None or key < best[0]:
+                best = (key, s, s2)
     if best is None:
         raise ValueError("not a Brauer diagram")
     return best[1], k, best[2]

@@ -263,8 +263,25 @@ def test_bad_brauer_element_is_a_usage_error(element, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("element,d_word,z_word,z_word_2", [
+    ("6; 1,7|2,8|3,9|4,10|5,11|6,12 ; 1,2,3,4,5,6,7,8,9,10,11,12",
+     [], [], []),
+    ("6; 1,4|2,3|5,6|7,12|8,9|10,11 ; 1,2,3,4,5,6,7,8,9,10,11,12",
+     [1, 3, 5], [1, 2], [2, 1, 4, 5]),
+])
+def test_six_strand_brauer_box_is_factored(capsys, element, d_word, z_word,
+                                           z_word_2):
+    # one box of 6 strands, inside the budget of 6!^2 pairs of permutations
+    code, records = run(capsys, "normal-form", "--monoid", "br-brauer",
+                        "--element", element)
+    assert code == 0
+    assert [(r["status"], r["e_boxes"], r["d_word"], r["z_word"],
+             r["z_word_2"]) for r in records] == \
+        [("pass", [6], d_word, z_word, z_word_2)]
+
+
 def test_oversized_brauer_box_is_one_inconclusive_record(capsys):
-    # one box of 7 strands: its factorization would search 7!^2 pairs of
+    # one box of 7 strands: its factorization ranges over 7!^2 pairs of
     # permutations, so the budget stops it before the first product
     element = "7; 1,8|2,9|3,10|4,11|5,12|6,13|7,14 ; 1,2,3,4,5,6,7,8,9,10,11,12,13,14"
     code, records = run(capsys, "normal-form", "--monoid", "br-brauer",

@@ -108,6 +108,35 @@ rules = st.lists(
     st.tuples(short_words, short_words).filter(lambda uv: uv[0] != uv[1]).map(
         lambda uv: tuple(sorted(uv, key=lambda w: (len(w), w), reverse=True))),
     max_size=8, unique_by=lambda lr: lr[0])
+
+
+@st.composite
+def index_sessions(draw):
+    """The calls `kb_complete` makes on one index: appends of rules with new
+    left-hand sides, some a proper prefix or extension of an earlier lhs,
+    between reductions and containment tests.  Each rhs is shorter than its
+    lhs, so every reduction ends."""
+    calls, seen = [], []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["new", "prefix", "extension", "reduce",
+                                     "occurs_in"]))
+        if kind in ("reduce", "occurs_in"):
+            calls.append((kind, draw(words)))
+            continue
+        base = draw(st.sampled_from(seen)) if seen else b""
+        if kind == "prefix" and len(base) > 1:
+            lhs = base[:draw(st.integers(1, len(base) - 1))]
+        elif kind == "extension" and base:
+            lhs = base + draw(short_words.filter(bool))
+        else:
+            lhs = draw(short_words.filter(bool))
+        if lhs not in seen:
+            rhs = bytes(draw(st.lists(st.integers(0, 2), max_size=len(lhs) - 1)))
+            seen.append(lhs)
+            calls.append(("append", (lhs, rhs)))
+    return calls
+
+
 diagram_pairs = st.integers(0, 5).flatmap(lambda n: st.tuples(
     partitions_of_range(2 * n), partitions_of_range(2 * n)).map(
         lambda ps: (Diagram(n, ps[0]), Diagram(n, ps[1]))))
@@ -192,3 +221,27 @@ def test_indexed_reduce_matches_the_sweep(rules, word):
     index = presentations._RuleIndex(rules)
     assert index.reduce(word) == reference_reduce(word, rules)
     assert index.occurs_in(word) == any(lhs in word for lhs, _ in rules)
+
+
+@given(index_sessions())
+@settings(max_examples=300, deadline=None)
+def test_index_grown_between_reductions_matches_the_sweep(calls):
+    index = presentations._RuleIndex()
+    appended = []
+    for kind, arg in calls:
+        if kind == "append":
+            index.append(*arg)
+            appended.append(arg)
+        elif kind == "reduce":
+            assert index.reduce(arg) == reference_reduce(arg, appended)
+        else:
+            assert index.occurs_in(arg) == any(lhs in arg for lhs, _ in appended)
+    assert index.rules == appended
+
+
+def test_an_empty_lhs_is_refused():
+    index = presentations._RuleIndex([(b"\x01", b"")])
+    with pytest.raises(ValueError, match="nonempty lhs"):
+        index.append(b"", b"")
+    assert index.rules == [(b"\x01", b"")]
+    assert index.reduce(b"\x00\x01") == b"\x00"

@@ -144,6 +144,19 @@ def test_incomplete_completion_is_inconclusive(monkeypatch):
     assert report["status"] == "inconclusive"
 
 
+# steps of complete runs: each depends on the order in which words are
+# rewritten and pairs are joined, not only on the final rules
+STEP_COUNTS = {("brsn", 5): 49658, ("rsn", 4): 63305, ("brjn", 5): 27924,
+               ("brsn-z", 5): 4061}
+
+
+@pytest.mark.parametrize("name,n", sorted(STEP_COUNTS))
+def test_complete_runs_keep_their_sweep_order(name, n):
+    rs = kb_complete(build_preset(name, n)[0])
+    assert rs.complete
+    assert rs.steps == STEP_COUNTS[name, n]
+
+
 def test_srsn4_exhausts_the_step_budget_at_731_rules():
     # the rule list at the budget depends on the order in which words are
     # rewritten and pairs are joined, so this pins that order

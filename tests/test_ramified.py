@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from tiedbox import perms
 from tiedbox.combinatorics import bell, compositions
-from tiedbox.diagrams import closure
+from tiedbox.diagrams import brauer_monoid, closure, hook, perm_diagram
 from tiedbox.ramified import (
     Ramified,
+    _brauer_factorization,
     br_brauer,
     br_jones,
     br_symmetric,
@@ -105,6 +107,33 @@ def test_normal_form_boxed_brauer():
         assert key not in seen
         seen.add(key)
         assert evaluate_normal_form(nf) == el
+
+
+def reference_brauer_factorizations(n):
+    """The canonical s * t_1 t_3 ... t_(2k-1) * s' of every Brauer diagram
+    on n strands, by trying every pair (s, s') of permutations for every k."""
+    best = {}
+    for k in range(n // 2 + 1):
+        hooks = perm_diagram(perms.identity(n))
+        for m in range(k):
+            hooks = hooks * hook(n, 2 * m + 1)
+        for s in perms.all_perms(n):
+            top = perm_diagram(s) * hooks
+            for s2 in perms.all_perms(n):
+                d = top * perm_diagram(s2)
+                key = (perms.length(s) + perms.length(s2),
+                       perms.lex_least_word(s), perms.lex_least_word(s2))
+                if d not in best or key < best[d][0]:
+                    best[d] = (key, (s, k, s2))
+    return {d: factors for d, (_, factors) in best.items()}
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_brauer_factorization_matches_the_exhaustive_search(n):
+    reference = reference_brauer_factorizations(n)
+    assert set(reference) == set(brauer_monoid(n))
+    for d in brauer_monoid(n):
+        assert _brauer_factorization(d) == reference[d]
 
 
 def test_worked_example_boxed_word():
