@@ -15,7 +15,7 @@
 """
 
 from functools import lru_cache
-from itertools import accumulate, combinations, count
+from itertools import accumulate, combinations, count, product
 from math import factorial
 
 from .laurent import LaurentPoly, ONE, Q, QINV, QDIFF, DELTA, add_term, \
@@ -408,14 +408,8 @@ class BTLAlgebra(_Algebra):
     @lru_cache(maxsize=None)
     def basis(self):
         check_budget("BR(J_{})", self.n, boxed_sizes(catalan))
-        out = []
-        for mu in compositions(self.n):
-            tuples = [()]
-            for m in mu:
-                tuples = [t + (d,) for t in tuples
-                          for d in TLAlgebra(m).basis()]
-            out.extend((mu, t) for t in tuples)
-        return out
+        return [(mu, ds) for mu in compositions(self.n)
+                for ds in product(*(TLAlgebra(m).basis() for m in mu))]
 
     def mul_basis(self, key1, key2):
         (mu, ds), (nu, es) = key1, key2
@@ -489,14 +483,13 @@ def pi2(x):
     for (i_part, w), c in x.terms.items():
         for k_part in _linear_coarsenings(i_part):
             mu = k_part.to_composition()
-            pieces = [(c, ())]
-            for m, w_loc in zip(mu, perms.block_components(w, mu)):
-                local = _hecke_to_tl_basis(m, w_loc)
-                pieces = [(cc * cl, t + (d,))
-                          for cc, t in pieces
-                          for d, cl in local.terms.items()]
-            for cc, t in pieces:
-                add_term(out, (mu, t), cc)
+            for terms in product(*(
+                    _hecke_to_tl_basis(m, w_loc).terms.items()
+                    for m, w_loc in zip(mu, perms.block_components(w, mu)))):
+                cc = c
+                for _, cl in terms:
+                    cc = cc * cl
+                add_term(out, (mu, tuple(d for d, _ in terms)), cc)
     return BTLAlgebra(n).element(out)
 
 

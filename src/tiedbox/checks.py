@@ -36,6 +36,7 @@ from .combinatorics import (
     composition_join,
     compositions,
     double_factorial_odd,
+    intervals,
     ptl_dim,
 )
 from .diagrams import brauer_monoid, jones_monoid
@@ -400,11 +401,9 @@ def check_normal_forms(quick=False):
 def _box_tie_element(n, mu):
     """Identity permutation tied within each box of the composition mu."""
     out = ramified.ramified_identity(n)
-    pos = 0
-    for part in mu:
-        for i in range(pos + 1, pos + part):
+    for box in intervals(mu):
+        for i in box[:-1]:
             out = out * ramified.gen_e(n, i)
-        pos += part
     return out
 
 

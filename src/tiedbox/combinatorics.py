@@ -5,10 +5,11 @@ A tableau is a tuple of rows, each a tuple of entries; a multitableau is a
 tuple of tableaux."""
 
 from functools import lru_cache
+from itertools import accumulate, product
 from math import comb, factorial
 
 __all__ = [
-    "compositions", "int_partitions", "conjugate",
+    "compositions", "intervals", "int_partitions", "conjugate",
     "bell", "catalan", "double_factorial_odd", "boxed_sizes", "bn_alpha",
     "dominates", "standard_tableaux", "multipartitions_of_composition",
     "initial_kind_multitableaux", "d_of_multitableau", "composition_join",
@@ -28,6 +29,12 @@ def compositions(n):
             rec(rest - k, prefix + [k])
     rec(n, [])
     return sorted(out)
+
+
+def intervals(mu):
+    """The boxes of a composition mu of n: one range per part, in order,
+    the k-th being the interval of 1..n that follows the parts before it."""
+    return [range(end - m + 1, end + 1) for m, end in zip(mu, accumulate(mu))]
 
 
 def int_partitions(n, max_part=None):
@@ -151,23 +158,17 @@ def standard_tableaux(lam):
 
 def multipartitions_of_composition(mu):
     """All tuples of partitions (lam_1, ..., lam_k) with |lam_i| = mu_i."""
-    out = [()]
-    for m in mu:
-        out = [t + (lam,) for t in out for lam in int_partitions(m)]
-    return out
+    return list(product(*map(int_partitions, mu)))
 
 
 def initial_kind_multitableaux(lams):
     """Standard multitableaux of multishape lams with entries of the i-th
     component filling the i-th consecutive interval (initial kind)."""
-    out = [()]
-    shift = 0
-    for lam in lams:
-        blocks = [tuple(tuple(x + shift for x in r) for r in t)
-                  for t in standard_tableaux(lam)]
-        out = [t + (b,) for t in out for b in blocks]
-        shift += sum(lam)
-    return out
+    boxes = intervals(tuple(map(sum, lams)))
+    return list(product(*(
+        [tuple(tuple(box[x - 1] for x in r) for r in t)
+         for t in standard_tableaux(lam)]
+        for lam, box in zip(lams, boxes))))
 
 
 def d_of_multitableau(ts):
@@ -182,21 +183,6 @@ def composition_join(mu, nu):
     the induced interval partitions (intersection of cut sets)."""
     if sum(mu) != sum(nu):
         raise ValueError("compositions of different numbers")
-    n = sum(mu)
-    cuts_mu = set()
-    acc = 0
-    for m in mu[:-1]:
-        acc += m
-        cuts_mu.add(acc)
-    cuts = set()
-    acc = 0
-    for m in nu[:-1]:
-        acc += m
-        if acc in cuts_mu:
-            cuts.add(acc)
-    out = []
-    prev = 0
-    for c in sorted(cuts) + [n]:
-        out.append(c - prev)
-        prev = c
-    return tuple(out)
+    stops = sorted({b.stop for b in intervals(mu)} &
+                   {b.stop for b in intervals(nu)})
+    return tuple(b - a for a, b in zip((1, *stops), stops))

@@ -10,13 +10,13 @@ from functools import lru_cache
 from itertools import count
 
 from .setpartitions import SetPartition, _find, all_partitions
-from .combinatorics import bell
+from .combinatorics import bell, intervals
 from . import perms
 
 __all__ = [
     "BUDGET", "BudgetExceeded", "Diagram", "concat", "perm_diagram", "hook",
     "tie", "closure", "boxed_diagram", "is_boxed", "boxed_composition",
-    "over", "shift_blocks", "symmetric_diagrams", "jones_monoid",
+    "over", "symmetric_diagrams", "jones_monoid",
     "brauer_monoid", "partition_monoid",
 ]
 
@@ -166,13 +166,7 @@ def closure(gens):
 def boxed_diagram(mu):
     """b_mu: the coarsening of the identity given by a composition."""
     n = sum(mu)
-    blocks = []
-    x = 1
-    for m in mu:
-        blocks.append(tuple(range(x, x + m)) +
-                      tuple(range(n + x, n + x + m)))
-        x += m
-    return Diagram(n, blocks)
+    return Diagram(n, [(*box, *(n + x for x in box)) for box in intervals(mu)])
 
 
 def is_boxed(d):
@@ -189,20 +183,16 @@ def boxed_composition(d):
     return d.top().to_composition()
 
 
-def shift_blocks(blocks, m, r, s):
-    """The (r, s)-shift: add r to points <= m and s - m to points > m.
-
-    `blocks` are blocks over {1..2m}; the result is a raw block list.
-    """
-    return [tuple(x + r if x <= m else x - m + s for x in b) for b in blocks]
-
-
-def over(d1, d2):
-    """Horizontal (side by side) product of diagrams."""
-    m, n = d1.n, d2.n
-    blocks = shift_blocks(d1.part.blocks, m, 0, m + n)
-    blocks += shift_blocks(d2.part.blocks, n, m, 2 * m + n)
-    return Diagram(m + n, blocks)
+def over(*ds):
+    """Horizontal product of diagrams, side by side from left to right: the
+    k-th acts on the k-th box of the composition of their strand counts."""
+    sizes = [d.n for d in ds]
+    n = sum(sizes)
+    blocks = []
+    for d, box in zip(ds, intervals(sizes)):
+        at = [*box, *(n + x for x in box)]  # point x of d goes to at[x - 1]
+        blocks += [tuple([at[x - 1] for x in b]) for b in d.part.blocks]
+    return Diagram(n, blocks)
 
 
 def symmetric_diagrams(n):

@@ -4,12 +4,14 @@ Words multiply left to right: (w*v)(i) = v(w(i)), so the diagram of w*v is
 the diagram of w stacked on top of the diagram of v.
 """
 
-from itertools import permutations as _permutations
+from itertools import permutations as _permutations, product
+
+from .combinatorics import intervals
 
 __all__ = [
     "identity", "all_perms", "compose", "inverse", "length", "sgen",
     "perm_from_word", "lex_least_word", "right_longer",
-    "young_subgroup", "block_components",
+    "glue", "young_subgroup", "block_components",
 ]
 
 
@@ -74,26 +76,21 @@ def right_longer(w, i):
     return wi[i - 1] < wi[i]
 
 
+def glue(ws):
+    """Permutations side by side: the k-th acts on the k-th box of the
+    composition of their sizes."""
+    boxes = intervals(tuple(map(len, ws)))
+    return tuple([box[x - 1] for w, box in zip(ws, boxes) for x in w])
+
+
 def young_subgroup(composition):
-    """All permutations preserving the consecutive blocks of a composition."""
-    starts = []
-    acc = 0
-    for m in composition:
-        starts.append(acc)
-        acc += m
-    out = [()]
-    for s, m in zip(starts, composition):
-        block = [tuple(p) for p in _permutations(range(s + 1, s + m + 1))]
-        out = [w + b for w in out for b in block]
-    return out
+    """All permutations preserving the consecutive blocks of a composition,
+    the first block most significant."""
+    return [glue(ws) for ws in product(*map(all_perms, composition))]
 
 
 def block_components(w, composition):
     """Split a block-preserving permutation into per-block permutations,
-    each renumbered to start at 1."""
-    comps = []
-    acc = 0
-    for m in composition:
-        comps.append(tuple(w[acc + k] - acc for k in range(m)))
-        acc += m
-    return comps
+    each renumbered to start at 1 (the inverse of `glue`)."""
+    return [tuple(w[x - 1] - box.start + 1 for x in box)
+            for box in intervals(composition)]

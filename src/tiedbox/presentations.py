@@ -55,11 +55,6 @@ class RewriteSystem:
         self.num_gens = num_gens
         self.complete = complete
         self.steps = steps            # overlap and containment tests made
-        self._rule_index = _RuleIndex(rules)
-
-    def reduce(self, word):
-        """A normal form of `word`; unique when the system is complete."""
-        return self._rule_index.reduce(bytes(word))
 
 
 def _shortlex_key(word):

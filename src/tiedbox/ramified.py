@@ -3,11 +3,11 @@ than J, multiplied componentwise.  The boxed families BR(M) require J to be
 a coarsening of the identity whose top restriction is linear."""
 
 from functools import lru_cache
-from itertools import count
+from itertools import count, product
 from math import factorial
 
 from .combinatorics import bell, boxed_sizes, catalan, compositions, \
-    double_factorial_odd
+    double_factorial_odd, intervals
 from .setpartitions import SetPartition, all_partitions
 from .diagrams import (Diagram, check_budget, perm_diagram, hook, tie,
                        boxed_diagram, boxed_composition, over,
@@ -139,11 +139,9 @@ def _boxed_family(name, n, block_family, block_size):
     check_budget(f"BR({name}_{{}})", n, boxed_sizes(block_size))
     out = []
     for mu in compositions(n):
-        lefts = [Diagram(0, SetPartition([], 0))]
-        for m in mu:
-            lefts = [over(d, x) for d in lefts for x in block_family(m)]
         b = boxed_diagram(mu)
-        out.extend(Ramified(left, b) for left in lefts)
+        out.extend(Ramified(over(*ds), b)
+                   for ds in product(*map(block_family, mu)))
     return out
 
 
@@ -154,13 +152,12 @@ def br_symmetric(n):
 
 @lru_cache(maxsize=None)
 def br_jones(n):
-    return tuple(_boxed_family("J", n, lambda m: list(jones_monoid(m)), catalan))
+    return tuple(_boxed_family("J", n, jones_monoid, catalan))
 
 
 @lru_cache(maxsize=None)
 def br_brauer(n):
-    return tuple(_boxed_family("Br", n, lambda m: list(brauer_monoid(m)),
-                               double_factorial_odd))
+    return tuple(_boxed_family("Br", n, brauer_monoid, double_factorial_odd))
 
 
 @lru_cache(maxsize=None)
@@ -290,16 +287,16 @@ def srs_from_word(n, pairs, word):
 def _brauer_factorization(d):
     """Factor a Brauer diagram as s * t_1 t_3 ... t_(2k-1) * s', choosing the
     canonical (shortest, then lexicographically least) pair of permutations.
-    The pairs range over S_n x S_n, within `diagrams.check_budget`, but are
-    found by lookup: permutation diagrams are units, so s * hooks * s' = d
-    exactly when s * hooks = d * s'^-1, and the s' are filed under
-    d * s'^-1 once."""
+    The pairs range over S_n x S_n but are found by lookup: permutation
+    diagrams are units, so s * hooks * s' = d exactly when s * hooks =
+    d * s'^-1, and the s' are filed under d * s'^-1 once.  S_n is
+    enumerated twice, within `diagrams.check_budget`."""
     if any(len(b) != 2 for b in d.part.blocks):
         raise ValueError("not a Brauer diagram")
     n = d.n
     k = (n - len([b for b in d.part.blocks
                   if b[0] <= n < b[1] and len(b) == 2])) // 2
-    check_budget("S_{0} x S_{0}", n, (factorial(m) ** 2 for m in count()))
+    check_budget("S_{}", n, map(factorial, count()))
     hooks = perm_diagram(perms.identity(n))
     for m in range(k):
         hooks = hooks * hook(n, 2 * m + 1)
@@ -328,30 +325,15 @@ def normal_form_brbr(x):
     mu = boxed_composition(x.right)
     n = x.n
     s_parts, s2_parts, d_word = [], [], []
-    offset = 0
-    factors = []
     # split the Brauer component at exactly the box boundaries
-    cuts = [0]
-    for m in mu[:-1]:
-        cuts.append(cuts[-1] + m)
-    for a, m in zip(cuts, mu):
-        pts = list(range(a + 1, a + m + 1)) + \
-            list(range(n + a + 1, n + a + m + 1))
-        factors.append(Diagram(m, x.left.part.restrict(pts)))
-    for m, f in zip(mu, factors):
+    for box in intervals(mu):
+        points = [*box, *(n + p for p in box)]
+        f = Diagram(len(box), x.left.part.restrict(points))
         s, k, s2 = _brauer_factorization(f)
         s_parts.append(s)
         s2_parts.append(s2)
-        d_word.extend(offset + 2 * j + 1 for j in range(k))
-        offset += m
-    def glue(parts):
-        out = []
-        shift = 0
-        for p in parts:
-            out.extend(v + shift for v in p)
-            shift += len(p)
-        return tuple(out)
+        d_word.extend(box[2 * j] for j in range(k))
     return {"n": n, "e_boxes": mu,
-            "z_word": perms.lex_least_word(glue(s_parts)),
+            "z_word": perms.lex_least_word(perms.glue(s_parts)),
             "d_word": tuple(d_word),
-            "z_word_2": perms.lex_least_word(glue(s2_parts))}
+            "z_word_2": perms.lex_least_word(perms.glue(s2_parts))}

@@ -14,6 +14,8 @@ after construction.
 from functools import lru_cache
 from math import factorial
 
+from .combinatorics import compositions, intervals
+
 __all__ = ["SetPartition", "all_partitions", "linear_partitions",
            "mobius_linear", "mobius_partition"]
 
@@ -130,12 +132,7 @@ class SetPartition:
 
     @staticmethod
     def from_composition(mu):
-        blocks = []
-        x = 1
-        for m in mu:
-            blocks.append(tuple(range(x, x + m)))
-            x += m
-        return SetPartition(blocks)
+        return SetPartition(intervals(mu))
 
     def act(self, w):
         """Right action of a permutation of 1..size in one-line notation:
@@ -193,7 +190,6 @@ def all_partitions(n):
 
 def linear_partitions(n):
     """Linear partitions of {1..n}, one per composition of n."""
-    from .combinatorics import compositions
     return [SetPartition.from_composition(mu) for mu in compositions(n)]
 
 

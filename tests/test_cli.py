@@ -1,6 +1,8 @@
 """Command-line harness: records, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -264,31 +266,37 @@ def test_bad_brauer_element_is_a_usage_error(element, message, capsys):
 
 
 @pytest.mark.parametrize("element,d_word,z_word,z_word_2", [
-    ("6; 1,7|2,8|3,9|4,10|5,11|6,12 ; 1,2,3,4,5,6,7,8,9,10,11,12",
-     [], [], []),
-    ("6; 1,4|2,3|5,6|7,12|8,9|10,11 ; 1,2,3,4,5,6,7,8,9,10,11,12",
-     [1, 3, 5], [1, 2], [2, 1, 4, 5]),
+    pytest.param("6; 1,7|2,8|3,9|4,10|5,11|6,12 ; 1,2,3,4,5,6,7,8,9,10,11,12",
+                 [], [], [], id="6-identity"),
+    pytest.param("6; 1,4|2,3|5,6|7,12|8,9|10,11 ; 1,2,3,4,5,6,7,8,9,10,11,12",
+                 [1, 3, 5], [1, 2], [2, 1, 4, 5], id="6-three-hooks"),
+    pytest.param("7; 1,8|2,9|3,10|4,11|5,12|6,13|7,14 ; "
+                 "1,2,3,4,5,6,7,8,9,10,11,12,13,14",
+                 [], [], [], id="7-identity"),
 ])
-def test_six_strand_brauer_box_is_factored(capsys, element, d_word, z_word,
-                                           z_word_2):
-    # one box of 6 strands, inside the budget of 6!^2 pairs of permutations
+def test_six_and_seven_strand_brauer_boxes_are_factored(
+        capsys, element, d_word, z_word, z_word_2):
+    # one box of 6 or 7 strands: its factorization enumerates S_6 or S_7
+    # twice, inside the budget
+    n = int(element.split(";")[0])
     code, records = run(capsys, "normal-form", "--monoid", "br-brauer",
                         "--element", element)
     assert code == 0
     assert [(r["status"], r["e_boxes"], r["d_word"], r["z_word"],
              r["z_word_2"]) for r in records] == \
-        [("pass", [6], d_word, z_word, z_word_2)]
+        [("pass", [n], d_word, z_word, z_word_2)]
 
 
 def test_oversized_brauer_box_is_one_inconclusive_record(capsys):
-    # one box of 7 strands: its factorization ranges over 7!^2 pairs of
-    # permutations, so the budget stops it before the first product
-    element = "7; 1,8|2,9|3,10|4,11|5,12|6,13|7,14 ; 1,2,3,4,5,6,7,8,9,10,11,12,13,14"
+    # one box of 10 strands: its factorization enumerates S_10, so the
+    # budget stops it before the first product
+    element = "10; " + "|".join(f"{i},{i + 10}" for i in range(1, 11)) + \
+        " ; " + ",".join(map(str, range(1, 21)))
     code, records = run(capsys, "normal-form", "--monoid", "br-brauer",
                         "--element", element)
     assert code == 2
     assert records == [{"name": "normal-form", "status": "inconclusive",
-                        "reason": "|S_7 x S_7| = 25401600 is above the budget 1000000"}]
+                        "reason": "|S_10| = 3628800 is above the budget 1000000"}]
 
 
 @pytest.mark.parametrize("monoid", ["br-symmetric", "sr-symmetric", "br-brauer"])
@@ -369,8 +377,14 @@ def test_bad_element_exit_code(capsys):
 def test_verify_all_quick_deterministic(capsys):
     code1, records1 = run(capsys, "verify-all", "--profile", "quick",
                           "--seed", "5")
-    code2, records2 = run(capsys, "verify-all", "--profile", "quick",
-                          "--seed", "5")
+    code2 = main(["verify-all", "--profile", "quick", "--seed", "5"])
+    out = capsys.readouterr().out
+    records2 = [json.loads(line) for line in out.splitlines() if line.strip()]
     assert code1 == code2 == 0
     assert records1 == records2
     assert all(r["status"] == "pass" for r in records1)
+    # the bytes and the order of the records are those the benchmark expects
+    expected = json.loads((Path(__file__).parents[1] / "bench" /
+                           "expected.json").read_text())
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        expected["verify-quick"]["sha256"]

@@ -1,8 +1,9 @@
 """Compositions, partitions, tableaux and counting formulas."""
 
+from itertools import permutations, product
 from math import comb, factorial
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiedbox.combinatorics import (
@@ -17,10 +18,13 @@ from tiedbox.combinatorics import (
     double_factorial_odd,
     initial_kind_multitableaux,
     int_partitions,
+    intervals,
     multipartitions_of_composition,
     ptl_dim,
     standard_tableaux,
 )
+from tiedbox.diagrams import boxed_diagram, brauer_monoid, over
+from tiedbox.perms import all_perms, block_components, glue, young_subgroup
 
 
 def bell_oracle(n):
@@ -145,10 +149,11 @@ def test_ptl_dimension_small_values():
     assert ptl_dim(3) == 29
 
 
-@given(st.integers(1, 6).flatmap(
+@given(st.integers(0, 6).flatmap(
     lambda n: st.tuples(st.sampled_from(compositions(n)),
                         st.sampled_from(compositions(n)),
                         st.sampled_from(compositions(n)))))
+@example(((), (), ()))
 @settings(max_examples=120, deadline=None)
 def test_composition_join_is_a_semilattice(mus):
     mu, nu, rho = mus
@@ -156,3 +161,73 @@ def test_composition_join_is_a_semilattice(mus):
     assert composition_join(mu, mu) == mu
     assert composition_join(composition_join(mu, nu), rho) == \
         composition_join(mu, composition_join(nu, rho))
+
+
+# ---------------------------------------------------------------------------
+# boxes: the k-th part of a composition is the interval after the parts
+# before it, and a boxed object is a tuple of per-box objects with the
+# first box most significant
+
+
+def test_intervals_tile_one_to_n_in_order():
+    for n in range(7):
+        for mu in compositions(n):
+            boxes = intervals(mu)
+            assert [x for box in boxes for x in box] == list(range(1, n + 1))
+            assert tuple(map(len, boxes)) == mu
+
+
+def test_block_components_undo_glue():
+    for n in range(7):
+        for mu in compositions(n):
+            for ws in product(*map(all_perms, mu)):
+                assert block_components(glue(ws), mu) == list(ws)
+
+
+def test_over_puts_boxes_side_by_side():
+    for n in range(7):
+        for mu in compositions(n):
+            assert over(*(boxed_diagram((m,)) for m in mu)) == \
+                boxed_diagram(mu)
+    # and agrees with the binary product, in either grouping
+    ds = [d for m in (1, 2) for d in brauer_monoid(m)]
+    for a, b, c in product(ds, repeat=3):
+        assert over(a, b, c) == over(over(a, b), c) == over(a, over(b, c))
+    assert over() == boxed_diagram(())
+
+
+def _young_reference(mu):
+    out, start = [()], 0
+    for m in mu:
+        block = list(permutations(range(start + 1, start + m + 1)))
+        out = [w + b for w in out for b in block]
+        start += m
+    return out
+
+
+def _multipartitions_reference(mu):
+    out = [()]
+    for m in mu:
+        out = [t + (lam,) for t in out for lam in int_partitions(m)]
+    return out
+
+
+def _initial_kind_reference(lams):
+    out, shift = [()], 0
+    for lam in lams:
+        blocks = [tuple(tuple(x + shift for x in r) for r in t)
+                  for t in standard_tableaux(lam)]
+        out = [t + (b,) for t in out for b in blocks]
+        shift += sum(lam)
+    return out
+
+
+def test_box_products_keep_the_nested_loop_order():
+    for n in range(7):
+        for mu in compositions(n):
+            assert young_subgroup(mu) == _young_reference(mu)
+            mps = multipartitions_of_composition(mu)
+            assert mps == _multipartitions_reference(mu)
+            for lams in mps:
+                assert initial_kind_multitableaux(lams) == \
+                    _initial_kind_reference(lams)

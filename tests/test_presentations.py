@@ -28,8 +28,9 @@ def test_word_equivalence():
     pres = Presentation(["a", "b"], [((0, 1), ()), ((1, 0), ())])
     rs = kb_complete(pres)
     assert rs is not None
-    assert rs.reduce((0, 1, 0)) == rs.reduce((0,))
-    assert rs.reduce((0,)) != rs.reduce((1,))
+    index = presentations._RuleIndex(rs.rules)
+    assert index.reduce(bytes((0, 1, 0))) == index.reduce(bytes((0,)))
+    assert index.reduce(bytes((0,))) != index.reduce(bytes((1,)))
 
 
 def test_symmetric_group_presentation_normal_forms():
