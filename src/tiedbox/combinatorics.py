@@ -9,8 +9,8 @@ from itertools import accumulate, product
 from math import comb, factorial
 
 __all__ = [
-    "compositions", "intervals", "int_partitions", "conjugate",
-    "bell", "catalan", "double_factorial_odd", "boxed_sizes", "bn_alpha",
+    "compositions", "intervals", "int_partitions", "bell",
+    "catalan", "double_factorial_odd", "boxed_sizes", "bn_alpha",
     "dominates", "standard_tableaux", "multipartitions_of_composition",
     "initial_kind_multitableaux", "d_of_multitableau", "composition_join",
 ]
@@ -48,12 +48,6 @@ def int_partitions(n, max_part=None):
         for rest in int_partitions(n - k, k):
             out.append((k,) + rest)
     return sorted(out)
-
-
-def conjugate(lam):
-    if not lam:
-        return ()
-    return tuple(sum(1 for x in lam if x > i) for i in range(lam[0]))
 
 
 @lru_cache(maxsize=None)

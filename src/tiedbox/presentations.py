@@ -65,9 +65,8 @@ class _RuleIndex:
     """Rewrite rules in order, found through a trie of their left-hand
     sides (the index automaton of Sims, "Computation with Finitely
     Presented Groups", ch. 3, without failure links).  A node is [children
-    by letter, position in `rules` of the rule whose lhs ends here, or
-    None].  No two rules share an lhs (see `kb_complete`), so a node ends
-    at most one."""
+    by letter, the rule (lhs, rhs) whose lhs ends here, or None].  No two
+    rules share an lhs (see `kb_complete`), so a node ends at most one."""
 
     def __init__(self, rules=()):
         self.rules = []
@@ -81,58 +80,45 @@ class _RuleIndex:
         node = self.root
         for letter in lhs:
             node = node[0].setdefault(letter, [{}, None])
-        node[1] = len(self.rules)
-        self.rules.append((lhs, rhs))
+        node[1] = (lhs, rhs)
+        self.rules.append(node[1])
 
-    def _next(self, word, p):
-        """(position, start) of the rule a sweep from rule p applies next:
-        the least position >= p whose lhs occurs in `word`, else the least
-        position whose lhs occurs, with its first occurrence.  None if no
-        lhs occurs.  The trie is walked from every start s over word[s:]
-        until a letter has no child."""
+    def _leftmost(self, word):
+        """(start, rule) of the leftmost occurrence of an lhs in `word`:
+        the least start, and there the shortest lhs.  None if no lhs
+        occurs."""
         root = self.root
-        low = ahead = no_rule = len(self.rules)
-        low_at = ahead_at = 0
         for s in range(len(word)):
             node = root
             for letter in word[s:]:
                 node = node[0].get(letter)
                 if node is None:
                     break
-                i = node[1]
-                if i is not None:
-                    # starts ascend, so a rule keeps its first occurrence
-                    if i < low:
-                        low, low_at = i, s
-                    if p <= i < ahead:
-                        ahead, ahead_at = i, s
-        if ahead < no_rule:
-            return ahead, ahead_at
-        return (low, low_at) if low < no_rule else None
+                if node[1] is not None:
+                    return s, node[1]
+        return None
 
     def occurs_in(self, word):
-        return self._next(word, 0) is not None
+        return self._leftmost(word) is not None
 
     def reduce(self, word):
-        """The word left by sweeps over the rules: a sweep tries each rule
-        in order and applies it once, at the first occurrence of its lhs in
-        the current word; sweeps repeat until no lhs occurs.  The index
-        finds the rule each sweep applies next, and skips the rest."""
-        p = 0
-        while (match := self._next(word, p)) is not None:
-            i, s = match
-            lhs, rhs = self.rules[i]
+        """The word left by rewriting the leftmost occurrence of an lhs
+        until none is left."""
+        while (match := self._leftmost(word)) is not None:
+            s, (lhs, rhs) = match
             word = word[:s] + rhs + word[s + len(lhs):]
-            p = i + 1
         return word
 
 
 def _join(index, u, v):
     """Reduce u and v; if they still differ, add the rule between them,
-    the shortlex-larger rewriting to the smaller."""
+    the shortlex-larger rewriting to the smaller.  Raises BudgetExceeded
+    if the index then holds more than KB_MAX_RULES rules."""
     u, v = index.reduce(u), index.reduce(v)
     if u != v:
         index.append(*sorted((u, v), key=_shortlex_key, reverse=True))
+        if len(index.rules) > KB_MAX_RULES:
+            raise BudgetExceeded("KB_MAX_RULES")
 
 
 # Budgets of one Knuth-Bendix completion: rules held and overlap or
@@ -154,34 +140,38 @@ def kb_complete(pres):
     rules, so no two rules share one.  The closing interreduction drops
     only rules whose lhs contains another lhs, and their containment pair
     was already joined by rules with smaller lhs.  The result is the
-    reduced complete system, unique for the order (Metivier 1983).
+    reduced complete system, unique for the order (Metivier 1983) whatever
+    order words are rewritten in on the way.
     """
     index = _RuleIndex()
     rules = index.rules
-    for l, r in pres.relations:
-        _join(index, l, r)
     steps = 0
-    i = 0
-    while i < len(rules):
-        for j in range(i + 1):
-            for a, b in ((i, j), (j, i)) if j < i else ((i, i),):
-                (l1, r1), (l2, r2) = rules[a], rules[b]
-                # overlaps: a suffix of l1 is a prefix of l2
-                for k in range(1, min(len(l1), len(l2)) + 1):
-                    steps += 1
-                    if steps > KB_MAX_STEPS or len(rules) > KB_MAX_RULES:
-                        return RewriteSystem(_interreduce(rules),
-                                             len(pres.generators), False,
-                                             steps)
-                    if l1[len(l1) - k:] == l2[:k]:
-                        _join(index, r1 + l2[k:], l1[:len(l1) - k] + r2)
-                # containment: l2 properly inside l1
-                idx = l1.find(l2) if len(l2) < len(l1) else -1
-                if idx >= 0:
-                    steps += 1
-                    _join(index, r1, l1[:idx] + r2 + l1[idx + len(l2):])
-        i += 1
-    return RewriteSystem(_interreduce(rules), len(pres.generators), True,
+    complete = True
+    try:
+        for l, r in pres.relations:
+            _join(index, l, r)
+        i = 0
+        while i < len(rules):
+            for j in range(i + 1):
+                for a, b in ((i, j), (j, i)) if j < i else ((i, i),):
+                    (l1, r1), (l2, r2) = rules[a], rules[b]
+                    n1, n2 = len(l1), len(l2)
+                    # overlaps: a suffix of l1 is a prefix of l2
+                    for k in range(1, min(n1, n2) + 1):
+                        steps += 1
+                        if steps > KB_MAX_STEPS:
+                            raise BudgetExceeded("KB_MAX_STEPS")
+                        if l1[n1 - k:] == l2[:k]:
+                            _join(index, r1 + l2[k:], l1[:n1 - k] + r2)
+                    # containment: l2 properly inside l1
+                    idx = l1.find(l2) if n2 < n1 else -1
+                    if idx >= 0:
+                        steps += 1
+                        _join(index, r1, l1[:idx] + r2 + l1[idx + n2:])
+            i += 1
+    except BudgetExceeded:
+        complete = False
+    return RewriteSystem(_interreduce(rules), len(pres.generators), complete,
                          steps)
 
 

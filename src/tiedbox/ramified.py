@@ -290,13 +290,15 @@ def _brauer_factorization(d):
     The pairs range over S_n x S_n but are found by lookup: permutation
     diagrams are units, so s * hooks * s' = d exactly when s * hooks =
     d * s'^-1, and the s' are filed under d * s'^-1 once.  S_n is
-    enumerated twice, within `diagrams.check_budget`."""
+    enumerated twice, and the 2 * n! products of n strands built on the way
+    are kept within `diagrams.check_budget`."""
     if any(len(b) != 2 for b in d.part.blocks):
         raise ValueError("not a Brauer diagram")
     n = d.n
     k = (n - len([b for b in d.part.blocks
                   if b[0] <= n < b[1] and len(b) == 2])) // 2
-    check_budget("S_{}", n, map(factorial, count()))
+    check_budget("2 x S_{0} x {0} strands", n,
+                 (2 * m * factorial(m) for m in count()))
     hooks = perm_diagram(perms.identity(n))
     for m in range(k):
         hooks = hooks * hook(n, 2 * m + 1)

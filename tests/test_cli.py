@@ -288,15 +288,19 @@ def test_six_and_seven_strand_brauer_boxes_are_factored(
 
 
 def test_oversized_brauer_box_is_one_inconclusive_record(capsys):
-    # one box of 10 strands: its factorization enumerates S_10, so the
-    # budget stops it before the first product
-    element = "10; " + "|".join(f"{i},{i + 10}" for i in range(1, 11)) + \
-        " ; " + ",".join(map(str, range(1, 21)))
-    code, records = run(capsys, "normal-form", "--monoid", "br-brauer",
-                        "--element", element)
-    assert code == 2
-    assert records == [{"name": "normal-form", "status": "inconclusive",
-                        "reason": "|S_10| = 3628800 is above the budget 1000000"}]
+    # one box of 9 or 10 strands: its factorization builds 2 * n! products
+    # of n strands, so the budget stops it before the first product
+    for n, size in ((9, "|2 x S_9 x 9 strands|"),
+                    (10, "|2 x S_10 x 10 strands| >= |2 x S_9 x 9 strands|")):
+        points = range(1, n + 1)
+        element = f"{n}; " + "|".join(f"{i},{i + n}" for i in points) + \
+            " ; " + ",".join(map(str, range(1, 2 * n + 1)))
+        code, records = run(capsys, "normal-form", "--monoid", "br-brauer",
+                            "--element", element)
+        assert code == 2
+        assert records == [{"name": "normal-form", "status": "inconclusive",
+                            "reason": f"{size} = 6531840 is above the budget "
+                                      "1000000"}]
 
 
 @pytest.mark.parametrize("monoid", ["br-symmetric", "sr-symmetric", "br-brauer"])

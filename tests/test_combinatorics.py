@@ -12,7 +12,6 @@ from tiedbox.combinatorics import (
     catalan,
     composition_join,
     compositions,
-    conjugate,
     d_of_multitableau,
     dominates,
     double_factorial_odd,
@@ -41,6 +40,14 @@ def catalan_oracle(n):
     for m in range(n):
         c.append(sum(c[i] * c[m - i] for i in range(m + 1)))
     return c[n]
+
+
+def conjugate(lam):
+    """The transposed partition: its i-th part counts the parts of lam
+    above i."""
+    if not lam:
+        return ()
+    return tuple(sum(1 for x in lam if x > i) for i in range(lam[0]))
 
 
 def hook_length_count(lam):

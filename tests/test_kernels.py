@@ -1,6 +1,6 @@
 """The label kernels of set-partition and diagram products (`join`, `act`,
 `concat`) against the dict-based union-find they replaced, and the indexed
-word reduction of Knuth-Bendix against the per-rule sweep it replaced."""
+word reduction of Knuth-Bendix against a search of every lhs by `find`."""
 
 import pytest
 from hypothesis import given, settings
@@ -66,16 +66,12 @@ def reference_concat(d1, d2):
 
 
 def reference_reduce(word, rules):
-    """Sweeps over the rules in order, each applied once at the first
-    occurrence of its lhs, until a sweep changes nothing."""
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in rules:
-            idx = word.find(lhs)
-            if idx >= 0:
-                word = word[:idx] + rhs + word[idx + len(lhs):]
-                changed = True
+    """Rewrites the leftmost occurrence of an lhs, the least (start,
+    length), until no lhs occurs."""
+    while occurring := [(word.find(lhs), len(lhs), rhs)
+                        for lhs, rhs in rules if lhs in word]:
+        start, length, rhs = min(occurring)
+        word = word[:start] + rhs + word[start + length:]
     return word
 
 
@@ -217,7 +213,7 @@ def test_cached_join_and_act_of_the_algebras_match_the_reference(pw, data):
 
 @given(rules, words)
 @settings(max_examples=300, deadline=None)
-def test_indexed_reduce_matches_the_sweep(rules, word):
+def test_indexed_reduce_rewrites_the_leftmost_match(rules, word):
     index = presentations._RuleIndex(rules)
     assert index.reduce(word) == reference_reduce(word, rules)
     assert index.occurs_in(word) == any(lhs in word for lhs, _ in rules)
@@ -225,7 +221,7 @@ def test_indexed_reduce_matches_the_sweep(rules, word):
 
 @given(index_sessions())
 @settings(max_examples=300, deadline=None)
-def test_index_grown_between_reductions_matches_the_sweep(calls):
+def test_index_grown_between_reductions_rewrites_the_leftmost_match(calls):
     index = presentations._RuleIndex()
     appended = []
     for kind, arg in calls:
