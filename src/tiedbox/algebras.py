@@ -15,7 +15,7 @@
 """
 
 from functools import lru_cache
-from itertools import accumulate, combinations, count, product
+from itertools import count, product
 from math import factorial
 
 from .laurent import LaurentPoly, ONE, Q, QINV, QDIFF, DELTA, add_term, \
@@ -307,6 +307,14 @@ class _Tied(_Straightened):
         i_part, w = key
         return (i_part.act(w), perms.inverse(w)), ONE
 
+    def mobius_idempotent(self, i_part):
+        """Sum over the tie partitions J of mu(I, J) E_J, by Mobius
+        inversion over the lattice of the algebra's tie partitions (mu is
+        0 unless I <= J)."""
+        ident = perms.identity(self.n)
+        return self.element({(j_part, ident): self._mobius(i_part, j_part)
+                             for j_part in self._ties(self.n)})
+
     def steinberg(self, i, j):
         """e_i e_j (1 + q x_i + q x_j + q^2 x_i x_j + q^2 x_j x_i
         + q^3 x_i x_j x_i) for |i - j| = 1, where x is the braid generator
@@ -318,6 +326,9 @@ class _Tied(_Straightened):
 class BTAlgebra(_Tied):
     """Algebra of braids and ties; basis E_I g_w with I any set partition
     of {1..n} and w in S_n."""
+
+    _ties = staticmethod(all_partitions)
+    _mobius = staticmethod(mobius_partition)
 
     @lru_cache(maxsize=None)
     def basis(self):
@@ -332,16 +343,6 @@ class BTAlgebra(_Tied):
 
     braid = g
 
-    def mobius_idempotent(self, i_part):
-        """The central idempotent attached to a set partition, by Mobius
-        inversion over the full partition lattice."""
-        terms = {}
-        for j_part in i_part.coarsenings():
-            c = mobius_partition(i_part, j_part)
-            if c:
-                terms[(j_part, perms.identity(self.n))] = LaurentPoly.const(c)
-        return self.element(terms)
-
     def mobius_type_idempotent(self, alpha):
         """Sum of the Mobius idempotents over all partitions of type alpha."""
         out = self.zero()
@@ -355,6 +356,9 @@ class BHAlgebra(_Tied):
     """Tied-boxed Hecke algebra; basis E_I z_w with I a linear partition of
     {1..n} and w preserving the blocks of I, where z_w = E_I g_w for the
     finest such I."""
+
+    _ties = staticmethod(linear_partitions)
+    _mobius = staticmethod(mobius_linear)
 
     @lru_cache(maxsize=None)
     def basis(self):
@@ -373,16 +377,6 @@ class BHAlgebra(_Tied):
     def z_of(self, w):
         """z_w as a basis element (support partition, w)."""
         return self.basis_element((support_partition(w), w))
-
-    def mobius_idempotent(self, i_part):
-        """Mobius idempotent over the lattice of linear partitions."""
-        terms = {}
-        ident = perms.identity(self.n)
-        for j_part in linear_partitions(self.n):
-            c = mobius_linear(i_part, j_part)
-            if c:
-                terms[(j_part, ident)] = LaurentPoly.const(c)
-        return self.element(terms)
 
     def d(self, i):
         """d_i = q^-1 e_i + z_i."""
@@ -459,29 +453,14 @@ def hecke_to_tl(x):
     return TLAlgebra(n).element(out)
 
 
-def _linear_coarsenings(p):
-    """Linear partitions K >= p, for linear p (drop subsets of the cuts);
-    the empty partition has itself only."""
-    mu = p.to_composition()
-    if not mu:
-        return [p]
-    cuts = list(accumulate(mu[:-1]))
-    out = []
-    for k in range(len(cuts) + 1):
-        for keep in combinations(cuts, k):
-            ends = (0, *keep, sum(mu))
-            out.append(SetPartition.from_composition(
-                tuple(b - a for a, b in zip(ends, ends[1:]))))
-    return out
-
-
 def pi2(x):
     """Projection of the tied-boxed Hecke algebra onto the tied-boxed
     Temperley-Lieb algebra in its block decomposition."""
     n = x.algebra.n
+    lattice = linear_partitions(n)
     out = {}
     for (i_part, w), c in x.terms.items():
-        for k_part in _linear_coarsenings(i_part):
+        for k_part in [K for K in lattice if i_part <= K]:
             mu = k_part.to_composition()
             for terms in product(*(
                     _hecke_to_tl_basis(m, w_loc).terms.items()

@@ -11,6 +11,8 @@ or z.  The Temperley-Lieb and tied-boxed Temperley-Lieb bases are the
 images of their two-column parts under the projections `hecke_to_tl` and
 `pi2`.  One cell order serves all four (`_multi_greater`)."""
 
+from typing import NamedTuple
+
 from .laurent import ZERO, Q, LaurentFrac
 from .combinatorics import compositions, dominates, \
     multipartitions_of_composition, initial_kind_multitableaux, \
@@ -25,26 +27,12 @@ __all__ = ["CellDatum", "murphy_hecke", "tl_cellular", "bh_cellular",
            "transition_matrix"]
 
 
-class CellDatum:
-    """A concrete cell datum: labels (multipartitions), tableaux sets, and
-    one algebra element per (label, s, t) triple."""
+class CellDatum(NamedTuple):
+    """A concrete cell datum: the algebra and its cellular basis, a dict
+    (label, s, t) -> c_st in cell order (label by label, then s, then t)."""
 
-    def __init__(self, algebra, labels, tableaux, elements):
-        self.algebra = algebra
-        self.labels = list(labels)
-        self.tableaux = tableaux          # label -> list of tableau keys
-        self.elements = elements          # (label, s, t) -> AlgebraElement
-
-    def triples(self):
-        out = []
-        for lam in self.labels:
-            for s in self.tableaux[lam]:
-                for t in self.tableaux[lam]:
-                    out.append((lam, s, t))
-        return out
-
-    def size(self):
-        return len(self.triples())
+    algebra: object
+    elements: dict
 
 
 def _multi_greater(lams, mus):
@@ -62,26 +50,23 @@ def _multi_greater(lams, mus):
 def _murphy(algebra, labels, m_of, twist):
     """c_st = twist(d_s)^* m_of(label) twist(d_t) over the initial-kind
     multitableaux s, t of each label, d the tableau permutation."""
-    tabs = {lams: initial_kind_multitableaux(lams) for lams in labels}
     elements = {}
     for lams in labels:
         m_lam = m_of(lams)
-        for s in tabs[lams]:
+        tabs = initial_kind_multitableaux(lams)
+        for s in tabs:
             left = twist(d_of_multitableau(s)).star() * m_lam
-            for t in tabs[lams]:
+            for t in tabs:
                 elements[(lams, s, t)] = left * twist(d_of_multitableau(t))
-    return CellDatum(algebra, labels, tabs, elements)
+    return CellDatum(algebra, elements)
 
 
 def _two_column(datum, algebra, project):
     """The image under `project` of the part of `datum` whose labels have
     every part at most 2."""
-    labels = [lams for lams in datum.labels
-              if all(not lam or lam[0] <= 2 for lam in lams)]
-    tabs = {lams: datum.tableaux[lams] for lams in labels}
-    elements = {(lams, s, t): project(datum.elements[(lams, s, t)])
-                for lams in labels for s in tabs[lams] for t in tabs[lams]}
-    return CellDatum(algebra, labels, tabs, elements)
+    return CellDatum(algebra, {
+        (lams, s, t): project(c) for (lams, s, t), c in datum.elements.items()
+        if all(not lam or lam[0] <= 2 for lam in lams)})
 
 
 def murphy_hecke(n):
@@ -131,9 +116,8 @@ def transition_matrix(datum):
     """Rows: cellular elements expanded in the structural basis, as sparse
     coordinate rows (dict col -> LaurentPoly), one per triple."""
     index = basis_index(datum.algebra)
-    triples = datum.triples()
-    rows = [coords(datum.elements[tri], index) for tri in triples]
-    return rows, triples, index
+    rows = [coords(c, index) for c in datum.elements.values()]
+    return rows, list(datum.elements), index
 
 
 def _frac_inverse(rows, dim):
@@ -157,13 +141,8 @@ def _frac_inverse(rows, dim):
 
 def star_axiom_check(datum):
     """star(c_st) must equal c_ts for every pair."""
-    failures = []
-    for lam in datum.labels:
-        for s in datum.tableaux[lam]:
-            for t in datum.tableaux[lam]:
-                if datum.elements[(lam, s, t)].star() != \
-                        datum.elements[(lam, t, s)]:
-                    failures.append((lam, s, t))
+    failures = [(lam, s, t) for (lam, s, t), c in datum.elements.items()
+                if c.star() != datum.elements[(lam, t, s)]]
     return {"status": "pass" if not failures else "fail",
             "failures": failures}
 
@@ -219,12 +198,11 @@ def cell_axiom_check(datum, generators):
                                     "offending": (lam2, repr(s2), repr(t2)),
                                     "coefficient": str(coeff)}}
             key = (lam, t, gi)
-            frozen = tuple(sorted(((repr(v), str(c)) for v, c in rv.items())))
-            if key in seen and seen[key][0] != frozen:
+            if key in seen and seen[key][0] != rv:
                 return {"status": "fail", "products": count,
                         "witness": {"label": lam, "t": repr(t),
                                     "generator": gi,
                                     "reason": "coefficients depend on s",
                                     "s_pair": (seen[key][1], repr(s))}}
-            seen.setdefault(key, (frozen, repr(s)))
+            seen.setdefault(key, (rv, repr(s)))
     return {"status": "pass", "products": count}

@@ -2,8 +2,9 @@
 list of line records ``{"name", "expected", "got", "status"}``.
 
 The functions are shared between the test suite and the ``verify-all`` CLI
-command.  Every check is exact; ``seed`` only affects the probabilistic
-pre-pass of rank computations (which are always confirmed exactly).
+command.  Every check is exact except the seeded modular rank of
+``check_representation``: ``seed`` only affects that record, which is
+emitted beside the exact rank of the same rows and stands on its own.
 """
 
 import math
@@ -14,6 +15,7 @@ from .algebras import (
     BHAlgebra,
     BTAlgebra,
     BTLAlgebra,
+    HeckeAlgebra,
     coords,
     ideal_span,
     iota1,
@@ -36,7 +38,6 @@ from .combinatorics import (
     composition_join,
     compositions,
     double_factorial_odd,
-    intervals,
     ptl_dim,
 )
 from .diagrams import brauer_monoid, jones_monoid
@@ -260,16 +261,9 @@ def check_idempotents(quick=False):
     for n in (2, 3) if quick else (2, 3, 4):
         bt = BTAlgebra(n)
         types = sorted({p.type_of() for p in all_partitions(n)})
-        ok = True
-        for alpha in types:
-            x = bt.mobius_type_idempotent(alpha)
-            for key in bt.basis():
-                y = bt.basis_element(key)
-                if x * y != y * x:
-                    ok = False
-                    break
-            if not ok:
-                break
+        ok = all(x * y == y * x
+                 for x in map(bt.mobius_type_idempotent, types)
+                 for y in map(bt.basis_element, bt.basis()))
         recs.append(bool_record(f"idem:tied-type-central:n={n}", ok))
     return recs
 
@@ -287,31 +281,31 @@ def check_cellular(quick=False):
         "tied-boxed-tl": btl_cellular,
         "tl": tl_cellular,
     }
+    data = {}
     for label, build in builders.items():
         for n in range(2, top + 1):
-            datum = build(n)
+            datum = data[label, n] = build(n)
+            size = len(datum.elements)
             recs.append(record(f"cell:{label}:count:n={n}",
-                               datum.algebra.dim(), datum.size()))
+                               datum.algebra.dim(), size))
             if n <= 3:
                 rows, _, _ = transition_matrix(datum)
                 rank = matrix_rank(rows, mode="exact")
                 recs.append(record(f"cell:{label}:full-rank:n={n}",
-                                   datum.size(), rank))
+                                   size, rank))
                 recs.append(record(f"cell:{label}:star:n={n}", "pass",
                                    star_axiom_check(datum)["status"]))
     for n in (2, 3):
         bh = BHAlgebra(n)
-        gens = [bh.e(i) for i in range(1, n)] + [bh.z(i) for i in range(1, n)]
-        rep = cell_axiom_check(bh_cellular(n), gens)
-        recs.append(record(f"cell:tied-boxed-hecke:axiom:n={n}",
-                           "pass", rep["status"]))
-        tgens = [pi2(bh.e(i)) for i in range(1, n)] + [pi2(bh.d(i)) for i in range(1, n)]
-        rep = cell_axiom_check(btl_cellular(n), tgens)
-        recs.append(record(f"cell:tied-boxed-tl:axiom:n={n}",
-                           "pass", rep["status"]))
-        h = murphy_hecke(n)
-        rep = cell_axiom_check(h, [h.algebra.gen(i) for i in range(1, n)])
-        recs.append(record(f"cell:hecke-murphy:axiom:n={n}", "pass", rep["status"]))
+        e = [bh.e(i) for i in range(1, n)]
+        generators = {
+            "tied-boxed-hecke": e + [bh.z(i) for i in range(1, n)],
+            "tied-boxed-tl": [pi2(x) for x in e + [bh.d(i) for i in range(1, n)]],
+            "hecke-murphy": [HeckeAlgebra(n).gen(i) for i in range(1, n)],
+        }
+        for label, gens in generators.items():
+            rep = cell_axiom_check(data[label, n], gens)
+            recs.append(record(f"cell:{label}:axiom:n={n}", "pass", rep["status"]))
     return recs
 
 
@@ -357,24 +351,22 @@ def check_quotients():
 
 
 def check_normal_forms(quick=False):
-    rows = [("boxed-symmetric", n, ramified.br_symmetric,
-             ramified.normal_form_brs, lambda nf: (nf["e_boxes"], nf["z_word"]))
+    rows = [("boxed-symmetric", n, ramified.br_symmetric, ramified.normal_form_brs)
             for n in ((1, 2, 3) if quick else (1, 2, 3, 4))]
     rows += [
         ("singular-ramified-symmetric", 3, ramified.sr_symmetric,
-         ramified.normal_form_srs, lambda nf: (nf["e_pairs"], nf["z_pairs"])),
-        ("boxed-brauer", 3, ramified.br_brauer, ramified.normal_form_brbr,
-         lambda nf: (nf["e_boxes"], nf["z_word"], nf["d_word"], nf["z_word_2"])),
+         ramified.normal_form_srs),
+        ("boxed-brauer", 3, ramified.br_brauer, ramified.normal_form_brbr),
     ]
     recs = []
-    for label, n, family, normal_form, key_of in rows:
-        seen = {}
+    for label, n, family, normal_form in rows:
+        seen = set()
         ok = True
         for el in family(n):
             nf = normal_form(el)
-            key = key_of(nf)
+            key = tuple(nf.items())
             ok = ok and key not in seen and ramified.evaluate_normal_form(nf) == el
-            seen[key] = el
+            seen.add(key)
         recs.append(bool_record(f"nf:{label}:n={n}", ok))
 
     # worked examples: a fully boxed word and a two-tie singular word
@@ -398,27 +390,18 @@ def check_normal_forms(quick=False):
 # 10. centers
 
 
-def _box_tie_element(n, mu):
-    """Identity permutation tied within each box of the composition mu."""
-    out = ramified.ramified_identity(n)
-    for box in intervals(mu):
-        for i in box[:-1]:
-            out = out * ramified.gen_e(n, i)
-    return out
-
-
 def check_centers(quick=False):
     recs = []
     for n in (3,) if quick else (3, 4):
         z = ramified.center(ramified.r_symmetric(n))
         ident = ramified.ramified_identity(n)
-        full_tie = _box_tie_element(n, (n,))
+        full_tie = ramified.gen_e_boxes((n,))
         recs.append(record(f"center:ramified-symmetric:n={n}",
                            sorted([str(ident), str(full_tie)]),
                            sorted(str(x) for x in z)))
 
         zb = ramified.center(ramified.br_symmetric(n))
-        boxed = {mu: _box_tie_element(n, mu) for mu in compositions(n)}
+        boxed = {mu: ramified.gen_e_boxes(mu) for mu in compositions(n)}
         recs.append(record(f"center:boxed-symmetric-size:n={n}",
                            2 ** (n - 1), len(zb)))
         recs.append(record(f"center:boxed-symmetric-elements:n={n}",

@@ -16,7 +16,7 @@ from .diagrams import (Diagram, check_budget, perm_diagram, hook, tie,
 from . import perms
 
 __all__ = [
-    "Ramified", "gen_s", "gen_e", "gen_e_pair", "gen_z", "gen_d", "gen_z_pair",
+    "Ramified", "gen_s", "gen_e", "gen_e_boxes", "gen_e_pair", "gen_z", "gen_d", "gen_z_pair",
     "r_symmetric", "sr_symmetric",
     "br_symmetric", "br_jones", "br_brauer", "br_partition",
     "center",
@@ -81,6 +81,12 @@ def gen_s(n, i):
 def gen_e(n, i):
     """e_i: identity with strands i, i+1 tied."""
     return gen_e_pair(n, i, i + 1)
+
+
+def gen_e_boxes(mu):
+    """e_mu: identity with strands tied within each box of the
+    composition mu."""
+    return Ramified(perm_diagram(perms.identity(sum(mu))), boxed_diagram(mu))
 
 
 def gen_e_pair(n, i, j):
@@ -209,8 +215,7 @@ def evaluate_normal_form(nf):
     for (i, j) in nf.get("e_pairs", ()):
         x = x * gen_e_pair(n, i, j)
     if "e_boxes" in nf:
-        x = x * Ramified(perm_diagram(perms.identity(n)),
-                         boxed_diagram(nf["e_boxes"]))
+        x = x * gen_e_boxes(nf["e_boxes"])
     for letter in nf.get("z_word", ()):
         x = x * gen_z(n, letter)
     for letter in nf.get("z_pairs", ()):
@@ -240,7 +245,9 @@ def normal_form_brs(x, word=None):
 def brs_from_word(n, mu, word):
     """Build the element e_mu * s-word of BR(S_n) and its normal form using
     exactly the given reduced word."""
-    x = Ramified(perm_diagram(perms.identity(n)), boxed_diagram(mu))
+    if sum(mu) != n:
+        raise ValueError(f"{mu} is not a composition of {n}")
+    x = gen_e_boxes(mu)
     for i in word:
         x = x * gen_z(n, i)
     return x, normal_form_brs(x, word=word)

@@ -146,13 +146,6 @@ class SetPartition:
                 labels[w[x - 1] - 1] = i
         return SetPartition._from_labels(labels)
 
-    def coarsenings(self):
-        """All partitions J with J >= self."""
-        blocks = self.blocks
-        return [SetPartition([sum((blocks[i - 1] for i in g), ())
-                              for g in grouping.blocks], self.size)
-                for grouping in all_partitions(len(blocks))]
-
     def __str__(self):
         return "|".join(",".join(str(x) for x in b) for b in self.blocks)
 

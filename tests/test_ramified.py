@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tiedbox import perms
-from tiedbox.combinatorics import bell, compositions
+from tiedbox.combinatorics import bell, compositions, intervals
 from tiedbox.diagrams import brauer_monoid, closure, hook, perm_diagram
 from tiedbox.ramified import (
     Ramified,
@@ -17,6 +17,7 @@ from tiedbox.ramified import (
     center,
     evaluate_normal_form,
     gen_e,
+    gen_e_boxes,
     gen_s,
     gen_z,
     normal_form_brbr,
@@ -145,6 +146,12 @@ def test_worked_example_boxed_word():
     assert evaluate_normal_form(nf) == x
 
 
+def test_boxed_word_needs_a_composition_of_n():
+    for word in ((), (1,)):
+        with pytest.raises(ValueError):
+            brs_from_word(4, (2, 1), word)
+
+
 def test_worked_example_singular_word():
     # ties {1,2},{2,4} with the word s3 s1 s2 s1 folds the first tie into
     # decorated pair generators and keeps the second
@@ -164,13 +171,26 @@ def test_center_of_ramified_symmetric():
         assert set(z) == {ident, full}
 
 
-def test_center_of_boxed_symmetric():
-    from tiedbox.checks import _box_tie_element
+def _tied_in_boxes(n, mu):
+    """The product of the e_i inside each box of mu, from the identity."""
+    out = ramified_identity(n)
+    for box in intervals(mu):
+        for i in box[:-1]:
+            out = out * gen_e(n, i)
+    return out
 
+
+def test_center_of_boxed_symmetric():
     for n in (3, 4):
         z = set(center(br_symmetric(n)))
         assert len(z) == 2 ** (n - 1)
-        assert z == {_box_tie_element(n, mu) for mu in compositions(n)}
+        assert z == {_tied_in_boxes(n, mu) for mu in compositions(n)}
+
+
+def test_gen_e_boxes_is_the_product_of_ties_in_each_box():
+    for n in range(5):
+        for mu in compositions(n):
+            assert gen_e_boxes(mu) == _tied_in_boxes(n, mu)
 
 
 def test_str_parse_roundtrip():
