@@ -282,11 +282,11 @@ def main(argv=None):
     p = add("verify-all", cmd_verify_all, help="run the full acceptance matrix")
     p.add_argument("--profile", choices=("quick", "full"), default="full")
 
-    # the two commands that run a probabilistic rank pre-pass
+    # the two commands that emit the modular-rank record beside the exact rank
     for name in ("rep-check", "verify-all"):
         sub.choices[name].add_argument(
             "--seed", type=int, default=0,
-            help="seed for probabilistic rank pre-passes")
+            help="seed of the modular-rank record (not confirmed by the exact rank)")
 
     args = parser.parse_args(argv)
     try:

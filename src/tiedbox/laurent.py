@@ -81,9 +81,20 @@ class LaurentPoly:
         return r
 
     def __sub__(self, other):
-        if not isinstance(other, (int, LaurentPoly)):
+        if isinstance(other, int):
+            other = LaurentPoly.const(other)
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        out = dict(self.c)
+        for e, v in other.c.items():
+            w = out.get(e, 0) - v
+            if w:
+                out[e] = w
+            else:
+                out.pop(e, None)
+        r = LaurentPoly.__new__(LaurentPoly)
+        r.c = out
+        return r
 
     def __rsub__(self, other):
         if not isinstance(other, int):
@@ -145,15 +156,6 @@ class LaurentPoly:
     @staticmethod
     def from_list(low, coeffs):
         return LaurentPoly({low + k: v for k, v in enumerate(coeffs) if v})
-
-    def evaluate_mod(self, x, p):
-        """Evaluate at x modulo the prime p; x must be a unit mod p."""
-        acc = 0
-        xinv = pow(x, -1, p)
-        for e, v in self.c.items():
-            base = pow(x, e, p) if e >= 0 else pow(xinv, -e, p)
-            acc = (acc + v * base) % p
-        return acc
 
     def divexact(self, other):
         """Exact division in Z[q, q^-1]; raises ValueError if not divisible."""
@@ -281,21 +283,22 @@ class LaurentFrac:
             num = LaurentPoly.const(num)
         if isinstance(den, int):
             den = LaurentPoly.const(den)
-        if not den:
+        if not den.c:
             raise ZeroDivisionError
-        if not num:
+        if not num.c:
             self.num, self.den = ZERO, ONE
             return
         g = poly_gcd(num, den)
-        if not (g == ONE):
+        if g.c != ONE.c:
             num = num.divexact(g)
             den = den.divexact(g)
-        # normalize denominator: lowest exponent 0, positive leading coeff
-        lo = min(den.c)
-        sign = 1 if den.c[max(den.c)] > 0 else -1
-        if lo or sign < 0:
-            num, den = (LaurentPoly({e - lo: sign * v for e, v in p.c.items()})
-                        for p in (num, den))
+        if den.c != ONE.c:
+            # normalize denominator: lowest exponent 0, positive leading coeff
+            lo = min(den.c)
+            sign = 1 if den.c[max(den.c)] > 0 else -1
+            if lo or sign < 0:
+                num, den = (LaurentPoly({e - lo: sign * v for e, v in p.c.items()})
+                            for p in (num, den))
         self.num, self.den = num, den
 
     def __bool__(self):
@@ -328,7 +331,8 @@ class LaurentFrac:
         other = _frac(other)
         if other is NotImplemented:
             return other
-        return self + (-other)
+        return LaurentFrac(self.num * other.den - other.num * self.den,
+                           self.den * other.den)
 
     def __rsub__(self, other):
         other = _frac(other)
@@ -356,6 +360,9 @@ class LaurentFrac:
     __repr__ = __str__
 
 
+_FRAC_ZERO = LaurentFrac(0)
+
+
 def _frac(x):
     """x as a LaurentFrac; NotImplemented for an operand of a foreign type."""
     if isinstance(x, LaurentFrac):
@@ -367,27 +374,42 @@ def _frac(x):
 
 def _rank_modular(rows, seed):
     """Lower bound for the rank: the best of evaluations at three random
-    points mod a prime."""
+    points mod a prime.  Each distinct entry is evaluated once per point,
+    from a table of the powers of the point."""
     p = (1 << 61) - 1
     rng = random.Random(seed)
     best = 0
     for _ in range(3):
         x = rng.randrange(2, p - 1)
+        xinv = pow(x, -1, p)
+        powers = {}
+        values = {}
         num = []
         for r in rows:
-            num.append({j: v.evaluate_mod(x, p) for j, v in r.items()})
+            out = {}
+            for j, v in r.items():
+                key = tuple(v.c.items())
+                w = values.get(key)
+                if w is None:
+                    for e, _ in key:
+                        if e not in powers:
+                            powers[e] = pow(x, e, p) if e >= 0 else pow(xinv, -e, p)
+                    w = values[key] = sum(a * powers[e] for e, a in key) % p
+                out[j] = w
+            num.append(out)
         best = max(best, _int_rank_mod(num, p))
     return best
 
 
 def _int_rank_mod(rows, p):
+    """Rank mod p of sparse integer rows.  Each pivot row is stored scaled
+    to pivot 1, so reducing by it needs no inverse."""
     pivot_rows = []
-    rank = 0
     for r in rows:
         r = {j: v % p for j, v in r.items() if v % p}
         for pc, prow in pivot_rows:
-            if pc in r:
-                f = (r[pc] * pow(prow[pc], -1, p)) % p
+            f = r.get(pc)
+            if f:
                 for j, v in prow.items():
                     w = (r.get(j, 0) - f * v) % p
                     if w:
@@ -395,9 +417,10 @@ def _int_rank_mod(rows, p):
                     else:
                         r.pop(j, None)
         if r:
-            pivot_rows.append((min(r), r))
-            rank += 1
-    return rank
+            pc = min(r)
+            inv = pow(r[pc], -1, p)
+            pivot_rows.append((pc, {j: v * inv % p for j, v in r.items()}))
+    return len(pivot_rows)
 
 
 def echelon_reduce(basis, row):
@@ -415,7 +438,7 @@ def echelon_reduce(basis, row):
         if pc in r:
             f = r[pc] / prow[pc]
             for j, v in prow.items():
-                w = r.get(j, LaurentFrac(0)) - f * v
+                w = r.get(j, _FRAC_ZERO) - f * v
                 if w:
                     r[j] = w
                 else:

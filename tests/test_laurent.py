@@ -1,11 +1,15 @@
-"""Exact Laurent-polynomial coefficients and linear algebra."""
+"""Exact Laurent-polynomial coefficients and linear algebra, and the modular
+rank against the kernel it replaced: each entry evaluated on its own, one
+inverse per elimination step."""
 
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiedbox import checks, laurent
 from tiedbox.algebras import reduce_against
 from tiedbox.laurent import (
     DELTA,
@@ -33,6 +37,48 @@ monomials = st.one_of(
     st.builds(LaurentPoly.term, st.integers(-9, 9).filter(bool), st.integers(-4, 4)),
 )
 units = st.builds(LaurentPoly.term, st.sampled_from([1, -1]), st.integers(-4, 4))
+
+
+def reference_evaluate_mod(poly, x, p):
+    """poly at x mod p, with one inverse of x and one `pow` per term."""
+    acc = 0
+    xinv = pow(x, -1, p)
+    for e, v in poly.c.items():
+        base = pow(x, e, p) if e >= 0 else pow(xinv, -e, p)
+        acc = (acc + v * base) % p
+    return acc
+
+
+def reference_int_rank_mod(rows, p):
+    """Rank mod p of integer rows, with one inverse per elimination step."""
+    pivot_rows = []
+    for r in rows:
+        r = {j: v % p for j, v in r.items() if v % p}
+        for pc, prow in pivot_rows:
+            if pc in r:
+                f = (r[pc] * pow(prow[pc], -1, p)) % p
+                for j, v in prow.items():
+                    w = (r.get(j, 0) - f * v) % p
+                    if w:
+                        r[j] = w
+                    else:
+                        r.pop(j, None)
+        if r:
+            pivot_rows.append((min(r), r))
+    return len(pivot_rows)
+
+
+def reference_rank_modular(rows, seed):
+    """The mod-p rank evaluated entry by entry at the same seeded points."""
+    p = (1 << 61) - 1
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(3):
+        x = rng.randrange(2, p - 1)
+        num = [{j: reference_evaluate_mod(v, x, p) for j, v in r.items()}
+               for r in rows]
+        best = max(best, reference_int_rank_mod(num, p))
+    return best
 
 
 def convolve(a, b):
@@ -136,6 +182,49 @@ def test_foreign_operand_is_a_type_error(op, x):
         op(1.5, x)
 
 
+fracs = st.builds(LaurentFrac, polys, polys.filter(bool))
+small_ints = st.integers(-5, 5)
+
+
+@given(polys, polys, small_ints)
+@settings(max_examples=150, deadline=None)
+def test_poly_subtraction_is_adding_the_negation(a, b, k):
+    d = a - b
+    assert d.c == {e: v for e in set(a.c) | set(b.c)
+                   if (v := a.c.get(e, 0) - b.c.get(e, 0))}
+    assert d == a + (-b)
+    assert a - k == a + (-k)
+    assert k - a == -a + k
+
+
+@given(st.one_of(fracs, polys, small_ints), st.one_of(fracs, polys, small_ints))
+@settings(max_examples=200, deadline=None)
+def test_frac_subtraction_is_adding_the_negation(x, y):
+    if not any(isinstance(v, LaurentFrac) for v in (x, y)):
+        x = LaurentFrac(x)
+    d = x - y
+    assert str(d) == str(x + (-y))
+    assert d == x + (-y)
+
+
+def assert_normal_form(x):
+    """Lowest exponent 0 and a positive top coefficient in the
+    denominator, which is coprime to the numerator."""
+    assert min(x.den.c) == 0 and x.den.c[max(x.den.c)] > 0
+    assert poly_gcd(x.num, x.den) == ONE
+
+
+@given(polys, polys.filter(bool))
+@settings(max_examples=150, deadline=None)
+def test_frac_normal_form_with_and_without_a_denominator(a, d):
+    whole = LaurentFrac(a * d, d)
+    assert_normal_form(whole)
+    assert whole.den == ONE and whole.num == a
+    x = LaurentFrac(a, d)
+    assert_normal_form(x)
+    assert x.num * d == a * x.den
+
+
 def test_frac_arithmetic():
     half = LaurentFrac(ONE) / LaurentFrac(DELTA)
     assert half * LaurentFrac(DELTA) == LaurentFrac(ONE)
@@ -158,6 +247,29 @@ def test_rank_exact_known_matrix():
 def test_probabilistic_rank_bounded_by_exact(rows, seed):
     exact = matrix_rank(rows, mode="exact")
     assert matrix_rank(rows, mode="probabilistic", seed=seed) <= exact
+
+
+# rows whose entries repeat, as in the tensor matrices, drawn from a pool
+pooled_rows = st.lists(polys, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(
+        st.dictionaries(st.integers(0, 5), st.sampled_from(pool), max_size=4),
+        min_size=1, max_size=6))
+
+
+@given(pooled_rows, st.integers(0, 2 ** 31))
+@settings(max_examples=80, deadline=None)
+def test_probabilistic_rank_matches_reference(rows, seed):
+    assert (matrix_rank(rows, mode="probabilistic", seed=seed)
+            == reference_rank_modular(rows, seed))
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-20, 20), max_size=5),
+                max_size=7),
+       st.sampled_from([2, 3, 7]))
+@settings(max_examples=150, deadline=None)
+def test_rank_mod_small_prime_matches_reference(rows, p):
+    # small primes make rank drops mod p common
+    assert laurent._int_rank_mod(rows, p) == reference_int_rank_mod(rows, p)
 
 
 def test_rank_rejects_unknown_mode():
@@ -238,3 +350,22 @@ def test_divexact_rejects_inexact_division(num, den):
 ])
 def test_poly_gcd_normal_form(f, g, expected):
     assert poly_gcd(f, g) == expected
+
+
+def test_gcd_count_of_the_exact_ranks(monkeypatch):
+    # every fraction normalisation makes one gcd call: a fast path that
+    # skips one changes these counts
+    calls = 0
+    gcd = laurent.poly_gcd
+
+    def counted(f, g):
+        nonlocal calls
+        calls += 1
+        return gcd(f, g)
+
+    monkeypatch.setattr(laurent, "poly_gcd", counted)
+    checks.check_representation()
+    assert calls == 58_236
+    calls = 0
+    checks.check_quotients()
+    assert calls == 13_266
