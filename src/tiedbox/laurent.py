@@ -274,7 +274,9 @@ def poly_gcd(f, g):
 
 
 class LaurentFrac:
-    """A fraction of Laurent polynomials, reduced so equality is structural."""
+    """A fraction of Laurent polynomials, reduced so equality is structural.
+    A denominator 1 is ONE itself, and arithmetic skips the products by it;
+    every result is still built, and its gcd taken, once."""
 
     __slots__ = ("num", "den")
 
@@ -299,7 +301,8 @@ class LaurentFrac:
             if lo or sign < 0:
                 num, den = (LaurentPoly({e - lo: sign * v for e, v in p.c.items()})
                             for p in (num, den))
-        self.num, self.den = num, den
+        self.num = num
+        self.den = ONE if den.c == ONE.c else den
 
     def __bool__(self):
         return bool(self.num)
@@ -317,8 +320,9 @@ class LaurentFrac:
         other = _frac(other)
         if other is NotImplemented:
             return other
-        return LaurentFrac(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        return LaurentFrac((a if d is ONE else a * d) + (c if b is ONE else c * b),
+                           d if b is ONE else b if d is ONE else b * d)
 
     __radd__ = __add__
 
@@ -331,8 +335,9 @@ class LaurentFrac:
         other = _frac(other)
         if other is NotImplemented:
             return other
-        return LaurentFrac(self.num * other.den - other.num * self.den,
-                           self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        return LaurentFrac((a if d is ONE else a * d) - (c if b is ONE else c * b),
+                           d if b is ONE else b if d is ONE else b * d)
 
     def __rsub__(self, other):
         other = _frac(other)
@@ -344,7 +349,9 @@ class LaurentFrac:
         other = _frac(other)
         if other is NotImplemented:
             return other
-        return LaurentFrac(self.num * other.num, self.den * other.den)
+        b, d = self.den, other.den
+        return LaurentFrac(self.num * other.num,
+                           d if b is ONE else b if d is ONE else b * d)
 
     __rmul__ = __mul__
 
@@ -352,7 +359,9 @@ class LaurentFrac:
         other = _frac(other)
         if other is NotImplemented:
             return other
-        return LaurentFrac(self.num * other.den, self.den * other.num)
+        b, d = self.den, other.den
+        return LaurentFrac(self.num if d is ONE else self.num * d,
+                           other.num if b is ONE else b * other.num)
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"

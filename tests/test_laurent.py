@@ -207,6 +207,25 @@ def test_frac_subtraction_is_adding_the_negation(x, y):
     assert d == x + (-y)
 
 
+@given(st.one_of(fracs, polys, small_ints), st.one_of(fracs, polys, small_ints))
+@settings(max_examples=200, deadline=None)
+def test_frac_arithmetic_matches_cross_multiplication(x, y):
+    # with and without a denominator 1 on either side
+    if not any(isinstance(v, LaurentFrac) for v in (x, y)):
+        x = LaurentFrac(x)
+    fx, fy = (v if isinstance(v, LaurentFrac) else LaurentFrac(v) for v in (x, y))
+    a, b, c, d = fx.num, fx.den, fy.num, fy.den
+    want = {operator.add: (a * d + c * b, b * d),
+            operator.sub: (a * d - c * b, b * d),
+            operator.mul: (a * c, b * d)}
+    if c and isinstance(x, LaurentFrac):
+        want[operator.truediv] = (a * d, b * c)
+    for op, (num, den) in want.items():
+        r = op(x, y)
+        assert r.num * den == num * r.den, op
+        assert (r.den is ONE) == (r.den == ONE)
+
+
 def assert_normal_form(x):
     """Lowest exponent 0 and a positive top coefficient in the
     denominator, which is coprime to the numerator."""

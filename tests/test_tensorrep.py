@@ -1,11 +1,22 @@
 """Tensor-space matrix oracle for the tied algebras."""
 
+import itertools
 import random
 
+import pytest
+
+from tiedbox import checks, tensorrep
 from tiedbox.algebras import BHAlgebra, BTAlgebra
 from tiedbox.checks import check_representation
-from tiedbox.laurent import matrix_rank
-from tiedbox.tensorrep import TensorRep, flatten_matrix, mat_add, mat_mul
+from tiedbox.laurent import QDIFF, matrix_rank
+from tiedbox.setpartitions import all_partitions
+from tiedbox.tensorrep import (
+    TensorRep,
+    flatten_matrix,
+    mat_add,
+    mat_mul,
+    one_block_per_type,
+)
 
 
 def copy_matrix(m):
@@ -57,6 +68,14 @@ def test_faithful_on_small_case():
     assert matrix_rank(rows, mode="exact") == bt.dim() == 4
 
 
+def test_one_block_per_type_keeps_the_faithful_ranks():
+    # rho(x) is zero exactly when it is zero on one block per type
+    rep = TensorRep(3, one_block_per_type(3))
+    for algebra, rank in ((BTAlgebra(3), 30), (BHAlgebra(3), 11)):
+        rows = [flatten_matrix(rep.rho_bt(k), rep.dim) for k in algebra.basis()]
+        assert matrix_rank(rows, mode="exact") == algebra.dim() == rank
+
+
 def test_restriction_matches_tied_boxed_algebra():
     rep = TensorRep(3)
     bh = BHAlgebra(3)
@@ -81,3 +100,116 @@ def test_products_return_fresh_rows():
         perm = copy_matrix(rep.rho_perm(w))
         clear_rows(rep.rho(bt.basis_element(key)))
         assert rep.rho_perm(w) == perm
+
+
+def blocks(rep):
+    """The blocks of V^(tensor n): sorted multiset of factors -> tensors."""
+    out = {}
+    for idx in range(rep.dim):
+        out.setdefault(tuple(sorted(rep._factors(idx))), []).append(idx)
+    return out
+
+
+def renamings(block, n):
+    """Every renaming of a block's factors that numbers its strands into
+    1..n in order and permutes the colors, as a map on factors."""
+    strands = sorted({i for i, _ in block})
+    for image in itertools.combinations(range(1, n + 1), len(strands)):
+        smap = dict(zip(strands, image))
+        for colors in itertools.permutations(range(1, n + 1)):
+            yield lambda f, smap=smap, colors=colors: (smap[f[0]], colors[f[1] - 1])
+
+
+@pytest.mark.parametrize("n, kept_tensors, kept_blocks", [(2, 7, 4), (3, 76, 16)])
+def test_one_block_per_type_is_an_isomorphic_copy(n, kept_tensors, kept_blocks):
+    full = TensorRep(n)
+    kept = one_block_per_type(n)
+    small = TensorRep(n, kept)
+    by_block = blocks(full)
+    kept_set = {tuple(sorted(full._factors(i))) for i in kept}
+    assert len(kept) == kept_tensors and len(kept_set) == kept_blocks
+    # whole blocks, in index order
+    assert kept == sorted(i for b in kept_set for i in by_block[b])
+    operators = ([(full.G(i), small.G(i)) for i in range(1, n)]
+                 + [(full.E(i), small.E(i)) for i in range(1, n)]
+                 + [(full.rho_ties(p), small.rho_ties(p)) for p in all_partitions(n)])
+    for m_full, m_small in operators:
+        # on kept tensors the small rep is the full one, and nothing else
+        assert m_small == {i: m_full[i] for i in kept if i in m_full}
+    for block, tensors in by_block.items():
+        # exactly one kept block of this type, reached by some renaming
+        onto = {}
+        for rename in renamings(block, n):
+            image = tuple(sorted(map(rename, block)))
+            if image in kept_set:
+                onto.setdefault(image, rename)
+        assert len(onto) == 1, block
+        ((image, rename),) = onto.items()
+
+        def phi(idx):
+            return full._index([rename(f) for f in full._factors(idx)])
+
+        assert sorted(map(phi, tensors)) == by_block[image]
+        for m_full, m_small in operators:
+            for t in tensors:
+                moved = {phi(j): v for j, v in m_full.get(t, {}).items()}
+                assert moved == m_small.get(phi(t), {}), (block, t)
+
+
+def corruptions(x, rng):
+    """x itself, then three wrong values: x plus a basis element, x without
+    one of its terms, and x times q - q^-1."""
+    algebra = x.algebra
+    k = rng.choice(list(x.terms))
+    yield False, x
+    yield True, x + algebra.basis_element(rng.choice(algebra.basis()))
+    yield True, x - algebra.basis_element(k).scale(x.terms[k])
+    yield True, x.scale(QDIFF)
+
+
+def pairs_n2():
+    for algebra in (BTAlgebra(2), BHAlgebra(2)):
+        yield from itertools.product([algebra], algebra.basis(), algebra.basis())
+
+
+def pairs_n3():
+    rng = random.Random(31)
+    for algebra, count in ((BTAlgebra(3), 60), (BHAlgebra(3), 30)):
+        for _ in range(count):
+            yield algebra, rng.choice(algebra.basis()), rng.choice(algebra.basis())
+
+
+@pytest.mark.parametrize("n, pairs", [(2, pairs_n2), (3, pairs_n3)])
+def test_blocks_give_the_mismatch_verdict_of_the_full_space(n, pairs):
+    # a negative control: wrong products are mismatches on V^(tensor n),
+    # and they are so on one block per type too
+    full = TensorRep(n)
+    small = TensorRep(n, one_block_per_type(n))
+    rng = random.Random(n)
+    for algebra, a, b in pairs():
+        prod = algebra.basis_element(a) * algebra.basis_element(b)
+        for wrong, x in corruptions(prod, rng):
+            verdicts = [mat_mul(rep.rho_bt(a), rep.rho_bt(b)) != rep.rho(x)
+                        for rep in (full, small)]
+            assert verdicts == [wrong, wrong], (a, b, x)
+
+
+@pytest.mark.parametrize("check, kwargs, calls", [
+    (checks.check_structure_constants, {"quick": True}, 200),
+    (checks.check_structure_constants, {}, 2_968),
+    (checks.check_representation, {}, 86),
+])
+def test_mat_mul_count_of_the_oracle(monkeypatch, check, kwargs, calls):
+    # a memo on rho_bt or a dropped product changes these counts
+    count = 0
+    mul = tensorrep.mat_mul
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(tensorrep, "mat_mul", counted)
+    monkeypatch.setattr(checks, "mat_mul", counted)
+    assert all(rec["status"] == "pass" for rec in check(**kwargs))
+    assert count == calls
