@@ -3,7 +3,11 @@ where i is the i-th top point and n+i the i-th bottom point.
 
 Concatenation runs through a shared middle row: a list-based union-find
 over the blocks of the two factors, joined at the middle points, labels
-every outer point and counts the closed middle components (loops).
+every outer point and counts the closed middle components (loops).  It
+reads the factors' canonical label tuples (`SetPartition._index`) and
+builds the product from the outer labels with `SetPartition._from_labels`.
+A diagram compares and hashes by its partition's label tuple and the hash
+stored with it.
 """
 
 from functools import lru_cache
@@ -38,10 +42,10 @@ class Diagram:
     def __eq__(self, other):
         if not isinstance(other, Diagram):
             return NotImplemented
-        return self.part == other.part
+        return self.part._index == other.part._index
 
     def __hash__(self):
-        return hash(self.part)
+        return self.part._hash
 
     def __le__(self, other):
         return self.part <= other.part
@@ -84,17 +88,17 @@ def concat(d1, d2):
     k = len(p1.blocks)
     parent = list(range(k + len(p2.blocks)))
     components = len(parent)
-    for m in range(1, n + 1):
-        a = _find(parent, index1[n + m])
-        b = _find(parent, k + index2[m])
+    for a, b in zip(index1[n:], index2[:n]):
+        a = _find(parent, a)
+        b = _find(parent, k + b)
         if a != b:
             parent[b] = a
             components -= 1
-    labels = [_find(parent, index1[x]) for x in range(1, n + 1)]
-    labels += [_find(parent, k + index2[x]) for x in range(n + 1, 2 * n + 1)]
+    labels = [_find(parent, i) for i in index1[:n]]
+    labels += [_find(parent, k + i) for i in index2[n:]]
     d = object.__new__(Diagram)
     d.part = SetPartition._from_labels(labels)
-    return d, components - len(set(labels))
+    return d, components - len(d.part.blocks)
 
 
 def perm_diagram(w):

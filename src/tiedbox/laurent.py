@@ -363,6 +363,12 @@ class LaurentFrac:
         return LaurentFrac(self.num if d is ONE else self.num * d,
                            other.num if b is ONE else b * other.num)
 
+    def __rtruediv__(self, other):
+        other = _frac(other)
+        if other is NotImplemented:
+            return other
+        return other / self
+
     def __str__(self):
         return f"({self.num}) / ({self.den})"
 

@@ -25,6 +25,14 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _product(d1, d2):
+    """d1 * d2, loops discarded.  The closures and presentation checks of
+    the ramified monoids multiply few distinct pairs of diagrams many
+    times."""
+    return d1 * d2
+
+
 class Ramified:
     __slots__ = ("left", "right")
 
@@ -41,7 +49,12 @@ class Ramified:
         return self.left.n
 
     def __mul__(self, other):
-        return Ramified(self.left * other.left, self.right * other.right)
+        """Componentwise product.  The component products are memoized by
+        `_product`: diagrams are immutable values, equal diagrams have equal
+        products, and a product may be shared by every element that holds
+        it, so a cached product is as good as a new one."""
+        return Ramified(_product(self.left, other.left),
+                        _product(self.right, other.right))
 
     def __eq__(self, other):
         if not isinstance(other, Ramified):

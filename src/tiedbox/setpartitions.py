@@ -6,9 +6,17 @@ partitions (all blocks are intervals) are identified with compositions.
 Under join, the set partitions of {1..n} form a monoid (E_I E_J = E_(I join
 J)), and `*` is join.
 
+A partition is stored in two forms: `blocks`, sorted by least point, and
+the canonical label tuple `_index`, whose entry x - 1 is the number of the
+block of point x, blocks numbered 0, 1, ... by their least point.  The label
+tuple determines the partition, so equality compares label tuples, and the
+hash of the label tuple is computed once, at construction (`_hash`).  The
+products (`join`, `act`, `restrict` and `diagrams.concat`) compute labels
+and build their result through `_from_labels`.
+
 Values are immutable and may be shared (the algebras cache products whose
-keys hold set partitions), so nothing changes `blocks`, `size` or `_index`
-after construction.
+keys hold set partitions), so nothing changes `blocks`, `size`, `_index` or
+`_hash` after construction.
 """
 
 from functools import lru_cache
@@ -31,7 +39,7 @@ class SetPartition:
     """An immutable set partition of {1..size}; blocks are kept sorted by
     minimum."""
 
-    __slots__ = ("blocks", "size", "_index")
+    __slots__ = ("blocks", "size", "_index", "_hash")
 
     def __init__(self, blocks, size=None):
         """`size` defaults to the largest point; points of 1..size in no
@@ -48,17 +56,23 @@ class SetPartition:
             raise ValueError(f"blocks not inside 1..{size}")
         bl += [(x,) for x in range(1, size + 1) if x not in elems]
         bl.sort(key=lambda b: b[0])
+        index = [0] * size
+        for i, b in enumerate(bl):
+            for x in b:
+                index[x - 1] = i
         self.blocks = tuple(bl)
         self.size = size
-        self._index = {x: i for i, b in enumerate(bl) for x in b}
+        self._index = index = tuple(index)
+        self._hash = hash(index)
 
     @classmethod
     def _from_labels(cls, labels):
         """The partition of {1..len(labels)} whose blocks are the points
-        with equal labels (`labels[k]` is the label of point k + 1).  Points
-        are grouped by first occurrence, so the blocks come out sorted and
-        ordered by their least point; nothing is re-validated."""
-        blocks, index, slot = [], {}, {}
+        with equal labels (`labels[k]` is the label of point k + 1).
+        Renumbering the labels by first occurrence makes them canonical, and
+        the blocks come out sorted and ordered by their least point; nothing
+        is re-validated."""
+        blocks, index, slot = [], [], {}
         for x, label in enumerate(labels, 1):
             i = slot.get(label)
             if i is None:
@@ -66,11 +80,12 @@ class SetPartition:
                 blocks.append([x])
             else:
                 blocks[i].append(x)
-            index[x] = i
+            index.append(i)
         self = object.__new__(cls)
         self.blocks = tuple(map(tuple, blocks))
         self.size = len(labels)
-        self._index = index
+        self._index = index = tuple(index)
+        self._hash = hash(index)
         return self
 
     @staticmethod
@@ -78,19 +93,21 @@ class SetPartition:
         return SetPartition((), size)
 
     def __eq__(self, other):
-        # blocks that cover 1..size determine size
+        # the canonical labels determine the partition, and their length is
+        # the size
         if not isinstance(other, SetPartition):
             return NotImplemented
-        return self.blocks == other.blocks
+        return self._index == other._index
 
     def __hash__(self):
-        return hash(self.blocks)
+        return self._hash
 
     def __le__(self, other):
-        """Refinement: every block of self lies inside a block of other."""
+        """Refinement: every block of self lies inside a block of other, that
+        is, the label of a point under self determines its label under other."""
         if self.size != other.size:
             raise ValueError("different ground sets")
-        return all(len({other._index[x] for x in b}) == 1 for b in self.blocks)
+        return len(set(zip(self._index, other._index))) == len(self.blocks)
 
     def join(self, other):
         """Least common coarsening."""
@@ -100,13 +117,12 @@ class SetPartition:
         parent = list(range(len(self.blocks)))
         index = self._index
         for b in other.blocks:
-            root = _find(parent, index[b[0]])
+            root = _find(parent, index[b[0] - 1])
             for x in b[1:]:
-                r = _find(parent, index[x])
+                r = _find(parent, index[x - 1])
                 if r != root:
                     parent[r] = root
-        return SetPartition._from_labels(
-            [_find(parent, index[x]) for x in range(1, self.size + 1)])
+        return SetPartition._from_labels([_find(parent, i) for i in index])
 
     def __mul__(self, other):
         return self.join(other)
@@ -114,7 +130,7 @@ class SetPartition:
     def restrict(self, points):
         """The partition induced on `points`, with points[k] renamed k + 1."""
         index = self._index
-        return SetPartition._from_labels([index[x] for x in points])
+        return SetPartition._from_labels([index[x - 1] for x in points])
 
     def type_of(self):
         """Block sizes as a partition (weakly decreasing)."""
@@ -141,9 +157,8 @@ class SetPartition:
         if sorted(w) != list(range(1, n + 1)):
             raise ValueError(f"{tuple(w)} is not a permutation of 1..{n}")
         labels = [0] * n
-        for i, b in enumerate(self.blocks):
-            for x in b:
-                labels[w[x - 1] - 1] = i
+        for x, i in zip(w, self._index):
+            labels[x - 1] = i
         return SetPartition._from_labels(labels)
 
     def __str__(self):
@@ -202,6 +217,6 @@ def mobius_partition(i_part, j_part):
         return 0
     out = 1
     for b in j_part.blocks:
-        k = len({i_part._index[x] for x in b})
+        k = len({i_part._index[x - 1] for x in b})
         out *= (-1) ** (k - 1) * factorial(k - 1)
     return out

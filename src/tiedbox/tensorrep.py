@@ -36,7 +36,7 @@ blocks, so the images of a basis have the same rank there as on all of
 V^(tensor n).
 """
 
-from functools import lru_cache
+from functools import wraps
 from itertools import permutations
 
 from .laurent import ONE, Q, QDIFF, add_term
@@ -88,6 +88,23 @@ def flatten_matrix(m, dim):
     return {i * dim + j: v for i, row in m.items() for j, v in row.items()}
 
 
+def _memo(method):
+    """Cache a one-argument method in a dict on the instance, so the cached
+    matrices are freed with their `TensorRep` (a `functools.lru_cache` on
+    the class would keep every instance alive for the life of the process)."""
+    name = method.__name__
+
+    @wraps(method)
+    def cached(self, arg):
+        key = (name, arg)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = method(self, arg)
+        return out
+
+    return cached
+
+
 class TensorRep:
     """The representation of the braids-and-ties algebra on V^(tensor n),
     restricted along iota1 to the tied-boxed Hecke algebra (z_i acts as
@@ -99,6 +116,7 @@ class TensorRep:
         self.vdim = n * n
         self.dim = self.vdim ** n
         self.tensors = range(self.dim) if tensors is None else tensors
+        self._memo = {}
 
     def _index(self, factors):
         idx = 0
@@ -117,7 +135,7 @@ class TensorRep:
     def E(self, i):
         return self.rho_ties(SetPartition([(i, i + 1)], self.n))
 
-    @lru_cache(maxsize=None)
+    @_memo
     def G(self, i):
         """Braid-type operator on tensor positions i, i+1."""
         out = {}
@@ -148,14 +166,14 @@ class TensorRep:
     def identity(self):
         return {i: {i: ONE} for i in self.tensors}
 
-    @lru_cache(maxsize=None)
+    @_memo
     def rho_perm(self, w):
         m = self.identity()
         for i in perms.lex_least_word(w):
             m = mat_mul(m, self.G(i))
         return m
 
-    @lru_cache(maxsize=None)
+    @_memo
     def rho_ties(self, i_part):
         """Diagonal projector keeping tensors whose colors are constant on
         each block of the tie partition."""

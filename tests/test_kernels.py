@@ -1,6 +1,8 @@
 """The label kernels of set-partition and diagram products (`join`, `act`,
-`concat`) against the dict-based union-find they replaced, and the indexed
-word reduction of Knuth-Bendix against a search of every lhs by `find`."""
+`concat`, the memoized ramified product) against the dict-based union-find
+they replaced, equality, hash and refinement of the label tuples against
+the blocks, and the indexed word reduction of Knuth-Bendix against a search
+of every lhs by `find`."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from tiedbox import algebras, presentations
 from tiedbox.diagrams import Diagram, brauer_monoid, concat
+from tiedbox.ramified import Ramified
 from tiedbox.setpartitions import SetPartition
 
 
@@ -140,6 +143,30 @@ diagram_pairs = st.integers(0, 5).flatmap(lambda n: st.tuples(
 
 @given(triples)
 @settings(max_examples=300, deadline=None)
+def test_equality_and_hash_follow_the_blocks(ps):
+    # small sizes make equal partitions from different labels common
+    p, q, r = ps
+    shuffled = SetPartition([b[::-1] for b in reversed(p.blocks)], p.size)
+    for a, b in [(p, q), (p, r), (q, r), (p, shuffled)]:
+        assert (a == b) == (a.blocks == b.blocks)
+        assert (a != b) == (a.blocks != b.blocks)
+        if a == b:
+            assert hash(a) == hash(b)
+    assert p == shuffled
+
+
+@given(triples)
+@settings(max_examples=300, deadline=None)
+def test_refinement_follows_the_blocks(ps):
+    p, q, r = ps
+    for a, b in [(p, q), (q, p), (p, p.join(q)), (p.join(q), r)]:
+        assert (a <= b) == all(any(set(x) <= set(y) for y in b.blocks)
+                               for x in a.blocks)
+    assert p <= p.join(q) and q <= p.join(q)
+
+
+@given(triples)
+@settings(max_examples=300, deadline=None)
 def test_join_matches_reference_and_is_a_semilattice(ps):
     p, q, r = ps
     j = p.join(q)
@@ -185,6 +212,27 @@ def test_concat_matches_reference(pair):
     assert_canonical(d.part)
     canon = Diagram(d.n, d.part.blocks)
     assert d == canon and hash(d) == hash(canon) and str(d) == str(canon)
+
+
+ramified_pairs = st.integers(0, 4).flatmap(lambda n: st.tuples(
+    *[partitions_of_range(2 * n)] * 4).map(
+        lambda ps: tuple(Ramified(Diagram(n, p), Diagram(n, p.join(q)))
+                         for p, q in (ps[:2], ps[2:]))))
+
+
+@given(ramified_pairs)
+@settings(max_examples=200, deadline=None)
+def test_memoized_ramified_product_matches_reference(pair):
+    x, y = pair
+    want = Ramified(reference_concat(x.left, y.left)[0],
+                    reference_concat(x.right, y.right)[0])
+    for _ in range(2):  # a miss or a hit, then a hit on fresh equal operands
+        fresh = [Ramified(Diagram(z.n, z.left.part.blocks),
+                          Diagram(z.n, z.right.part.blocks)) for z in (x, y)]
+        prod = fresh[0] * fresh[1]
+        assert prod == want and hash(prod) == hash(want)
+        assert_canonical(prod.left.part)
+        assert_canonical(prod.right.part)
 
 
 def test_concat_counts_loops_like_the_reference():

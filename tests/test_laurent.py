@@ -218,12 +218,18 @@ def test_frac_arithmetic_matches_cross_multiplication(x, y):
     want = {operator.add: (a * d + c * b, b * d),
             operator.sub: (a * d - c * b, b * d),
             operator.mul: (a * c, b * d)}
-    if c and isinstance(x, LaurentFrac):
+    if c:
         want[operator.truediv] = (a * d, b * c)
     for op, (num, den) in want.items():
         r = op(x, y)
         assert r.num * den == num * r.den, op
         assert (r.den is ONE) == (r.den == ONE)
+
+
+def test_frac_divides_an_int_or_a_polynomial():
+    assert 2 / LaurentFrac(Q) == LaurentFrac(2, Q)
+    assert Q / LaurentFrac(Q) == LaurentFrac(1)
+    assert (QINV + 1) / LaurentFrac(Q + 1, Q) == LaurentFrac(1)
 
 
 def assert_normal_form(x):

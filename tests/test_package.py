@@ -100,13 +100,13 @@ def test_coefficient_dicts_are_never_changed_in_place():
     assert not edits
 
 
-PARTITION_FIELDS = {"blocks", "size", "_index"}
+PARTITION_FIELDS = {"blocks", "size", "_index", "_hash"}
 
 
 def partition_field_writes(tree):
     """Line numbers where a field of a SetPartition is written: assignment
-    to or deletion of `<expr>.blocks`, `.size` or `._index`, or an item
-    write or mutating method call on `<expr>._index`."""
+    to or deletion of `<expr>.blocks`, `.size`, `._index` or `._hash`, or an
+    item write or mutating method call on `<expr>._index`."""
     def is_field(node, names=PARTITION_FIELDS):
         return isinstance(node, ast.Attribute) and node.attr in names
 
@@ -123,8 +123,9 @@ def partition_field_writes(tree):
 
 def test_partition_field_scan_finds_writes():
     code = "p.blocks = ()\np.size += 1\ndel p._index\np._index[1] = 0\n" \
-           "p._index.update({})\nx = p.blocks\nq = p._index[1]\nd.part = p\n"
-    assert sorted(partition_field_writes(ast.parse(code))) == [1, 2, 3, 4, 5]
+           "p._index.update({})\np._hash = 0\nx = p.blocks\nq = p._index[1]\n" \
+           "d.part = p\nh = p._hash\n"
+    assert sorted(partition_field_writes(ast.parse(code))) == [1, 2, 3, 4, 5, 6]
 
 
 def test_partition_fields_are_written_only_in_setpartitions():

@@ -1,7 +1,9 @@
 """Tensor-space matrix oracle for the tied algebras."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -213,3 +215,19 @@ def test_mat_mul_count_of_the_oracle(monkeypatch, check, kwargs, calls):
     monkeypatch.setattr(checks, "mat_mul", counted)
     assert all(rec["status"] == "pass" for rec in check(**kwargs))
     assert count == calls
+
+
+def test_a_check_frees_its_tensor_rep(monkeypatch):
+    # a rep caches its generator matrices on itself, so they go with it
+    # when the check that built it returns
+    built = []
+
+    class Recorded(TensorRep):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(checks, "TensorRep", Recorded)
+    assert all(rec["status"] == "pass" for rec in checks.check_structure_constants())
+    gc.collect()
+    assert built and all(ref() is None for ref in built)
