@@ -15,7 +15,7 @@
 """
 
 from functools import lru_cache
-from itertools import count, product
+from itertools import accumulate, count, product
 from math import factorial
 
 from .laurent import LaurentPoly, ONE, Q, QINV, QDIFF, DELTA, add_term, \
@@ -180,7 +180,7 @@ def _steinberg_body(one, x, y):
 @lru_cache(maxsize=None)
 def _join(p, q):
     """p.join(q), cached: the tie partitions that the products of a check
-    join repeat (254 distinct pairs in about 48,000 joins of the full
+    join repeat (254 distinct pairs in 41,580 joins of the full
     profile), unlike the operands of a closure under join."""
     return p.join(q)
 
@@ -254,17 +254,14 @@ class TLAlgebra(_Algebra):
 
 
 def support_partition(w):
-    """Finest linear partition of {1..n} whose blocks are preserved by w."""
-    n = len(w)
-    blocks = []
-    start = 1
-    top = 0
-    for i in range(1, n + 1):
-        top = max(top, w[i - 1])
+    """Finest linear partition of {1..n} whose blocks are preserved by w: a
+    block ends at each i where the running maximum of w is i."""
+    mu, start = [], 0
+    for i, top in enumerate(accumulate(w, max), 1):
         if top == i:
-            blocks.append(tuple(range(start, i + 1)))
-            start = i + 1
-    return SetPartition(blocks)
+            mu.append(i - start)
+            start = i
+    return SetPartition.from_composition(mu)
 
 
 class _Tied(_Straightened):

@@ -1,13 +1,14 @@
 """Partition diagrams on n strands: set partitions of {1..n, n+1..2n},
 where i is the i-th top point and n+i the i-th bottom point.
 
-Concatenation runs through a shared middle row: a list-based union-find
-over the blocks of the two factors, joined at the middle points, labels
-every outer point and counts the closed middle components (loops).  It
-reads the factors' canonical label tuples (`SetPartition._index`) and
-builds the product from the outer labels with `SetPartition._from_labels`.
-A diagram compares and hashes by its partition's label tuple and the hash
-stored with it.
+`concat`, `over`, `perm_diagram` and `flip` read the canonical label tuples
+of their operands (`SetPartition._index`) and build from labels through
+`Diagram._from_labels`; `Diagram(n, blocks)` checks parsed input and the
+hand-written generators.  Concatenation runs through a shared middle row: a
+list-based union-find over the blocks of the two factors, joined at the
+middle points, labels every outer point and counts the closed middle
+components (loops).  A diagram compares and hashes by its partition's label
+tuple and the hash stored with it.
 """
 
 from functools import lru_cache
@@ -35,6 +36,13 @@ class Diagram:
             raise ValueError("diagram must partition {1..2n}")
         self.part = part
 
+    @staticmethod
+    def _from_labels(labels):
+        """See `SetPartition._from_labels`."""
+        d = object.__new__(Diagram)
+        d.part = SetPartition._from_labels(labels)
+        return d
+
     @property
     def n(self):
         return self.part.size // 2
@@ -59,9 +67,8 @@ class Diagram:
 
     def flip(self):
         """Swap top and bottom (the diagram antiautomorphism)."""
-        n = self.n
-        return Diagram(n, self.part.act(tuple(range(n + 1, 2 * n + 1)) +
-                                        tuple(range(1, n + 1))))
+        index, n = self.part._index, self.n
+        return Diagram._from_labels(index[n:] + index[:n])
 
     def __str__(self):
         return f"{self.n}; {self.part}"
@@ -96,15 +103,14 @@ def concat(d1, d2):
             components -= 1
     labels = [_find(parent, i) for i in index1[:n]]
     labels += [_find(parent, k + i) for i in index2[n:]]
-    d = object.__new__(Diagram)
-    d.part = SetPartition._from_labels(labels)
+    d = Diagram._from_labels(labels)
     return d, components - len(d.part.blocks)
 
 
 def perm_diagram(w):
-    """Diagram of a permutation: i joined to n + w(i)."""
-    n = len(w)
-    return Diagram(n, [(i, n + w[i - 1]) for i in range(1, n + 1)])
+    """Diagram of a permutation: i joined to n + w(i), so bottom point j
+    is labelled like top point w^-1(j)."""
+    return Diagram._from_labels(perms.identity(len(w)) + perms.inverse(w))
 
 
 def hook(n, i):
@@ -190,13 +196,14 @@ def boxed_composition(d):
 def over(*ds):
     """Horizontal product of diagrams, side by side from left to right: the
     k-th acts on the k-th box of the composition of their strand counts."""
-    sizes = [d.n for d in ds]
-    n = sum(sizes)
-    blocks = []
-    for d, box in zip(ds, intervals(sizes)):
-        at = [*box, *(n + x for x in box)]  # point x of d goes to at[x - 1]
-        blocks += [tuple([at[x - 1] for x in b]) for b in d.part.blocks]
-    return Diagram(n, blocks)
+    top, bottom, shift = [], [], 0
+    for d in ds:
+        index, m = d.part._index, d.n
+        # the labels of d, shifted past the blocks of the diagrams before it
+        top += [shift + i for i in index[:m]]
+        bottom += [shift + i for i in index[m:]]
+        shift += len(d.part.blocks)
+    return Diagram._from_labels(top + bottom)
 
 
 def symmetric_diagrams(n):

@@ -124,12 +124,11 @@ def gen_z_pair(n, r, i, j):
 
 def from_perm_and_ties(w, ties):
     """The element of R(S_n) with permutation w and tie partition `ties`
-    (a SetPartition of the strand set {1..n})."""
-    n = len(w)
-    blocks = []
-    for b in ties.blocks:
-        blocks.append(tuple(b) + tuple(n + w[x - 1] for x in b))
-    return Ramified(perm_diagram(w), Diagram(n, blocks))
+    (a SetPartition of the strand set {1..n}): bottom point j has the tie
+    label of top point w^-1(j)."""
+    labels = ties._index
+    below = tuple(labels[v - 1] for v in perms.inverse(w))
+    return Ramified(perm_diagram(w), Diagram._from_labels(labels + below))
 
 
 @lru_cache(maxsize=None)
@@ -197,14 +196,14 @@ def center(elements):
 
 
 def perm_of_diagram(d):
-    """Extract one-line notation from a permutation diagram."""
+    """Extract one-line notation from a permutation diagram: its top labels
+    are 0..n-1, and bottom point j has the label of top point w^-1(j)."""
     n = d.n
-    w = [0] * n
-    for b in d.part.blocks:
-        if len(b) != 2 or b[0] > n or b[1] <= n:
-            raise ValueError("not a permutation diagram")
-        w[b[0] - 1] = b[1] - n
-    return tuple(w)
+    index = d.part._index
+    below = [i + 1 for i in index[n:]]
+    if index[:n] != tuple(range(n)) or sorted(below) != list(range(1, n + 1)):
+        raise ValueError("not a permutation diagram")
+    return perms.inverse(below)
 
 
 def tie_partition(x):

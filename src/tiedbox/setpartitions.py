@@ -10,9 +10,11 @@ A partition is stored in two forms: `blocks`, sorted by least point, and
 the canonical label tuple `_index`, whose entry x - 1 is the number of the
 block of point x, blocks numbered 0, 1, ... by their least point.  The label
 tuple determines the partition, so equality compares label tuples, and the
-hash of the label tuple is computed once, at construction (`_hash`).  The
-products (`join`, `act`, `restrict` and `diagrams.concat`) compute labels
-and build their result through `_from_labels`.
+hash of the label tuple is computed once, at construction (`_hash`).  One
+canonicaliser, `_set_labels`, renumbers a label per point by first
+occurrence.  The program's own builders emit labels through `_from_labels`,
+which validates nothing; the blocks constructor checks input from outside
+the program and hand-written generators, then labels each point by its block.
 
 Values are immutable and may be shared (the algebras cache products whose
 keys hold set partitions), so nothing changes `blocks`, `size`, `_index` or
@@ -22,7 +24,7 @@ keys hold set partitions), so nothing changes `blocks`, `size`, `_index` or
 from functools import lru_cache
 from math import factorial
 
-from .combinatorics import compositions, intervals
+from .combinatorics import compositions
 
 __all__ = ["SetPartition", "all_partitions", "linear_partitions",
            "mobius_linear", "mobius_partition"]
@@ -42,11 +44,13 @@ class SetPartition:
     __slots__ = ("blocks", "size", "_index", "_hash")
 
     def __init__(self, blocks, size=None):
-        """`size` defaults to the largest point; points of 1..size in no
-        block become singletons."""
-        bl = [tuple(sorted(b)) for b in blocks]
-        elems = {x for b in bl for x in b}
-        if len(elems) != sum(map(len, bl)):
+        """Checks its input; `size` defaults to the largest point, and points
+        of 1..size in no block become singletons."""
+        blocks = [tuple(b) for b in blocks]
+        if not all(blocks):
+            raise ValueError("empty block")
+        elems = {x for b in blocks for x in b}
+        if len(elems) != sum(map(len, blocks)):
             raise ValueError("blocks overlap")
         if size is None:
             size = max(elems, default=0)
@@ -54,24 +58,26 @@ class SetPartition:
             raise ValueError(f"negative size {size}")
         if not elems <= set(range(1, size + 1)):
             raise ValueError(f"blocks not inside 1..{size}")
-        bl += [(x,) for x in range(1, size + 1) if x not in elems]
-        bl.sort(key=lambda b: b[0])
-        index = [0] * size
-        for i, b in enumerate(bl):
+        # label each point by the first point of its block, or by itself
+        labels = list(range(1, size + 1))
+        for b in blocks:
             for x in b:
-                index[x - 1] = i
-        self.blocks = tuple(bl)
-        self.size = size
-        self._index = index = tuple(index)
-        self._hash = hash(index)
+                labels[x - 1] = b[0]
+        self._set_labels(labels)
 
     @classmethod
     def _from_labels(cls, labels):
         """The partition of {1..len(labels)} whose blocks are the points
-        with equal labels (`labels[k]` is the label of point k + 1).
-        Renumbering the labels by first occurrence makes them canonical, and
-        the blocks come out sorted and ordered by their least point; nothing
+        with equal labels (`labels[k]` is the label of point k + 1); nothing
         is re-validated."""
+        self = object.__new__(cls)
+        self._set_labels(labels)
+        return self
+
+    def _set_labels(self, labels):
+        """The canonicaliser: renumbering the labels by first occurrence
+        makes them canonical, and the blocks come out sorted and ordered by
+        their least point."""
         blocks, index, slot = [], [], {}
         for x, label in enumerate(labels, 1):
             i = slot.get(label)
@@ -81,12 +87,10 @@ class SetPartition:
             else:
                 blocks[i].append(x)
             index.append(i)
-        self = object.__new__(cls)
         self.blocks = tuple(map(tuple, blocks))
-        self.size = len(labels)
+        self.size = len(index)
         self._index = index = tuple(index)
         self._hash = hash(index)
-        return self
 
     @staticmethod
     def singletons(size):
@@ -148,7 +152,9 @@ class SetPartition:
 
     @staticmethod
     def from_composition(mu):
-        return SetPartition(intervals(mu))
+        """The linear partition whose blocks have the sizes mu, in order."""
+        return SetPartition._from_labels(
+            [k for k, m in enumerate(mu) for _ in range(m)])
 
     def act(self, w):
         """Right action of a permutation of 1..size in one-line notation:
@@ -176,29 +182,19 @@ class SetPartition:
 
 @lru_cache(maxsize=None)
 def all_partitions(n):
-    """All set partitions of {1..n}, as a tuple, by the standard
-    restricted-growth recursion in a fixed deterministic order."""
-    out = []
-
-    def rec(x, blocks):
-        if x > n:
-            out.append(SetPartition(blocks, n))
-            return
-        for b in blocks:
-            b.append(x)
-            rec(x + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        rec(x + 1, blocks)
-        blocks.pop()
-
-    rec(1, [])
-    return tuple(out)
+    """All set partitions of {1..n}, as a tuple, in lexicographic order of
+    their restricted-growth label strings (Knuth, TAOCP 4A, 7.2.1.5)."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (i,) for s in strings
+                   for i in range(max(s, default=-1) + 2)]
+    return tuple(map(SetPartition._from_labels, strings))
 
 
+@lru_cache(maxsize=None)
 def linear_partitions(n):
-    """Linear partitions of {1..n}, one per composition of n."""
-    return [SetPartition.from_composition(mu) for mu in compositions(n)]
+    """Linear partitions of {1..n}, as a tuple, one per composition of n."""
+    return tuple(map(SetPartition.from_composition, compositions(n)))
 
 
 def mobius_linear(i_part, j_part):

@@ -392,3 +392,13 @@ def test_verify_all_quick_deterministic(capsys):
                            "expected.json").read_text())
     assert hashlib.sha256(out.encode()).hexdigest() == \
         expected["verify-quick"]["sha256"]
+
+
+def test_verify_all_full_prints_the_records_the_benchmark_expects(capsys):
+    code = main(["verify-all", "--profile", "full"])
+    out = capsys.readouterr().out
+    assert code == 0
+    expected = json.loads((Path(__file__).parents[1] / "bench" /
+                           "expected.json").read_text())
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        expected["verify-full"]["sha256"]

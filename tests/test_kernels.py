@@ -1,17 +1,21 @@
 """The label kernels of set-partition and diagram products (`join`, `act`,
 `concat`, the memoized ramified product) against the dict-based union-find
-they replaced, equality, hash and refinement of the label tuples against
-the blocks, and the indexed word reduction of Knuth-Bendix against a search
-of every lhs by `find`."""
+they replaced, the builders that emit labels (`all_partitions`, `over`,
+`perm_diagram`, `perm_of_diagram`, `from_perm_and_ties`, `flip`,
+`support_partition`) against their definitions by blocks, equality, hash
+and refinement of the label tuples against the blocks, and the indexed word
+reduction of Knuth-Bendix against a search of every lhs by `find`."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiedbox import algebras, presentations
-from tiedbox.diagrams import Diagram, brauer_monoid, concat
-from tiedbox.ramified import Ramified
-from tiedbox.setpartitions import SetPartition
+from tiedbox import algebras, perms, presentations
+from tiedbox.combinatorics import intervals
+from tiedbox.diagrams import Diagram, brauer_monoid, concat, over, \
+    partition_monoid, perm_diagram
+from tiedbox.ramified import Ramified, from_perm_and_ties, perm_of_diagram
+from tiedbox.setpartitions import SetPartition, all_partitions
 
 
 class ReferenceUnionFind:
@@ -66,6 +70,50 @@ def reference_concat(d1, d2):
         else:
             loops += 1
     return Diagram(n, blocks), loops
+
+
+def reference_all_partitions(n):
+    """The block-list recursion that enumerated the set partitions of
+    {1..n}: point x joins each block in turn, then opens a new one."""
+    out = []
+
+    def rec(x, blocks):
+        if x > n:
+            out.append(SetPartition(blocks, n))
+            return
+        for b in blocks:
+            b.append(x)
+            rec(x + 1, blocks)
+            b.pop()
+        blocks.append([x])
+        rec(x + 1, blocks)
+        blocks.pop()
+
+    rec(1, [])
+    return out
+
+
+def reference_over(*ds):
+    """Side by side: the blocks of the k-th diagram moved into the k-th box
+    of the top row and of the bottom row."""
+    sizes = [d.n for d in ds]
+    n = sum(sizes)
+    blocks = []
+    for d, box in zip(ds, intervals(sizes)):
+        at = [*box, *(n + x for x in box)]  # point x of d goes to at[x - 1]
+        blocks += [[at[x - 1] for x in b] for b in d.part.blocks]
+    return Diagram(n, blocks)
+
+
+def reference_support_partition(w):
+    """The blocks 1..i, i+1..j, ... cut where w maps an initial segment
+    onto itself."""
+    blocks, start = [], 1
+    for i in range(1, len(w) + 1):
+        if set(w[:i]) == set(range(1, i + 1)):
+            blocks.append(range(start, i + 1))
+            start = i + 1
+    return SetPartition(blocks, len(w))
 
 
 def reference_reduce(word, rules):
@@ -136,9 +184,88 @@ def index_sessions(draw):
     return calls
 
 
+@st.composite
+def scattered_blocks(draw, n):
+    """The blocks of a partition of 1..n from a label per point, each block
+    shuffled, in shuffled order, some singletons left out; and the labels."""
+    labels = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    blocks = {}
+    for x, label in enumerate(labels, 1):
+        blocks.setdefault(label, []).append(x)
+    blocks = [draw(st.permutations(b)) for b in blocks.values()]
+    blocks = [b for b in draw(st.permutations(blocks))
+              if len(b) > 1 or draw(st.booleans())]
+    return blocks, labels
+
+
 diagram_pairs = st.integers(0, 5).flatmap(lambda n: st.tuples(
     partitions_of_range(2 * n), partitions_of_range(2 * n)).map(
         lambda ps: (Diagram(n, ps[0]), Diagram(n, ps[1]))))
+
+
+@given(st.integers(0, 8).flatmap(scattered_blocks))
+@settings(max_examples=300, deadline=None)
+def test_blocks_constructor_canonicalises_like_the_labels(blocks_labels):
+    blocks, labels = blocks_labels
+    p, q = SetPartition(blocks, len(labels)), SetPartition._from_labels(labels)
+    assert (p.blocks, p.size, p._index, p._hash) == \
+        (q.blocks, q.size, q._index, q._hash)
+    covered = {x for b in blocks for x in b}
+    assert sorted(map(list, p.blocks)) == sorted(
+        [sorted(b) for b in blocks] +
+        [[x] for x in range(1, len(labels) + 1) if x not in covered])
+
+
+def test_all_partitions_keep_the_order_of_the_block_recursion():
+    for n in range(9):
+        got = all_partitions(n)
+        want = reference_all_partitions(n)
+        assert [p.blocks for p in got] == [p.blocks for p in want]
+        for p in got:
+            assert_canonical(p)
+
+
+@given(st.lists(st.integers(0, 3).flatmap(
+    lambda n: partitions_of_range(2 * n).map(lambda p: Diagram(n, p))),
+    max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_over_matches_reference(ds):
+    d = over(*ds)
+    assert d == reference_over(*ds)
+    assert_canonical(d.part)
+
+
+def test_permutation_builders_match_their_block_definitions():
+    for n in range(5):
+        for w in perms.all_perms(n):
+            d = perm_diagram(w)
+            assert d == Diagram(n, [(i, n + w[i - 1]) for i in range(1, n + 1)])
+            assert_canonical(d.part)
+            assert perm_of_diagram(d) == w
+            support = algebras.support_partition(w)
+            assert support == reference_support_partition(w)
+            assert_canonical(support)
+            for ties in all_partitions(n):
+                x = from_perm_and_ties(w, ties)
+                assert x.left == d
+                assert x.right == Diagram(n, [
+                    b + tuple(n + w[v - 1] for v in b) for b in ties.blocks])
+                assert_canonical(x.right.part)
+
+
+def test_flip_and_perm_of_diagram_on_every_diagram():
+    for n in range(5):
+        perm_diagrams = {perm_diagram(w): w for w in perms.all_perms(n)}
+        for d in partition_monoid(n):
+            flipped = d.flip()
+            assert flipped == Diagram(n, [
+                [x + n if x <= n else x - n for x in b] for b in d.part.blocks])
+            assert_canonical(flipped.part)
+            if d in perm_diagrams:
+                assert perm_of_diagram(d) == perm_diagrams[d]
+            else:
+                with pytest.raises(ValueError, match="not a permutation diagram"):
+                    perm_of_diagram(d)
 
 
 @given(triples)

@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,3 +119,20 @@ def test_act_and_type():
 def test_str_parse_roundtrip():
     for p in all_partitions(4):
         assert SetPartition.parse(str(p), p.size) == p
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([()], "empty block"),
+    ([(1,), ()], "empty block"),
+    ([(1, 2), (2,)], "blocks overlap"),
+    ([(1, 3)], "blocks not inside 1..2"),
+    ([(0,)], "blocks not inside 1..2"),
+])
+def test_malformed_blocks_are_refused(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        SetPartition(blocks, 2)
+
+
+def test_negative_size_is_refused():
+    with pytest.raises(ValueError, match="negative size -1"):
+        SetPartition((), -1)
