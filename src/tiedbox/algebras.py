@@ -237,7 +237,7 @@ class TLAlgebra(_Algebra):
         return perm_diagram(perms.identity(self.n))
 
     def basis(self):
-        return sorted(jones_monoid(self.n), key=lambda d: d.part.blocks)
+        return sorted(jones_monoid(self.n), key=lambda d: d.blocks)
 
     def hook(self, i):
         return self.basis_element(hook(self.n, i))

@@ -10,6 +10,7 @@ code 64.
 
 import argparse
 import json
+import re
 import sys
 
 from . import checks, ramified
@@ -96,7 +97,8 @@ def parse_element(algebra, text):
     text = text.strip()
     if text == "0":
         return out
-    for term in text.split(" + "):
+    # a ` + ` followed by a `)` before any `(` is inside a coefficient
+    for term in re.split(r" \+ (?![^(]*\))", text):
         term = term.strip()
         if not (term.startswith("(") and ") * " in term):
             raise ValueError(f"bad term {term!r}: expected `(coeff) * index`")

@@ -1,20 +1,23 @@
 """Partition diagrams on n strands: set partitions of {1..n, n+1..2n},
 where i is the i-th top point and n+i the i-th bottom point.
 
-`concat`, `over`, `perm_diagram` and `flip` read the canonical label tuples
-of their operands (`SetPartition._index`) and build from labels through
-`Diagram._from_labels`; `Diagram(n, blocks)` checks parsed input and the
-hand-written generators.  Concatenation runs through a shared middle row: a
-list-based union-find over the blocks of the two factors, joined at the
-middle points, labels every outer point and counts the closed middle
-components (loops).  A diagram compares and hashes by its partition's label
-tuple and the hash stored with it.
+`Diagram` is a `SetPartition` of {1..2n}: it adds n, `*` as concatenation
+with loops discarded, `top`, `flip` and its text form `n; blocks`, and it
+compares and hashes by the inherited label tuple, never equal to a plain
+set partition.  `concat`, `over`, `perm_diagram` and `flip` read the
+canonical label tuples of their operands (`_index`) and build from labels
+through the one label builder, the inherited `Diagram._from_labels`;
+`Diagram(n, blocks)` checks parsed input and the hand-written generators.
+The inherited `join`, `act` and `restrict` return plain set partitions.
+Concatenation runs through a shared middle row: a list-based union-find
+over the blocks of the two factors, joined at the middle points, labels
+every outer point and counts the closed middle components (loops).
 """
 
 from functools import lru_cache
 from itertools import count
 
-from .setpartitions import SetPartition, _find, all_partitions
+from .setpartitions import SetPartition, _find, _parse_blocks, all_partitions
 from .combinatorics import bell, intervals
 from . import perms
 
@@ -26,52 +29,33 @@ __all__ = [
 ]
 
 
-class Diagram:
-    __slots__ = ("part",)
+class Diagram(SetPartition):
+    """A diagram on n strands: a set partition of {1..2n} whose product `*`
+    is concatenation with loops discarded."""
 
-    def __init__(self, n, part):
-        if isinstance(part, (list, tuple)):
-            part = SetPartition(part, 2 * n)
-        if part.size != 2 * n:
-            raise ValueError("diagram must partition {1..2n}")
-        self.part = part
+    __slots__ = ()
 
-    @staticmethod
-    def _from_labels(labels):
-        """See `SetPartition._from_labels`."""
-        d = object.__new__(Diagram)
-        d.part = SetPartition._from_labels(labels)
-        return d
+    def __init__(self, n, blocks):
+        SetPartition.__init__(self, blocks, 2 * n)
 
     @property
     def n(self):
-        return self.part.size // 2
-
-    def __eq__(self, other):
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return self.part._index == other.part._index
-
-    def __hash__(self):
-        return self.part._hash
-
-    def __le__(self, other):
-        return self.part <= other.part
+        return self.size // 2
 
     def __mul__(self, other):
         return concat(self, other)[0]
 
     def top(self):
         """Restriction to the top points, as a partition of {1..n}."""
-        return self.part.restrict(range(1, self.n + 1))
+        return self.restrict(range(1, self.n + 1))
 
     def flip(self):
         """Swap top and bottom (the diagram antiautomorphism)."""
-        index, n = self.part._index, self.n
+        index, n = self._index, self.n
         return Diagram._from_labels(index[n:] + index[:n])
 
     def __str__(self):
-        return f"{self.n}; {self.part}"
+        return f"{self.n}; {SetPartition.__str__(self)}"
 
     def __repr__(self):
         return f"Diagram({self})"
@@ -79,21 +63,19 @@ class Diagram:
     @staticmethod
     def parse(text):
         head, _, rest = text.partition(";")
-        n = int(head)
-        return Diagram(n, SetPartition.parse(rest, 2 * n))
+        return Diagram(int(head), _parse_blocks(rest))
 
 
 def concat(d1, d2):
     """Concatenate (d1 on top of d2).  Returns (diagram, loops)."""
-    p1, p2 = d1.part, d2.part
-    if p1.size != p2.size:
+    if d1.size != d2.size:
         raise ValueError("different strand counts")
-    n = p1.size // 2
-    index1, index2 = p1._index, p2._index
+    n = d1.size // 2
+    index1, index2 = d1._index, d2._index
     # one node per block: those of d1 first, then those of d2; middle
     # point m is bottom point n+m of d1 and top point m of d2
-    k = len(p1.blocks)
-    parent = list(range(k + len(p2.blocks)))
+    k = len(d1.blocks)
+    parent = list(range(k + len(d2.blocks)))
     components = len(parent)
     for a, b in zip(index1[n:], index2[:n]):
         a = _find(parent, a)
@@ -104,7 +86,7 @@ def concat(d1, d2):
     labels = [_find(parent, i) for i in index1[:n]]
     labels += [_find(parent, k + i) for i in index2[n:]]
     d = Diagram._from_labels(labels)
-    return d, components - len(d.part.blocks)
+    return d, components - len(d.blocks)
 
 
 def perm_diagram(w):
@@ -153,9 +135,8 @@ def closure(gens):
     BudgetExceeded after BUDGET products.
     """
     gens = list(gens)
-    seen = list(dict.fromkeys(gens))
+    seen = dict.fromkeys(gens)  # insertion-ordered: the order found
     frontier = list(seen)
-    seen_set = set(seen)
     steps = 0
     while frontier:
         new = []
@@ -165,12 +146,11 @@ def closure(gens):
                 if steps > BUDGET:
                     raise BudgetExceeded("closure budget exhausted")
                 y = x * g
-                if y not in seen_set:
-                    seen_set.add(y)
+                if y not in seen:
+                    seen[y] = None
                     new.append(y)
-        seen.extend(new)
         frontier = new
-    return seen
+    return list(seen)
 
 
 def boxed_diagram(mu):
@@ -198,11 +178,11 @@ def over(*ds):
     k-th acts on the k-th box of the composition of their strand counts."""
     top, bottom, shift = [], [], 0
     for d in ds:
-        index, m = d.part._index, d.n
+        index, m = d._index, d.n
         # the labels of d, shifted past the blocks of the diagrams before it
         top += [shift + i for i in index[:m]]
         bottom += [shift + i for i in index[m:]]
-        shift += len(d.part.blocks)
+        shift += len(d.blocks)
     return Diagram._from_labels(top + bottom)
 
 
@@ -229,4 +209,4 @@ def brauer_monoid(n):
 def partition_monoid(n):
     """All bell(2n) diagrams on n strands; see `check_budget`."""
     check_budget("P_{}", n, (bell(2 * k) for k in count()))
-    return [Diagram(n, p) for p in all_partitions(2 * n)]
+    return [Diagram._from_labels(p._index) for p in all_partitions(2 * n)]

@@ -40,10 +40,6 @@ class LaurentPoly:
     def const(v):
         return LaurentPoly({0: v}) if v else LaurentPoly()
 
-    @staticmethod
-    def term(v, e):
-        return LaurentPoly({e: v}) if v else LaurentPoly()
-
     def __bool__(self):
         return bool(self.c)
 

@@ -8,7 +8,7 @@ from math import factorial
 
 from .combinatorics import bell, boxed_sizes, catalan, compositions, \
     double_factorial_odd, intervals
-from .setpartitions import SetPartition, all_partitions
+from .setpartitions import SetPartition, _parse_blocks, all_partitions
 from .diagrams import (Diagram, check_budget, perm_diagram, hook, tie,
                        boxed_diagram, boxed_composition, over,
                        symmetric_diagrams, jones_monoid, brauer_monoid,
@@ -37,9 +37,7 @@ class Ramified:
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        if left.n != right.n:
-            raise ValueError("component strand counts differ")
-        if not left.part <= right.part:
+        if not left <= right:
             raise ValueError("left component must refine the right one")
         self.left = left
         self.right = right
@@ -65,7 +63,7 @@ class Ramified:
         return hash((self.left, self.right))
 
     def __str__(self):
-        return f"{self.left.n}; {self.left.part} ; {self.right.part}"
+        return f"{self.left} ; {SetPartition.__str__(self.right)}"
 
     def __repr__(self):
         return f"Ramified({self})"
@@ -77,8 +75,8 @@ class Ramified:
             raise ValueError(f"bad element {text!r}: expected `n; blocks ; blocks`")
         head, mid, tail = pieces
         n = int(head)
-        return Ramified(Diagram(n, SetPartition.parse(mid, 2 * n)),
-                        Diagram(n, SetPartition.parse(tail, 2 * n)))
+        return Ramified(Diagram(n, _parse_blocks(mid)),
+                        Diagram(n, _parse_blocks(tail)))
 
 
 def ramified_identity(n):
@@ -148,7 +146,7 @@ def sr_symmetric(n):
     """The singular part sR(S_n): tie partition strictly coarser than
     the trivial one; size n! * (bell(n) - 1)."""
     return tuple(x for x in r_symmetric(n)
-                 if x.left.part != x.right.part)
+                 if x.left != x.right)
 
 
 def _boxed_family(name, n, block_family, block_size):
@@ -199,7 +197,7 @@ def perm_of_diagram(d):
     """Extract one-line notation from a permutation diagram: its top labels
     are 0..n-1, and bottom point j has the label of top point w^-1(j)."""
     n = d.n
-    index = d.part._index
+    index = d._index
     below = [i + 1 for i in index[n:]]
     if index[:n] != tuple(range(n)) or sorted(below) != list(range(1, n + 1)):
         raise ValueError("not a permutation diagram")
@@ -311,10 +309,10 @@ def _brauer_factorization(d):
     d * s'^-1, and the s' are filed under d * s'^-1 once.  S_n is
     enumerated twice, and the 2 * n! products of n strands built on the way
     are kept within `diagrams.check_budget`."""
-    if any(len(b) != 2 for b in d.part.blocks):
+    if any(len(b) != 2 for b in d.blocks):
         raise ValueError("not a Brauer diagram")
     n = d.n
-    k = (n - len([b for b in d.part.blocks
+    k = (n - len([b for b in d.blocks
                   if b[0] <= n < b[1] and len(b) == 2])) // 2
     check_budget("2 x S_{0} x {0} strands", n,
                  (2 * m * factorial(m) for m in count()))
@@ -349,7 +347,7 @@ def normal_form_brbr(x):
     # split the Brauer component at exactly the box boundaries
     for box in intervals(mu):
         points = [*box, *(n + p for p in box)]
-        f = Diagram(len(box), x.left.part.restrict(points))
+        f = Diagram._from_labels(x.left.restrict(points)._index)
         s, k, s2 = _brauer_factorization(f)
         s_parts.append(s)
         s2_parts.append(s2)

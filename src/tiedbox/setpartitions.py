@@ -12,9 +12,14 @@ block of point x, blocks numbered 0, 1, ... by their least point.  The label
 tuple determines the partition, so equality compares label tuples, and the
 hash of the label tuple is computed once, at construction (`_hash`).  One
 canonicaliser, `_set_labels`, renumbers a label per point by first
-occurrence.  The program's own builders emit labels through `_from_labels`,
-which validates nothing; the blocks constructor checks input from outside
-the program and hand-written generators, then labels each point by its block.
+occurrence.  The program's own builders emit labels through the one label
+builder, the classmethod `_from_labels`, which validates nothing and builds
+a value of the class it is called on (`Diagram._from_labels` builds a
+diagram); the blocks constructor checks input from outside the program and
+hand-written generators, then labels each point by its block.  Only values
+of one class are equal: a diagram (`diagrams.Diagram`, a subclass) is never
+equal to the tie partition with the same labels, as `*` multiplies the two
+differently.
 
 Values are immutable and may be shared (the algebras cache products whose
 keys hold set partitions), so nothing changes `blocks`, `size`, `_index` or
@@ -98,8 +103,9 @@ class SetPartition:
 
     def __eq__(self, other):
         # the canonical labels determine the partition, and their length is
-        # the size
-        if not isinstance(other, SetPartition):
+        # the size; a diagram and a tie partition are different monoids
+        # under `*`, so values of different classes are never equal
+        if type(other) is not type(self):
             return NotImplemented
         return self._index == other._index
 
@@ -175,9 +181,13 @@ class SetPartition:
 
     @staticmethod
     def parse(text, size):
-        blocks = [tuple(int(x) for x in piece.split(","))
-                  for piece in text.strip().split("|") if piece.strip()]
-        return SetPartition(blocks, size)
+        return SetPartition(_parse_blocks(text), size)
+
+
+def _parse_blocks(text):
+    """The blocks of the text form `1,3|2`, unchecked."""
+    return [tuple(int(x) for x in piece.split(","))
+            for piece in text.strip().split("|") if piece.strip()]
 
 
 @lru_cache(maxsize=None)

@@ -52,6 +52,19 @@ def test_multiply_roundtrip(capsys):
     assert records[0]["status"] == "pass"
 
 
+def test_multiply_reads_back_its_multi_term_product(capsys):
+    # s_1 * s_1 = 1 + (q - q^-1) s_1: both the product and its coefficient
+    # have several terms; index 0 is the identity
+    _, records = run(capsys, "multiply", "--algebra", "hecke", "--n", "2",
+                     "--lhs", "(1*q^0) * 1", "--rhs", "(1*q^0) * 1")
+    product = records[0]["product"]
+    assert product == "(1*q^0) * 0 + (1*q^1 + -1*q^-1) * 1"
+    code, records = run(capsys, "multiply", "--algebra", "hecke", "--n", "2",
+                        "--lhs", product, "--rhs", "(1*q^0) * 0")
+    assert code == 0
+    assert records[0]["lhs"] == records[0]["product"] == product
+
+
 def test_cellular(capsys):
     code, records = run(capsys, "cellular", "--family", "btl", "--n", "3")
     assert code == 0

@@ -12,10 +12,15 @@ from tiedbox.diagrams import (
     hook,
     is_boxed,
     jones_monoid,
+    over,
     partition_monoid,
     perm_diagram,
+    tie,
 )
 from tiedbox.perms import all_perms, compose
+from tiedbox.ramified import Ramified, evaluate_normal_form, \
+    from_perm_and_ties, normal_form_brbr
+from tiedbox.setpartitions import SetPartition
 
 
 def test_partition_monoid_sizes():
@@ -86,3 +91,35 @@ def test_boxed_diagrams():
 def test_parse_str_roundtrip():
     for d in brauer_monoid(3):
         assert Diagram.parse(str(d)) == d
+
+
+def test_every_builder_returns_a_diagram():
+    # the inherited join, act and restrict return plain set partitions, whose
+    # `*` is join, so every diagram builder must return the class Diagram
+    d, w = hook(3, 1), perm_diagram((2, 3, 1))
+    x = Ramified.parse("3; 1,5|2,4|3,6 ; 1,2,4,5|3,6")
+    y = from_perm_and_ties((2, 3, 1), SetPartition.parse("1,3|2", 3))
+    built = [concat(d, w)[0], d * w, over(d, w), over(), w, d.flip(), d,
+             tie(3, 1, 3), boxed_diagram((2, 1)), Diagram.parse(str(d)),
+             x.left, x.right, y.left, y.right, *partition_monoid(2),
+             *jones_monoid(3), *brauer_monoid(3)]
+    assert {type(b) for b in built} == {Diagram}
+    # normal_form_brbr factors the restriction of x.left to each box (2, 1)
+    # as a diagram
+    assert evaluate_normal_form(normal_form_brbr(x)) == x
+
+
+def test_a_diagram_is_not_its_set_partition():
+    # the same labels, but different monoids under `*`: the swap squares
+    # to the identity, and a join to itself
+    d = perm_diagram((2, 1))
+    p = SetPartition(d.blocks, d.size)
+    assert d._index == p._index and hash(d) == hash(p)
+    assert d != p and p != d
+    assert not d == p and not p == d
+    assert len({d, p}) == 2 and len({p, d}) == 2
+    assert d * d == perm_diagram((1, 2)) and p * p == p
+
+
+def test_a_diagram_has_no_dict():
+    assert not hasattr(hook(2, 1), "__dict__")

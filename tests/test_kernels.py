@@ -56,10 +56,10 @@ def reference_act(p, w):
 def reference_concat(d1, d2):
     n = d1.n
     uf = ReferenceUnionFind(range(1, 3 * n + 1))
-    for b in d1.part.blocks:
+    for b in d1.blocks:
         for x in b[1:]:
             uf.union(b[0], x)
-    for b in d2.part.blocks:
+    for b in d2.blocks:
         for x in b[1:]:
             uf.union(b[0] + n, x + n)
     loops, blocks = 0, []
@@ -101,7 +101,7 @@ def reference_over(*ds):
     blocks = []
     for d, box in zip(ds, intervals(sizes)):
         at = [*box, *(n + x for x in box)]  # point x of d goes to at[x - 1]
-        blocks += [[at[x - 1] for x in b] for b in d.part.blocks]
+        blocks += [[at[x - 1] for x in b] for b in d.blocks]
     return Diagram(n, blocks)
 
 
@@ -127,8 +127,10 @@ def reference_reduce(word, rules):
 
 
 def assert_canonical(p):
-    """p is exactly what the validating constructor makes of its blocks."""
-    canon = SetPartition(p.blocks, p.size)
+    """p is exactly what the validating constructor of its class makes of
+    its blocks."""
+    canon = Diagram(p.n, p.blocks) if type(p) is Diagram else \
+        SetPartition(p.blocks, p.size)
     assert (p.blocks, p.size, p._index) == (canon.blocks, canon.size, canon._index)
     assert p == canon and hash(p) == hash(canon) and str(p) == str(canon)
 
@@ -200,7 +202,7 @@ def scattered_blocks(draw, n):
 
 diagram_pairs = st.integers(0, 5).flatmap(lambda n: st.tuples(
     partitions_of_range(2 * n), partitions_of_range(2 * n)).map(
-        lambda ps: (Diagram(n, ps[0]), Diagram(n, ps[1]))))
+        lambda ps: (Diagram(n, ps[0].blocks), Diagram(n, ps[1].blocks))))
 
 
 @given(st.integers(0, 8).flatmap(scattered_blocks))
@@ -226,13 +228,13 @@ def test_all_partitions_keep_the_order_of_the_block_recursion():
 
 
 @given(st.lists(st.integers(0, 3).flatmap(
-    lambda n: partitions_of_range(2 * n).map(lambda p: Diagram(n, p))),
+    lambda n: partitions_of_range(2 * n).map(lambda p: Diagram(n, p.blocks))),
     max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_over_matches_reference(ds):
     d = over(*ds)
     assert d == reference_over(*ds)
-    assert_canonical(d.part)
+    assert_canonical(d)
 
 
 def test_permutation_builders_match_their_block_definitions():
@@ -240,7 +242,7 @@ def test_permutation_builders_match_their_block_definitions():
         for w in perms.all_perms(n):
             d = perm_diagram(w)
             assert d == Diagram(n, [(i, n + w[i - 1]) for i in range(1, n + 1)])
-            assert_canonical(d.part)
+            assert_canonical(d)
             assert perm_of_diagram(d) == w
             support = algebras.support_partition(w)
             assert support == reference_support_partition(w)
@@ -250,7 +252,7 @@ def test_permutation_builders_match_their_block_definitions():
                 assert x.left == d
                 assert x.right == Diagram(n, [
                     b + tuple(n + w[v - 1] for v in b) for b in ties.blocks])
-                assert_canonical(x.right.part)
+                assert_canonical(x.right)
 
 
 def test_flip_and_perm_of_diagram_on_every_diagram():
@@ -259,8 +261,8 @@ def test_flip_and_perm_of_diagram_on_every_diagram():
         for d in partition_monoid(n):
             flipped = d.flip()
             assert flipped == Diagram(n, [
-                [x + n if x <= n else x - n for x in b] for b in d.part.blocks])
-            assert_canonical(flipped.part)
+                [x + n if x <= n else x - n for x in b] for b in d.blocks])
+            assert_canonical(flipped)
             if d in perm_diagrams:
                 assert perm_of_diagram(d) == perm_diagrams[d]
             else:
@@ -336,14 +338,15 @@ def test_concat_matches_reference(pair):
     d1, d2 = pair
     d, loops = concat(d1, d2)
     assert (d, loops) == reference_concat(d1, d2)
-    assert_canonical(d.part)
-    canon = Diagram(d.n, d.part.blocks)
+    assert_canonical(d)
+    canon = Diagram(d.n, d.blocks)
     assert d == canon and hash(d) == hash(canon) and str(d) == str(canon)
 
 
 ramified_pairs = st.integers(0, 4).flatmap(lambda n: st.tuples(
     *[partitions_of_range(2 * n)] * 4).map(
-        lambda ps: tuple(Ramified(Diagram(n, p), Diagram(n, p.join(q)))
+        lambda ps: tuple(Ramified(Diagram(n, p.blocks),
+                                  Diagram(n, p.join(q).blocks))
                          for p, q in (ps[:2], ps[2:]))))
 
 
@@ -354,12 +357,12 @@ def test_memoized_ramified_product_matches_reference(pair):
     want = Ramified(reference_concat(x.left, y.left)[0],
                     reference_concat(x.right, y.right)[0])
     for _ in range(2):  # a miss or a hit, then a hit on fresh equal operands
-        fresh = [Ramified(Diagram(z.n, z.left.part.blocks),
-                          Diagram(z.n, z.right.part.blocks)) for z in (x, y)]
+        fresh = [Ramified(Diagram(z.n, z.left.blocks),
+                          Diagram(z.n, z.right.blocks)) for z in (x, y)]
         prod = fresh[0] * fresh[1]
         assert prod == want and hash(prod) == hash(want)
-        assert_canonical(prod.left.part)
-        assert_canonical(prod.right.part)
+        assert_canonical(prod.left)
+        assert_canonical(prod.right)
 
 
 def test_concat_counts_loops_like_the_reference():
