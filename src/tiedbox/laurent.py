@@ -77,10 +77,11 @@ class LaurentPoly:
         return r
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, int):
+                other = LaurentPoly.const(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
         out = dict(self.c)
         for e, v in other.c.items():
             w = out.get(e, 0) - v
@@ -98,13 +99,14 @@ class LaurentPoly:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if other.c == ONE.c:
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, int):
+                other = LaurentPoly.const(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
+        if other is ONE or other.c == ONE.c:
             return self
-        if self.c == ONE.c:
+        if self is ONE or self.c == ONE.c:
             return other
         if len(other.c) == 1:
             self, other = other, self
@@ -260,6 +262,8 @@ def poly_gcd(f, g):
     """Gcd in Z[q, q^-1], normalized to lowest exponent 0 and positive top
     coefficient: the primitive gcd times the gcd of the two contents.  The
     gcd with 0 is the other argument normalized; poly_gcd(0, 0) is 0."""
+    if f is ONE or g is ONE:
+        return ONE
     for p in (f, g):
         if len(p.c) == 1 and abs(next(iter(p.c.values()))) == 1:
             return ONE   # a unit +-q^k
@@ -271,22 +275,28 @@ def poly_gcd(f, g):
 
 class LaurentFrac:
     """A fraction of Laurent polynomials, reduced so equality is structural.
-    A denominator 1 is ONE itself, and arithmetic skips the products by it;
-    every result is still built, and its gcd taken, once."""
+    A denominator 1 is ONE itself, and arithmetic skips the products by it.
+    A fraction over ONE is whole: once its gcd is taken (`poly_gcd` returns
+    ONE at once) it keeps its numerator as it is.  Every result is still
+    built through `__init__`, and every nonzero one takes its gcd once."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=ONE):
         if isinstance(num, int):
             num = LaurentPoly.const(num)
-        if isinstance(den, int):
-            den = LaurentPoly.const(den)
-        if not den.c:
-            raise ZeroDivisionError
+        if den is not ONE:
+            if isinstance(den, int):
+                den = LaurentPoly.const(den)
+            if not den.c:
+                raise ZeroDivisionError
         if not num.c:
             self.num, self.den = ZERO, ONE
             return
         g = poly_gcd(num, den)
+        if den is ONE:
+            self.num, self.den = num, ONE
+            return
         if g.c != ONE.c:
             num = num.divexact(g)
             den = den.divexact(g)
@@ -328,10 +338,13 @@ class LaurentFrac:
         return r
 
     def __sub__(self, other):
-        other = _frac(other)
-        if other is NotImplemented:
-            return other
+        if other.__class__ is not LaurentFrac:
+            other = _frac(other)
+            if other is NotImplemented:
+                return other
         a, b, c, d = self.num, self.den, other.num, other.den
+        if b is ONE and d is ONE:
+            return LaurentFrac(a - c)
         return LaurentFrac((a if d is ONE else a * d) - (c if b is ONE else c * b),
                            d if b is ONE else b if d is ONE else b * d)
 
@@ -342,9 +355,10 @@ class LaurentFrac:
         return other - self
 
     def __mul__(self, other):
-        other = _frac(other)
-        if other is NotImplemented:
-            return other
+        if other.__class__ is not LaurentFrac:
+            other = _frac(other)
+            if other is NotImplemented:
+                return other
         b, d = self.den, other.den
         return LaurentFrac(self.num * other.num,
                            d if b is ONE else b if d is ONE else b * d)
@@ -386,7 +400,8 @@ def _frac(x):
 def _rank_modular(rows, seed):
     """Lower bound for the rank: the best of evaluations at three random
     points mod a prime.  Each distinct entry is evaluated once per point,
-    from a table of the powers of the point."""
+    from a table of the powers of the point.  No rank exceeds the row
+    count, so a point that reaches it ends the search."""
     p = (1 << 61) - 1
     rng = random.Random(seed)
     best = 0
@@ -409,6 +424,8 @@ def _rank_modular(rows, seed):
                 out[j] = w
             num.append(out)
         best = max(best, _int_rank_mod(num, p))
+        if best == len(rows):
+            break
     return best
 
 

@@ -176,8 +176,10 @@ def br_brauer(n):
     return tuple(_boxed_family("Br", n, brauer_monoid, double_factorial_odd))
 
 
-@lru_cache(maxsize=None)
 def br_partition(n):
+    """BR(P_n).  Not cached, unlike the other families: only the
+    cardinality check (once per n) and the CLI read it, and at n = 4 its
+    5,373 elements would stay alive for the rest of the run."""
     return tuple(_boxed_family("P", n, partition_monoid,
                                lambda m: bell(2 * m)))
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiedbox import ramified
+from tiedbox import checks, ramified
 from tiedbox.algebras import (
     BHAlgebra,
     BTAlgebra,
     BTLAlgebra,
     HeckeAlgebra,
     TLAlgebra,
+    _Straightened,
     hecke_to_tl,
     ideal_span,
     iota1,
@@ -245,3 +246,26 @@ def test_straightened_products_associate_at_n4(cls, data):
     keys = st.sampled_from(algebra.basis())
     a, b, c = (algebra.basis_element(data.draw(keys)) for _ in range(3))
     assert (a * b) * c == a * (b * c)
+
+
+def test_product_table_survives_the_checks():
+    # mul_basis keeps a product table whose dicts every caller shares: after
+    # the checks that read it most, each entry is still the straightening
+    # made afresh
+    checks.check_structure_constants()
+    checks.check_quotients()
+    straighten = _Straightened.mul_basis.__wrapped__
+    for algebra in (BTAlgebra(3), BHAlgebra(3), HeckeAlgebra(3)):
+        keys = algebra.basis()
+        for a in keys:
+            for b in keys:
+                assert algebra.mul_basis(a, b) == straighten(algebra, a, b)
+
+
+def test_products_never_hand_out_a_table_entry():
+    for algebra in (BHAlgebra(3), HeckeAlgebra(3)):
+        keys = algebra.basis()
+        for a in keys:
+            for b in keys:
+                x, y = algebra.basis_element(a), algebra.basis_element(b)
+                assert (x * y).terms is not algebra.mul_basis(a, b)

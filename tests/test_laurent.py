@@ -6,7 +6,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiedbox import checks, laurent
@@ -212,9 +212,13 @@ def test_frac_subtraction_is_adding_the_negation(x, y):
 
 
 @given(st.one_of(fracs, polys, small_ints), st.one_of(fracs, polys, small_ints))
+@example(LaurentFrac(Q + ONE), LaurentFrac(DELTA))
+@example(LaurentFrac(QDIFF), Q - 2)
+@example(LaurentFrac(3), LaurentFrac(3))
 @settings(max_examples=200, deadline=None)
 def test_frac_arithmetic_matches_cross_multiplication(x, y):
-    # with and without a denominator 1 on either side
+    # with and without a denominator 1 on either side; the examples have
+    # denominator 1 on both
     if not any(isinstance(v, LaurentFrac) for v in (x, y)):
         x = LaurentFrac(x)
     fx, fy = (v if isinstance(v, LaurentFrac) else LaurentFrac(v) for v in (x, y))
@@ -252,6 +256,17 @@ def test_frac_normal_form_with_and_without_a_denominator(a, d):
     x = LaurentFrac(a, d)
     assert_normal_form(x)
     assert x.num * d == a * x.den
+
+
+@given(polys, polys, polys.filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_whole_fractions_keep_one_as_their_denominator(a, b, d):
+    whole = [LaurentFrac(a), LaurentFrac(a * d, d), LaurentFrac(a) - LaurentFrac(b),
+             LaurentFrac(a) * LaurentFrac(b), LaurentFrac(a) * b, LaurentFrac(a) - b]
+    for x in whole:
+        assert x.den is ONE
+    # a whole fraction keeps its numerator as it is
+    assert LaurentFrac(a).num is (a if a else ZERO)
 
 
 def test_frac_arithmetic():
@@ -299,6 +314,26 @@ def test_probabilistic_rank_matches_reference(rows, seed):
 def test_rank_mod_small_prime_matches_reference(rows, p):
     # small primes make rank drops mod p common
     assert laurent._int_rank_mod(rows, p) == reference_int_rank_mod(rows, p)
+
+
+def test_modular_rank_stops_at_full_row_rank(monkeypatch):
+    # a rank is at most the row count, so a point that reaches it is the
+    # last; a rank-deficient matrix tries all three points
+    calls = 0
+    rank_mod = laurent._int_rank_mod
+
+    def counted(rows, p):
+        nonlocal calls
+        calls += 1
+        return rank_mod(rows, p)
+
+    monkeypatch.setattr(laurent, "_int_rank_mod", counted)
+    assert matrix_rank([{0: ONE, 1: Q}, {1: DELTA}], mode="probabilistic") == 2
+    assert calls == 1
+    calls = 0
+    rows = [{0: ONE, 1: Q}, {0: QINV, 1: ONE}]
+    assert matrix_rank(rows, mode="probabilistic") == 1
+    assert calls == 3
 
 
 def test_rank_rejects_unknown_mode():
