@@ -57,6 +57,8 @@ class AlgebraElement:
     def __eq__(self, other):
         if isinstance(other, int):
             return self.terms == (self.algebra.one() * other).terms
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __hash__(self):
@@ -159,13 +161,19 @@ class _Straightened(_Algebra):
 
     `mul_basis` is cached too, so the algebras keep a product table: the
     checks read the same products many times (42,019 calls for 12,506
-    distinct pairs in the full profile).  The returned dict is shared by
-    every caller of that pair and must not be changed; its one caller,
+    distinct pairs in the full profile).  A product depends only on its
+    start, so `_straighten` is cached per start, and the 12,506 pairs share
+    1,225 straightenings.  The returned dict is shared by every pair with
+    that start and must not be changed; its one caller,
     `AlgebraElement.__mul__`, only iterates it."""
 
     @lru_cache(maxsize=None)
     def mul_basis(self, key1, key2):
-        key, v = self._start(key1, key2)
+        return self._straighten(*self._start(key1, key2))
+
+    @lru_cache(maxsize=None)
+    def _straighten(self, key, v):
+        """`key` times the letters of a reduced word of v, in turn."""
         terms = {key: ONE}
         for i in perms.lex_least_word(v):
             out = {}

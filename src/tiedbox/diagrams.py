@@ -5,9 +5,10 @@ where i is the i-th top point and n+i the i-th bottom point.
 with loops discarded, `top`, `flip` and its text form `n; blocks`, and it
 compares and hashes by the inherited label tuple, never equal to a plain
 set partition.  `concat`, `over`, `perm_diagram` and `flip` read the
-canonical label tuples of their operands (`_index`) and build from labels
-through the one label builder, the inherited `Diagram._from_labels`;
-`Diagram(n, blocks)` checks parsed input and the hand-written generators.
+canonical label tuples of their operands (`_index`) and their block counts
+(`_nblocks`), and build from labels through the one label builder, the
+inherited `Diagram._from_labels`; `Diagram(n, blocks)` checks parsed input
+and the hand-written generators.
 The inherited `join`, `act` and `restrict` return plain set partitions.
 Concatenation runs through a shared middle row: a list-based union-find
 over the blocks of the two factors, joined at the middle points, labels
@@ -17,7 +18,7 @@ every outer point and counts the closed middle components (loops).
 from functools import lru_cache
 from itertools import count
 
-from .setpartitions import SetPartition, _find, _parse_blocks, all_partitions
+from .setpartitions import SetPartition, _find, _parse_blocks, growth_strings
 from .combinatorics import bell, intervals
 from . import perms
 
@@ -74,8 +75,8 @@ def concat(d1, d2):
     index1, index2 = d1._index, d2._index
     # one node per block: those of d1 first, then those of d2; middle
     # point m is bottom point n+m of d1 and top point m of d2
-    k = len(d1.blocks)
-    parent = list(range(k + len(d2.blocks)))
+    k = d1._nblocks
+    parent = list(range(k + d2._nblocks))
     components = len(parent)
     for a, b in zip(index1[n:], index2[:n]):
         a = _find(parent, a)
@@ -86,7 +87,7 @@ def concat(d1, d2):
     labels = [_find(parent, i) for i in index1[:n]]
     labels += [_find(parent, k + i) for i in index2[n:]]
     d = Diagram._from_labels(labels)
-    return d, components - len(d.blocks)
+    return d, components - d._nblocks
 
 
 def perm_diagram(w):
@@ -182,7 +183,7 @@ def over(*ds):
         # the labels of d, shifted past the blocks of the diagrams before it
         top += [shift + i for i in index[:m]]
         bottom += [shift + i for i in index[m:]]
-        shift += len(d.blocks)
+        shift += d._nblocks
     return Diagram._from_labels(top + bottom)
 
 
@@ -207,6 +208,6 @@ def brauer_monoid(n):
 
 
 def partition_monoid(n):
-    """All bell(2n) diagrams on n strands; see `check_budget`."""
+    """All bell(2n) diagrams on n strands, uncached; see `check_budget`."""
     check_budget("P_{}", n, (bell(2 * k) for k in count()))
-    return [Diagram._from_labels(p._index) for p in all_partitions(2 * n)]
+    return list(map(Diagram._from_labels, growth_strings(2 * n)))

@@ -311,11 +311,11 @@ def _brauer_factorization(d):
     d * s'^-1, and the s' are filed under d * s'^-1 once.  S_n is
     enumerated twice, and the 2 * n! products of n strands built on the way
     are kept within `diagrams.check_budget`."""
-    if any(len(b) != 2 for b in d.blocks):
+    blocks = d.blocks
+    if any(len(b) != 2 for b in blocks):
         raise ValueError("not a Brauer diagram")
     n = d.n
-    k = (n - len([b for b in d.blocks
-                  if b[0] <= n < b[1] and len(b) == 2])) // 2
+    k = (n - len([b for b in blocks if b[0] <= n < b[1]])) // 2
     check_budget("2 x S_{0} x {0} strands", n,
                  (2 * m * factorial(m) for m in count()))
     hooks = perm_diagram(perms.identity(n))

@@ -6,33 +6,35 @@ partitions (all blocks are intervals) are identified with compositions.
 Under join, the set partitions of {1..n} form a monoid (E_I E_J = E_(I join
 J)), and `*` is join.
 
-A partition is stored in two forms: `blocks`, sorted by least point, and
-the canonical label tuple `_index`, whose entry x - 1 is the number of the
-block of point x, blocks numbered 0, 1, ... by their least point.  The label
-tuple determines the partition, so equality compares label tuples, and the
-hash of the label tuple is computed once, at construction (`_hash`).  One
-canonicaliser, `_set_labels`, renumbers a label per point by first
-occurrence.  The program's own builders emit labels through the one label
-builder, the classmethod `_from_labels`, which validates nothing and builds
-a value of the class it is called on (`Diagram._from_labels` builds a
-diagram); the blocks constructor checks input from outside the program and
-hand-written generators, then labels each point by its block.  Only values
-of one class are equal: a diagram (`diagrams.Diagram`, a subclass) is never
-equal to the tie partition with the same labels, as `*` multiplies the two
-differently.
+A partition stores one form, the canonical label tuple `_index`, whose
+entry x - 1 is the number of the block of point x, blocks numbered 0, 1,
+... by their least point; beside it, only its length `size`, the block
+count `_nblocks` and the hash `_hash`, computed once.  Equality compares
+label tuples, the methods read the labels (as blocks are numbered by first
+occurrence, a partition is linear exactly when its labels never decrease),
+and `blocks` is derived from them on each read.  One canonicaliser,
+`_set_labels`, renumbers a label per point by first occurrence.  The
+program's own builders emit labels through the one label builder, the
+classmethod `_from_labels`, which validates nothing and builds a value of
+the class it is called on (`Diagram._from_labels` builds a diagram); the
+blocks constructor checks input from outside the program and hand-written
+generators, then labels each point by its block.  Only values of one class
+are equal: a diagram (`diagrams.Diagram`, a subclass) is never equal to the
+tie partition with the same labels, as `*` multiplies the two differently.
 
 Values are immutable and may be shared (the algebras cache products whose
-keys hold set partitions), so nothing changes `blocks`, `size`, `_index` or
-`_hash` after construction.
+keys hold set partitions), so nothing changes `size`, `_index`, `_nblocks`
+or `_hash` after construction.
 """
 
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 
 from .combinatorics import compositions
 
-__all__ = ["SetPartition", "all_partitions", "linear_partitions",
-           "mobius_linear", "mobius_partition"]
+__all__ = ["SetPartition", "all_partitions", "growth_strings",
+           "linear_partitions", "mobius_linear", "mobius_partition"]
 
 
 def _find(parent, i):
@@ -43,10 +45,10 @@ def _find(parent, i):
 
 
 class SetPartition:
-    """An immutable set partition of {1..size}; blocks are kept sorted by
-    minimum."""
+    """An immutable set partition of {1..size}, stored as its canonical
+    labels."""
 
-    __slots__ = ("blocks", "size", "_index", "_hash")
+    __slots__ = ("size", "_index", "_nblocks", "_hash")
 
     def __init__(self, blocks, size=None):
         """Checks its input; `size` defaults to the largest point, and points
@@ -81,21 +83,22 @@ class SetPartition:
 
     def _set_labels(self, labels):
         """The canonicaliser: renumbering the labels by first occurrence
-        makes them canonical, and the blocks come out sorted and ordered by
-        their least point."""
-        blocks, index, slot = [], [], {}
-        for x, label in enumerate(labels, 1):
-            i = slot.get(label)
-            if i is None:
-                slot[label] = i = len(blocks)
-                blocks.append([x])
-            else:
-                blocks[i].append(x)
-            index.append(i)
-        self.blocks = tuple(map(tuple, blocks))
+        makes them canonical."""
+        slot = {}
+        self._index = index = tuple([slot.setdefault(label, len(slot))
+                                     for label in labels])
         self.size = len(index)
-        self._index = index = tuple(index)
+        self._nblocks = len(slot)
         self._hash = hash(index)
+
+    @property
+    def blocks(self):
+        """The blocks, each sorted, ordered by least point; derived from the
+        labels on each read."""
+        blocks = [[] for _ in range(self._nblocks)]
+        for x, i in enumerate(self._index, 1):
+            blocks[i].append(x)
+        return tuple(map(tuple, blocks))
 
     @staticmethod
     def singletons(size):
@@ -117,19 +120,23 @@ class SetPartition:
         is, the label of a point under self determines its label under other."""
         if self.size != other.size:
             raise ValueError("different ground sets")
-        return len(set(zip(self._index, other._index))) == len(self.blocks)
+        return len(set(zip(self._index, other._index))) == self._nblocks
 
     def join(self, other):
         """Least common coarsening."""
         if self.size != other.size:
             raise ValueError("different ground sets")
-        # merge the blocks of self that one block of other meets
-        parent = list(range(len(self.blocks)))
+        # merge the blocks of self that one block of other meets, each
+        # with the block of the first point of other's block (`first`)
+        parent = list(range(self._nblocks))
+        first = [None] * other._nblocks
         index = self._index
-        for b in other.blocks:
-            root = _find(parent, index[b[0] - 1])
-            for x in b[1:]:
-                r = _find(parent, index[x - 1])
+        for i, j in zip(index, other._index):
+            root = first[j]
+            if root is None:
+                first[j] = i
+            else:
+                root, r = _find(parent, root), _find(parent, i)
                 if r != root:
                     parent[r] = root
         return SetPartition._from_labels([_find(parent, i) for i in index])
@@ -144,17 +151,20 @@ class SetPartition:
 
     def type_of(self):
         """Block sizes as a partition (weakly decreasing)."""
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
+        return tuple(sorted(Counter(self._index).values(), reverse=True))
 
     def is_linear(self):
-        """True if every block is an interval of consecutive integers."""
-        return all(b[-1] - b[0] == len(b) - 1 for b in self.blocks)
+        """True if every block is an interval of consecutive integers, that
+        is, if the labels (numbered by first occurrence) never decrease."""
+        index = self._index
+        return all(a <= b for a, b in zip(index, index[1:]))
 
     def to_composition(self):
         """Block sizes in order of block minima, for a linear partition."""
         if not self.is_linear():
             raise ValueError("not a linear partition")
-        return tuple(len(b) for b in self.blocks)
+        # a Counter keeps its labels in order of first occurrence
+        return tuple(Counter(self._index).values())
 
     @staticmethod
     def from_composition(mu):
@@ -190,15 +200,22 @@ def _parse_blocks(text):
             for piece in text.strip().split("|") if piece.strip()]
 
 
-@lru_cache(maxsize=None)
-def all_partitions(n):
-    """All set partitions of {1..n}, as a tuple, in lexicographic order of
-    their restricted-growth label strings (Knuth, TAOCP 4A, 7.2.1.5)."""
+def growth_strings(n):
+    """The canonical labels of the set partitions of {1..n}: the
+    restricted-growth strings, in lexicographic order (Knuth, TAOCP 4A,
+    7.2.1.5)."""
     strings = [()]
     for _ in range(n):
         strings = [s + (i,) for s in strings
                    for i in range(max(s, default=-1) + 2)]
-    return tuple(map(SetPartition._from_labels, strings))
+    return strings
+
+
+@lru_cache(maxsize=None)
+def all_partitions(n):
+    """All set partitions of {1..n}, as a tuple, in the order of their
+    restricted-growth label strings (`growth_strings`)."""
+    return tuple(map(SetPartition._from_labels, growth_strings(n)))
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +229,7 @@ def mobius_linear(i_part, j_part):
     of cut positions): (-1)^(#blocks difference) on comparable pairs."""
     if not i_part <= j_part:
         return 0
-    return (-1) ** (len(i_part.blocks) - len(j_part.blocks))
+    return (-1) ** (i_part._nblocks - j_part._nblocks)
 
 
 def mobius_partition(i_part, j_part):
@@ -221,8 +238,9 @@ def mobius_partition(i_part, j_part):
     of blocks of I inside B."""
     if not i_part <= j_part:
         return 0
+    # as I <= J, each block of I lies in one block of J: count them by it
+    inside = Counter(j for _, j in set(zip(i_part._index, j_part._index)))
     out = 1
-    for b in j_part.blocks:
-        k = len({i_part._index[x - 1] for x in b})
+    for k in inside.values():
         out *= (-1) ** (k - 1) * factorial(k - 1)
     return out

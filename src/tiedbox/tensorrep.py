@@ -178,10 +178,10 @@ class TensorRep:
         """Diagonal projector keeping tensors whose colors are constant on
         each block of the tie partition."""
         out = {}
+        blocks = i_part.blocks
         for idx in self.tensors:
             f = self._factors(idx)
-            ok = all(len({f[x - 1][1] for x in b}) == 1
-                     for b in i_part.blocks)
+            ok = all(len({f[x - 1][1] for x in b}) == 1 for b in blocks)
             if ok:
                 out[idx] = {idx: ONE}
         return out

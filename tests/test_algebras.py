@@ -24,7 +24,7 @@ from tiedbox.combinatorics import bell, catalan
 from tiedbox.diagrams import Diagram, perm_diagram
 from tiedbox.laurent import DELTA, ONE, Q, QDIFF, LaurentPoly
 from tiedbox.perms import all_perms, compose, inverse
-from tiedbox.setpartitions import all_partitions, linear_partitions
+from tiedbox.setpartitions import SetPartition, all_partitions, linear_partitions
 
 
 def at_one(x):
@@ -251,15 +251,35 @@ def test_straightened_products_associate_at_n4(cls, data):
 def test_product_table_survives_the_checks():
     # mul_basis keeps a product table whose dicts every caller shares: after
     # the checks that read it most, each entry is still the straightening
-    # made afresh
+    # made afresh (mul_basis.__wrapped__ would read the cached one)
     checks.check_structure_constants()
     checks.check_quotients()
-    straighten = _Straightened.mul_basis.__wrapped__
+    straighten = _Straightened._straighten.__wrapped__
     for algebra in (BTAlgebra(3), BHAlgebra(3), HeckeAlgebra(3)):
         keys = algebra.basis()
         for a in keys:
             for b in keys:
-                assert algebra.mul_basis(a, b) == straighten(algebra, a, b)
+                assert algebra.mul_basis(a, b) == \
+                    straighten(algebra, *algebra._start(a, b))
+
+
+@pytest.mark.parametrize("cls", [BTAlgebra, BHAlgebra])
+def test_pairs_with_one_start_share_one_straightening(cls):
+    algebra = cls(3)
+    keys = algebra.basis()
+    by_start = {}
+    for a in keys:
+        for b in keys:
+            by_start.setdefault(algebra._start(a, b), []).append(
+                algebra.mul_basis(a, b))
+    assert len(by_start) < len(keys) ** 2
+    for products in by_start.values():
+        assert all(p is products[0] for p in products)
+    # E_(1,2,3) absorbs every tie of the second factor
+    full = (SetPartition.parse("1,2,3", 3), (1, 2, 3))
+    a, b = ((SetPartition.parse(t, 3), (2, 1, 3)) for t in ("1,2|3", "1,2,3"))
+    assert algebra._start(full, a) == algebra._start(full, b)
+    assert algebra.mul_basis(full, a) is algebra.mul_basis(full, b)
 
 
 def test_products_never_hand_out_a_table_entry():
@@ -269,3 +289,16 @@ def test_products_never_hand_out_a_table_entry():
             for b in keys:
                 x, y = algebra.basis_element(a), algebra.basis_element(b)
                 assert (x * y).terms is not algebra.mul_basis(a, b)
+
+
+@pytest.mark.parametrize("other", [None, "x", 1.5, ()])
+def test_an_element_is_never_equal_to_a_foreign_value(other):
+    x = HeckeAlgebra(2).one()
+    assert not x == other and not other == x
+    assert x != other and other != x
+
+
+def test_an_element_equals_an_int_by_its_multiple_of_one():
+    h = HeckeAlgebra(2)
+    assert h.one() == 1 and h.zero() == 0 and h.one() * 3 == 3
+    assert h.one() != 2 and h.gen(1) != 1

@@ -221,9 +221,10 @@ def test_oversized_direct_enumerations_are_inconclusive_without_enumerating(
 
     monkeypatch.setattr(combinatorics, "compositions", enumerated)
     monkeypatch.setattr(ramified, "compositions", enumerated)
-    monkeypatch.setattr(diagrams, "all_partitions", enumerated)
+    monkeypatch.setattr(diagrams, "growth_strings", enumerated)
     monkeypatch.setattr(ramified, "all_partitions", enumerated)
     monkeypatch.setattr(setpartitions, "all_partitions", enumerated)
+    monkeypatch.setattr(setpartitions, "growth_strings", enumerated)
     monkeypatch.setattr(ramified, "symmetric_diagrams", enumerated)
     monkeypatch.setattr(ramified, "over", enumerated)
     code, records = run(capsys, *argv)

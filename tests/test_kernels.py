@@ -3,19 +3,24 @@
 they replaced, the builders that emit labels (`all_partitions`, `over`,
 `perm_diagram`, `perm_of_diagram`, `from_perm_and_ties`, `flip`,
 `support_partition`) against their definitions by blocks, equality, hash
-and refinement of the label tuples against the blocks, and the indexed word
-reduction of Knuth-Bendix against a search of every lhs by `find`."""
+and refinement of the label tuples against the blocks, the methods that
+read the labels against the blocks a partition used to store, and the
+indexed word reduction of Knuth-Bendix against a search of every lhs by
+`find`."""
+
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiedbox import algebras, perms, presentations
-from tiedbox.combinatorics import intervals
-from tiedbox.diagrams import Diagram, brauer_monoid, concat, over, \
+from tiedbox.combinatorics import bell, intervals
+from tiedbox.diagrams import Diagram, brauer_monoid, concat, hook, over, \
     partition_monoid, perm_diagram
 from tiedbox.ramified import Ramified, from_perm_and_ties, perm_of_diagram
-from tiedbox.setpartitions import SetPartition, all_partitions
+from tiedbox.setpartitions import SetPartition, all_partitions, \
+    mobius_linear, mobius_partition
 
 
 class ReferenceUnionFind:
@@ -216,6 +221,98 @@ def test_blocks_constructor_canonicalises_like_the_labels(blocks_labels):
     assert sorted(map(list, p.blocks)) == sorted(
         [sorted(b) for b in blocks] +
         [[x] for x in range(1, len(labels) + 1) if x not in covered])
+
+
+def stored_blocks(labels):
+    """The blocks that a set partition used to store beside its labels,
+    built as its canonicaliser built them: point x joins the block of its
+    label, blocks opened in order of least point."""
+    blocks, slot = [], {}
+    for x, label in enumerate(labels, 1):
+        i = slot.get(label)
+        if i is None:
+            slot[label] = len(blocks)
+            blocks.append([x])
+        else:
+            blocks[i].append(x)
+    return tuple(map(tuple, blocks))
+
+
+def assert_block_definitions(p, q):
+    """Every method that reads the labels of p (and of q, on the same
+    ground set) agrees with its definition by the stored blocks."""
+    pb, qb = stored_blocks(p._index), stored_blocks(q._index)
+    assert p.blocks == pb and q.blocks == qb
+    assert p.type_of() == tuple(sorted(map(len, pb), reverse=True))
+    linear = all(b[-1] - b[0] == len(b) - 1 for b in pb)
+    assert p.is_linear() == linear
+    if linear:
+        assert p.to_composition() == tuple(map(len, pb))
+    else:
+        with pytest.raises(ValueError, match="not a linear partition"):
+            p.to_composition()
+    finer = all(any(set(x) <= set(y) for y in qb) for x in pb)
+    assert (p <= q) == finer
+    uf = ReferenceUnionFind(range(1, p.size + 1))
+    for b in pb + qb:
+        for x in b[1:]:
+            uf.union(b[0], x)
+    assert p.join(q) == SetPartition(uf.classes(), p.size)
+    assert mobius_linear(p, q) == ((-1) ** (len(pb) - len(qb)) if finer else 0)
+    want = 0
+    if finer:
+        want = 1
+        for y in qb:
+            k = sum(set(x) <= set(y) for x in pb)
+            want *= (-1) ** (k - 1) * factorial(k - 1)
+    assert mobius_partition(p, q) == want
+
+
+def test_every_small_partition_matches_its_stored_blocks():
+    for n in range(7):
+        parts = all_partitions(n)
+        for p in parts:
+            assert_block_definitions(p, parts[0])
+            assert_block_definitions(p, parts[-1])
+            assert p._nblocks == len(stored_blocks(p._index))
+
+
+small_pairs = st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.sampled_from(all_partitions(n)), st.sampled_from(all_partitions(n))))
+
+
+@given(small_pairs | triples.map(lambda ps: ps[:2]))
+@settings(max_examples=300, deadline=None)
+def test_label_methods_match_the_stored_blocks(pq):
+    assert_block_definitions(*pq)
+
+
+@given(diagram_pairs)
+@settings(max_examples=200, deadline=None)
+def test_diagram_label_methods_match_the_stored_blocks(pair):
+    assert_block_definitions(*pair)
+    d = pair[0]
+    assert str(d) == f"{d.n}; " + "|".join(
+        ",".join(map(str, b)) for b in stored_blocks(d._index))
+
+
+def test_a_set_partition_stores_only_its_labels():
+    assert "blocks" not in SetPartition.__slots__
+    for p in (SetPartition.singletons(3), all_partitions(4)[7],
+              partition_monoid(2)[9], hook(3, 1)):
+        assert not hasattr(p, "__dict__")
+
+
+def test_partition_monoid_keeps_the_order_of_all_partitions():
+    for n in range(4):
+        assert [d._index for d in partition_monoid(n)] == \
+            [p._index for p in all_partitions(2 * n)]
+
+
+def test_partition_monoid_leaves_all_partitions_uncached():
+    before = all_partitions.cache_info()
+    assert len(partition_monoid(4)) == bell(8)
+    assert all_partitions.cache_info() == before
 
 
 def test_all_partitions_keep_the_order_of_the_block_recursion():

@@ -100,12 +100,12 @@ def test_coefficient_dicts_are_never_changed_in_place():
     assert not edits
 
 
-PARTITION_FIELDS = {"blocks", "size", "_index", "_hash"}
+PARTITION_FIELDS = {"size", "_index", "_nblocks", "_hash"}
 
 
 def partition_field_writes(tree):
     """Line numbers where a field of a SetPartition is written: assignment
-    to or deletion of `<expr>.blocks`, `.size`, `._index` or `._hash`, or an
+    to or deletion of `<expr>.size`, `._index`, `._nblocks` or `._hash`, or an
     item write or mutating method call on `<expr>._index`."""
     def is_field(node, names=PARTITION_FIELDS):
         return isinstance(node, ast.Attribute) and node.attr in names
@@ -122,10 +122,10 @@ def partition_field_writes(tree):
 
 
 def test_partition_field_scan_finds_writes():
-    code = "p.blocks = ()\np.size += 1\ndel p._index\np._index[1] = 0\n" \
+    code = "p._nblocks = 0\np.size += 1\ndel p._index\np._index[1] = 0\n" \
            "p._index.update({})\np._hash = 0\nx = p.blocks\nq = p._index[1]\n" \
-           "d.part = p\nh = p._hash\n"
-    assert sorted(partition_field_writes(ast.parse(code))) == [1, 2, 3, 4, 5, 6]
+           "d.part = p\nh = p._hash\np._nblocks += 1\n"
+    assert sorted(partition_field_writes(ast.parse(code))) == [1, 2, 3, 4, 5, 6, 11]
 
 
 def test_partition_fields_are_written_only_in_setpartitions():
