@@ -252,6 +252,7 @@ class TLAlgebra(_Algebra):
     def one_key(self):
         return perm_diagram(perms.identity(self.n))
 
+    @lru_cache(maxsize=None)
     def basis(self):
         return sorted(jones_monoid(self.n), key=lambda d: d.blocks)
 

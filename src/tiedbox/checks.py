@@ -5,6 +5,12 @@ The functions are shared between the test suite and the ``verify-all`` CLI
 command.  Every check is exact except the seeded modular rank of
 ``check_representation``: ``seed`` only affects that record, which is
 emitted beside the exact rank of the same rows and stands on its own.
+
+There are two profiles.  ``full`` runs every record.  ``quick`` runs the
+``full`` records on at most ``QUICK_N`` strands, in the same order: each
+range of n is written once, with its full-profile limit, through `upto`.
+The one exception is the structure-constants check, whose quick records
+(named ``...:mismatches:sampled``) multiply a sample of the basis pairs.
 """
 
 import math
@@ -67,6 +73,16 @@ def bool_record(name, ok):
     return record(name, True, bool(ok))
 
 
+QUICK_N = 3
+
+
+def upto(last, quick, first=1):
+    """The strand counts first..last, cut at QUICK_N in the quick profile."""
+    if quick:
+        last = min(last, QUICK_N)
+    return range(first, last + 1)
+
+
 # ---------------------------------------------------------------------------
 # 1. monoid cardinalities
 
@@ -80,15 +96,14 @@ def check_cardinalities(quick=False):
         ("boxed-partition", ramified.br_partition, [2, 19, 271, 5373]),
     ]
     for label, family, counts in targets:
-        top = min(3, len(counts)) if quick else len(counts)
-        for n in range(1, top + 1):
+        for n in upto(len(counts), quick):
             recs.append(record(f"card:{label}:n={n}", counts[n - 1], len(family(n))))
     recs.append(record("card:singular-ramified-symmetric:n=3",
                        24, len(ramified.sr_symmetric(3))))
-    for n in range(1, 4 if quick else 6):
+    for n in upto(5, quick):
         recs.append(record(f"card:brauer:n={n}",
                            double_factorial_odd(n), len(brauer_monoid(n))))
-    for n in range(1, 4 if quick else 7):
+    for n in upto(6, quick):
         recs.append(record(f"card:jones:n={n}",
                            catalan(n), len(jones_monoid(n))))
     return recs
@@ -100,21 +115,21 @@ def check_cardinalities(quick=False):
 
 def check_dimensions(quick=False):
     recs = []
-    for n in range(1, 4 if quick else 5):
+    for n in upto(4, quick):
         recs.append(record(f"dim:tied:n={n}",
                            factorial(n) * bell(n), BTAlgebra(n).dim()))
-    for n in range(1, 4 if quick else 7):
+    for n in upto(6, quick):
         expected = sum(
             math.prod(factorial(p) for p in mu) for mu in compositions(n)
         )
         recs.append(record(f"dim:tied-boxed-hecke:n={n}", expected, BHAlgebra(n).dim()))
-    for n in range(1, 4 if quick else 9):
+    for n in upto(8, quick):
         by_sum = sum(
             math.prod(catalan(p) for p in mu) for mu in compositions(n)
         )
         recs.append(record(f"dim:tied-boxed-tl-formula:n={n}",
                            binomial(2 * n - 1, n), by_sum))
-        if n <= (3 if quick else 6):
+        if n <= 6:
             recs.append(record(f"dim:tied-boxed-tl:n={n}",
                                binomial(2 * n - 1, n), BTLAlgebra(n).dim()))
     return recs
@@ -144,7 +159,7 @@ PRESENTATION_ROWS = [
 def check_presentations(quick=False):
     recs = []
     for name, n in PRESENTATION_ROWS:
-        if quick and n > 3:
+        if n not in upto(n, quick):  # a row beyond QUICK_N is full only
             continue
         status = presentation_check(*build_preset(name, n))["status"]
         # an inconclusive verdict stays inconclusive (exit code 2), never pass
@@ -215,8 +230,10 @@ def check_structure_constants(quick=False):
     rep = TensorRep(3, one_block_per_type(3))
     for label, algebra in (("tied", BTAlgebra(3)), ("tied-boxed-hecke", BHAlgebra(3))):
         keys = algebra.basis()
+        name = f"structure:{label}:n=3:mismatches"
         if quick:
             keys = keys[: max(6, len(keys) // 5)]
+            name += ":sampled"
         mats = {k: rep.rho_bt(k) for k in keys}
         bad = 0
         for a in keys:
@@ -224,8 +241,7 @@ def check_structure_constants(quick=False):
                 prod = algebra.basis_element(a) * algebra.basis_element(b)
                 if mat_mul(mats[a], mats[b]) != rep.rho(prod):
                     bad += 1
-        recs.append(record(f"structure:{label}:n=3:mismatches"
-                           + (":sampled" if quick else ""), 0, bad))
+        recs.append(record(name, 0, bad))
     return recs
 
 
@@ -265,16 +281,16 @@ def _mobius_records(label, algebra, parts, central):
 
 def check_idempotents(quick=False):
     recs = []
-    for n in (2, 3) if quick else (2, 3, 4):
+    for n in upto(4, quick, first=2):
         recs += _mobius_records("hecke", BHAlgebra(n), linear_partitions(n),
                                 central=True)
-    for n in (2, 3):
+    for n in upto(3, quick, first=2):
         recs += _mobius_records("tied", BTAlgebra(n),
                                 all_partitions(n),
                                 central=False)
 
     # in the full tied algebra only the type-summed idempotents are central
-    for n in (2, 3) if quick else (2, 3, 4):
+    for n in upto(4, quick, first=2):
         bt = BTAlgebra(n)
         types = sorted({p.type_of() for p in all_partitions(n)})
         ok = all(x * y == y * x
@@ -290,7 +306,6 @@ def check_idempotents(quick=False):
 
 def check_cellular(quick=False):
     recs = []
-    top = 3 if quick else 4
     builders = {
         "hecke-murphy": murphy_hecke,
         "tied-boxed-hecke": bh_cellular,
@@ -299,7 +314,7 @@ def check_cellular(quick=False):
     }
     data = {}
     for label, build in builders.items():
-        for n in range(2, top + 1):
+        for n in upto(4, quick, first=2):
             datum = data[label, n] = build(n)
             size = len(datum.elements)
             recs.append(record(f"cell:{label}:count:n={n}",
@@ -311,7 +326,7 @@ def check_cellular(quick=False):
                                    size, rank))
                 recs.append(record(f"cell:{label}:star:n={n}", "pass",
                                    star_axiom_check(datum)["status"]))
-    for n in (2, 3):
+    for n in upto(3, quick, first=2):
         bh = BHAlgebra(n)
         e = [bh.e(i) for i in range(1, n)]
         generators = {
@@ -368,7 +383,7 @@ def check_quotients():
 
 def check_normal_forms(quick=False):
     rows = [("boxed-symmetric", n, ramified.br_symmetric, ramified.normal_form_brs)
-            for n in ((1, 2, 3) if quick else (1, 2, 3, 4))]
+            for n in upto(4, quick)]
     rows += [
         ("singular-ramified-symmetric", 3, ramified.sr_symmetric,
          ramified.normal_form_srs),
@@ -408,7 +423,7 @@ def check_normal_forms(quick=False):
 
 def check_centers(quick=False):
     recs = []
-    for n in (3,) if quick else (3, 4):
+    for n in upto(4, quick, first=3):
         z = ramified.center(ramified.r_symmetric(n))
         ident = ramified.ramified_identity(n)
         full_tie = ramified.gen_e_boxes((n,))

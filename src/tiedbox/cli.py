@@ -10,6 +10,7 @@ code 64.
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -72,6 +73,19 @@ def nonnegative_int(text):
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
+
+
+def output_path(text):
+    """The argparse type of --out: a file that can be written, so that a bad
+    path is a usage error before the command runs, not after."""
+    folder = os.path.dirname(text) or "."
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"{text}: no directory {folder}")
+    if not os.access(folder, os.W_OK):
+        raise argparse.ArgumentTypeError(f"{text}: cannot write in {folder}")
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,7 +251,8 @@ def main(argv=None):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=("jsonl", "table"), default="jsonl")
-        p.add_argument("--out", default=None, help="write records to this file")
+        p.add_argument("--out", type=output_path, default=None,
+                       help="write records to this file")
         return p
 
     p = add("enumerate", cmd_enumerate, help="count a monoid family")

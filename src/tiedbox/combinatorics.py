@@ -4,6 +4,7 @@ used throughout the package.  Everything is exact integer arithmetic.
 A tableau is a tuple of rows, each a tuple of entries; a multitableau is a
 tuple of tableaux."""
 
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, factorial
@@ -92,11 +93,8 @@ def bn_alpha(n, alpha):
     partition alpha."""
     if sum(alpha) != n:
         raise ValueError("alpha must be a partition of n")
-    mult = {}
-    for k in alpha:
-        mult[k] = mult.get(k, 0) + 1
     out = factorial(n)
-    for k, m in mult.items():
+    for k, m in Counter(alpha).items():
         out //= factorial(k) ** m * factorial(m)
     return out
 
@@ -107,11 +105,8 @@ def ptl_dim(n):
     bn_alpha(n, alpha)^2 * prod_k catalan(k)^{m_k} * m_k!."""
     total = 0
     for alpha in int_partitions(n):
-        mult = {}
-        for k in alpha:
-            mult[k] = mult.get(k, 0) + 1
         term = bn_alpha(n, alpha) ** 2
-        for k, m in mult.items():
+        for k, m in Counter(alpha).items():
             term *= catalan(k) ** m * factorial(m)
         total += term
     return total

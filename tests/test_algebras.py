@@ -21,7 +21,7 @@ from tiedbox.algebras import (
     support_partition,
 )
 from tiedbox.combinatorics import bell, catalan
-from tiedbox.diagrams import Diagram, perm_diagram
+from tiedbox.diagrams import Diagram, jones_monoid, perm_diagram
 from tiedbox.laurent import DELTA, ONE, Q, QDIFF, LaurentPoly
 from tiedbox.perms import all_perms, compose, inverse
 from tiedbox.setpartitions import SetPartition, all_partitions, linear_partitions
@@ -39,6 +39,14 @@ def test_dimensions():
         assert HeckeAlgebra(n).dim() == factorial(n)
         assert TLAlgebra(n).dim() == catalan(n)
         assert BTAlgebra(n).dim() == factorial(n) * bell(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tl_basis_is_cached_in_its_order(n):
+    # `multiply --algebra tl` numbers the basis in this order
+    basis = TLAlgebra(n).basis()
+    assert TLAlgebra(n).basis() is basis
+    assert basis == sorted(jones_monoid(n), key=lambda d: d.blocks)
 
 
 def test_hecke_relations():

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from tiedbox import checks
 from tiedbox.cli import main
 
 
@@ -117,6 +119,29 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     rec = json.loads(target.read_text().splitlines()[0])
     assert rec["count"] == 14
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["dim", "--family", "tl", "--max-n", "2"], "cmd_dim"),
+    (["rep-check"], "cmd_rep_check"),
+])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_a_usage_error_before_the_command(
+        argv, command, where, tmp_path, monkeypatch, capsys):
+    from tiedbox import cli
+
+    def called(args):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli, command, called)
+    target = str(tmp_path / "missing" / "x.jsonl"
+                 if where == "missing directory" else tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", target])
+    captured = capsys.readouterr()
+    assert exc.value.code == 64
+    assert captured.out == ""
+    assert target in captured.err
 
 
 def test_usage_error_exit_code():
@@ -406,6 +431,26 @@ def test_verify_all_quick_deterministic(capsys):
                            "expected.json").read_text())
     assert hashlib.sha256(out.encode()).hexdigest() == \
         expected["verify-quick"]["sha256"]
+
+
+def test_quick_profile_is_the_full_profile_on_at_most_quick_n_strands():
+    def strands(record):
+        n = re.search(r":n=(\d+)", record["name"])
+        return int(n[1]) if n else 0
+
+    quick = checks.run_all("quick")
+    full = [r for r in checks.run_all("full") if strands(r) <= checks.QUICK_N]
+    assert len(quick) == len(full)
+    for q, f in zip(quick, full):
+        if q["name"].endswith(":sampled"):
+            assert q["name"] == f["name"] + ":sampled"
+        else:
+            assert q == f
+    # the one exception: the structure constants of quick sample the pairs
+    assert [q["name"] for q in quick if q["name"].endswith(":sampled")] == [
+        "structure:tied:n=3:mismatches:sampled",
+        "structure:tied-boxed-hecke:n=3:mismatches:sampled",
+    ]
 
 
 def test_verify_all_full_prints_the_records_the_benchmark_expects(capsys):
