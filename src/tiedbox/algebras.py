@@ -97,7 +97,7 @@ class AlgebraElement:
             for k2, c2 in other.terms.items():
                 c = c1 * c2
                 for k, v in self.algebra.mul_basis(k1, k2).items():
-                    add_term(out, k, v * c)
+                    add_term(out, k, v if c is ONE else v * c)
         r = AlgebraElement(self.algebra)
         r.terms = out
         return r

@@ -18,6 +18,7 @@ from .combinatorics import compositions, dominates, \
     multipartitions_of_composition, initial_kind_multitableaux, \
     d_of_multitableau
 from .setpartitions import SetPartition
+from .diagrams import BudgetExceeded
 from .algebras import HeckeAlgebra, BHAlgebra, BTLAlgebra, TLAlgebra, \
     hecke_to_tl, pi2, basis_index, coords
 from . import perms
@@ -25,6 +26,10 @@ from . import perms
 __all__ = ["CellDatum", "murphy_hecke", "tl_cellular", "bh_cellular",
            "btl_cellular", "cell_axiom_check", "star_axiom_check",
            "transition_matrix"]
+
+# Bound on the basis products of one Murphy construction (see `_murphy`):
+# n <= 6 strands for all four families, a few seconds at most.
+MURPHY_BUDGET = 10 ** 7
 
 
 class CellDatum(NamedTuple):
@@ -49,11 +54,21 @@ def _multi_greater(lams, mus):
 
 def _murphy(algebra, labels, m_of, twist):
     """c_st = twist(d_s)^* m_of(label) twist(d_t) over the initial-kind
-    multitableaux s, t of each label, d the tableau permutation."""
+    multitableaux s, t of each label, d the tableau permutation.
+
+    That is sum |T|(|T| + 1) products over the labels, T the tableaux of
+    the label, each of an element by one basis element, so each of at most
+    N = sum |T|^2 basis products (the size of the basis).  BudgetExceeded
+    is raised before any of them if that bound is above MURPHY_BUDGET."""
+    tableaux = {lams: initial_kind_multitableaux(lams) for lams in labels}
+    size = sum(len(tabs) ** 2 for tabs in tableaux.values())
+    products = sum(len(tabs) * (len(tabs) + 1) for tabs in tableaux.values())
+    if products * size > MURPHY_BUDGET:
+        raise BudgetExceeded(f"{products} Murphy products of up to {size} "
+                             f"terms are above the budget {MURPHY_BUDGET}")
     elements = {}
-    for lams in labels:
+    for lams, tabs in tableaux.items():
         m_lam = m_of(lams)
-        tabs = initial_kind_multitableaux(lams)
         for s in tabs:
             left = twist(d_of_multitableau(s)).star() * m_lam
             for t in tabs:

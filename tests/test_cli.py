@@ -217,6 +217,26 @@ def test_oversized_r_symmetric_is_inconclusive_without_enumerating(
                         "reason": "|R(S_7)| = 4420080 is above the budget 1000000"}]
 
 
+@pytest.mark.parametrize("family, n, reason", [
+    ("tl", 9, "365500 Murphy products of up to 362880 terms"),
+    ("hecke-murphy", 9, "365500 Murphy products of up to 362880 terms"),
+    ("bh", 9, "538326 Murphy products of up to 524495 terms"),
+    ("btl", 9, "538326 Murphy products of up to 524495 terms"),
+    ("tl", 7, "5272 Murphy products of up to 5040 terms"),
+])
+def test_oversized_murphy_construction_is_inconclusive_without_products(
+        family, n, reason, monkeypatch, capsys):
+    from tiedbox.algebras import AlgebraElement
+
+    # the bound on the work is known before any element is multiplied
+    monkeypatch.setattr(AlgebraElement, "__mul__",
+                        lambda *args: pytest.fail("an element was multiplied"))
+    code, records = run(capsys, "cellular", "--family", family, "--n", str(n))
+    assert code == 2
+    assert records == [{"name": "cellular", "status": "inconclusive",
+                        "reason": f"{reason} are above the budget 10000000"}]
+
+
 @pytest.mark.parametrize("argv, reason", [
     (("enumerate", "--monoid", "partition", "--n", "6"), "|P_6| = 4213597"),
     (("enumerate", "--monoid", "br-partition", "--n", "6"), "|BR(P_6)| = 4945661"),

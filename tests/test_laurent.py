@@ -2,6 +2,7 @@
 rank against the kernel it replaced: each entry evaluated on its own, one
 inverse per elimination step."""
 
+import copy
 import operator
 import random
 
@@ -433,3 +434,97 @@ def test_gcd_count_of_the_exact_ranks(monkeypatch):
     calls = 0
     checks.check_quotients()
     assert calls == 13_266
+
+
+# Hash-consed values (see the `laurent` module docstring).  The strategies
+# reach beyond the smallness bound in both directions: more than
+# SMALL_TERMS terms, and coefficients of SMALL_COEFF and more.
+coefficients = st.one_of(st.integers(-9, 9),
+                         st.integers(-(1 << 17), 1 << 17))
+any_polys = st.builds(
+    LaurentPoly,
+    st.dictionaries(st.integers(-6, 6), coefficients, max_size=7),
+)
+MEMOS = (laurent._sums, laurent._differences, laurent._products)
+
+
+def reference_sum(a, b, sign=1):
+    out = dict(a.c)
+    for e, v in b.c.items():
+        out[e] = out.get(e, 0) + sign * v
+    return {e: v for e, v in out.items() if v}
+
+
+def is_small(p):
+    return len(p.c) <= laurent.SMALL_TERMS and \
+        all(abs(v) < laurent.SMALL_COEFF for v in p.c.values())
+
+
+@given(any_polys, any_polys)
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_matches_the_dict_reference(a, b):
+    # twice: the second time from the memo tables where both are hash-consed
+    for _ in range(2):
+        assert (a + b).c == reference_sum(a, b)
+        assert (a - b).c == reference_sum(a, b, -1)
+        assert (a * b).c == convolve(a, b)
+        assert (-a).c == {e: -v for e, v in a.c.items()}
+        assert a + b == LaurentPoly(reference_sum(a, b))
+        assert a * b == LaurentPoly(convolve(a, b))
+
+
+@given(any_polys, any_polys)
+@settings(max_examples=100, deadline=None)
+def test_hash_is_the_hash_of_the_terms(a, b):
+    for p in (a, b, a + b, a - b, a * b, -a, ONE, ZERO):
+        assert hash(p) == hash(frozenset(p.c.items()))
+        assert (p._h is not None) <= is_small(p)
+    assert (a == b) == (a.c == b.c)
+
+
+small_dicts = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), max_size=4)
+
+
+@given(small_dicts, small_dicts)
+@settings(max_examples=100, deadline=None)
+def test_equal_small_values_are_one_object(da, db):
+    with pytest.MonkeyPatch.context() as mp:
+        # room for every value, however many earlier tests interned; the
+        # values are built here, after the cap is raised
+        mp.setattr(laurent, "MAX_VALUES", len(laurent._values) + 1_000)
+        a, b = LaurentPoly(da), LaurentPoly(db)
+        p = a * b + a
+        if not is_small(p):
+            return
+        lo, coeffs = p.to_list()
+        built = [LaurentPoly(dict(p.c)), LaurentPoly.from_list(lo, coeffs),
+                 LaurentPoly.parse(str(p)), (p * DELTA).divexact(DELTA),
+                 p + ZERO, p - ZERO, -(-p), (p + Q) - Q,
+                 copy.deepcopy(p)]
+        if len(p.c) == 1 and 0 in p.c:
+            built.append(LaurentPoly.const(p.c[0]))
+        assert p._h is not None
+        assert all(x is p for x in built)
+
+
+def test_tables_stay_within_their_caps(monkeypatch):
+    # more distinct small values and pairs than the caps allow: every table
+    # stops at its cap, and every result is still right
+    monkeypatch.setattr(laurent, "MAX_VALUES", len(laurent._values) + 400)
+    monkeypatch.setattr(laurent, "MAX_MEMO", max(map(len, MEMOS)) + 50)
+    # exponents that no other test builds, so all 120 values are new
+    values = [LaurentPoly({e: v, e + 1: 1}) for e in range(100, 106)
+              for v in range(2, 22)]
+    assert all(p._h is not None for p in values)
+    for a in values[::3]:
+        for b in values[::7]:
+            assert (a + b).c == reference_sum(a, b)
+            assert (a - b).c == reference_sum(a, b, -1)
+            assert (a * b).c == convolve(a, b)
+    assert len(laurent._values) == laurent.MAX_VALUES
+    assert max(map(len, MEMOS)) == laurent.MAX_MEMO
+    # a small value outside the table is still equal to an equal one
+    late = [LaurentPoly({200: 5, 201: 1}) for _ in range(2)]
+    assert late[0] is not late[1] and late[0] == late[1]
+    assert late[0]._h is None and hash(late[0]) == hash(late[1])
+    assert {late[0]: 1}[late[1]] == 1

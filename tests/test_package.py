@@ -100,6 +100,57 @@ def test_coefficient_dicts_are_never_changed_in_place():
     assert not edits
 
 
+LAURENT_FIELDS = {"c", "_h"}
+
+
+def laurent_field_bindings(tree):
+    """(enclosing function or "", line) of every binding or deletion of
+    `<expr>.c` or `<expr>._h`, including augmented assignments and
+    `setattr(<expr>, "c" or "_h", ...)`."""
+    def binds(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in LAURENT_FIELDS \
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+        return isinstance(node, ast.Call) \
+            and isinstance(node.func, (ast.Name, ast.Attribute)) \
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) \
+            in ("setattr", "__setattr__") \
+            and any(isinstance(a, ast.Constant) and a.value in LAURENT_FIELDS
+                    for a in node.args)
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if binds(child):
+                yield function, child.lineno
+            yield from visit(child, function)
+
+    yield from visit(tree, "")
+
+
+def test_laurent_field_scan_finds_bindings():
+    code = "r.c = {0: 1}\np._h = 0\nx = p.c\nh = p._h\ndel p.c\n" \
+           "p.c |= {}\nsetattr(p, 'c', {})\nobject.__setattr__(p, '_h', 0)\n" \
+           "p.c[0] = 1\nd.cc = 1\n" \
+           "def f(p):\n    p.c, p._h = {}, None\n"
+    assert sorted(laurent_field_bindings(ast.parse(code))) == \
+        [("", 1), ("", 2), ("", 5), ("", 6), ("", 7), ("", 8),
+         ("f", 12), ("f", 12)]
+
+
+def test_laurent_fields_are_bound_only_by_the_constructor_helper():
+    # a small LaurentPoly is one object shared by every holder and every
+    # memo entry, so rebinding its `.c` or `._h` anywhere would change them
+    # all: `laurent._poly` builds every value, and nothing else binds these
+    package = pathlib.Path(tiedbox.__file__).parent
+    places = {(path.name, function) for path in sorted(package.glob("*.py"))
+              for function, _ in laurent_field_bindings(
+                  ast.parse(path.read_text()))}
+    assert places == {("laurent.py", "_poly")}
+
+
 PARTITION_FIELDS = {"size", "_index", "_nblocks", "_hash"}
 
 

@@ -158,6 +158,31 @@ def test_one_block_per_type_is_an_isomorphic_copy(n, kept_tensors, kept_blocks):
                 assert moved == m_small.get(phi(t), {}), (block, t)
 
 
+def renaming_filter(n):
+    """The enumeration `one_block_per_type` replaced: every basis tensor,
+    kept if its block is the least renaming of itself."""
+    rep = TensorRep(n)
+    return [idx for idx in range(rep.dim)
+            if (block := tuple(sorted(rep._factors(idx))))
+            == tensorrep._least_renaming(block, n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_one_block_per_type_equals_the_renaming_filter(n):
+    kept = one_block_per_type(n)
+    assert type(kept) is list and kept == renaming_filter(n)
+    # a new list each call: changing one leaves the next call as it was
+    kept.clear()
+    assert one_block_per_type(n) == renaming_filter(n)
+
+
+def test_one_block_per_type_at_four_strands():
+    rep = TensorRep(4)
+    kept = one_block_per_type(4)
+    assert len(kept) == 1_335 and kept == sorted(set(kept))
+    assert len({tuple(sorted(rep._factors(i))) for i in kept}) == 76
+
+
 def corruptions(x, rng):
     """x itself, then three wrong values: x plus a basis element, x without
     one of its terms, and x times q - q^-1."""
