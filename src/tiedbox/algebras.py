@@ -38,7 +38,9 @@ def _coeff(c):
 
 
 class AlgebraElement:
-    """A finite linear combination of basis keys of a fixed algebra."""
+    """A finite linear combination of basis keys of a fixed algebra.  Every
+    element is built by `__init__`, which drops zero coefficients, and is
+    never changed; sums and products need two elements of one algebra."""
 
     __slots__ = ("algebra", "terms")
 
@@ -65,31 +67,32 @@ class AlgebraElement:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        if self.algebra is not other.algebra:
+            raise ValueError("elements of different algebras")
         out = dict(self.terms)
         for k, v in other.terms.items():
             add_term(out, k, v)
-        r = AlgebraElement(self.algebra)
-        r.terms = out
-        return r
+        return AlgebraElement(self.algebra, out)
 
     def __neg__(self):
-        r = AlgebraElement(self.algebra)
-        r.terms = {k: -v for k, v in self.terms.items()}
-        return r
+        return AlgebraElement(self.algebra, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, c):
         c = _coeff(c)
-        r = AlgebraElement(self.algebra)
-        if c:
-            r.terms = {k: v * c for k, v in self.terms.items()}
-        return r
+        return AlgebraElement(self.algebra, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
             return self.scale(other)
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         if self.algebra is not other.algebra:
             raise ValueError("elements of different algebras")
         out = {}
@@ -98,9 +101,7 @@ class AlgebraElement:
                 c = c1 * c2
                 for k, v in self.algebra.mul_basis(k1, k2).items():
                     add_term(out, k, v if c is ONE else v * c)
-        r = AlgebraElement(self.algebra)
-        r.terms = out
-        return r
+        return AlgebraElement(self.algebra, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -108,11 +109,11 @@ class AlgebraElement:
         return NotImplemented
 
     def star(self):
-        out = AlgebraElement(self.algebra)
+        out = {}
         for k, v in self.terms.items():
             k2, c2 = self.algebra.star_basis(k)
-            add_term(out.terms, k2, v * c2)
-        return out
+            add_term(out, k2, v * c2)
+        return AlgebraElement(self.algebra, out)
 
     def __repr__(self):
         if not self.terms:
@@ -156,8 +157,10 @@ class _Straightened(_Algebra):
     times s_i is one key `up` when the length goes up, and `up` plus
     (q - q^-1) times a key `down` otherwise.  Each algebra supplies
     `_start(key1, key2) -> (key, v)`, the key that the letters of v then
-    act on, and `_mul_gen(key, i) -> (up, down or None)`, cached like
-    every `_mul_gen`.
+    act on, and `_mul_gen(key, i) -> (up, down or None)`, cached: without
+    the two caches `tiedbox cellular --family bh --n 6` took 0.90-1.22 s
+    and 35.1 MiB against 0.66-0.77 s and 29.7 MiB (whole process, three
+    runs each on 2 shared vCPUs); verify-full showed no resolved difference.
 
     `mul_basis` is cached too, so the algebras keep a product table: the
     checks read the same products many times (42,019 calls for 12,506

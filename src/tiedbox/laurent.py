@@ -12,29 +12,28 @@ and `add_term` stores the coefficient it is given.  Nothing may change a
 coefficient dict in place after construction, nor bind `.c` or `._h`
 anywhere but in `_poly`.
 
-Small values are hash-consed (Filliatre and Conchon, "Type-safe modular
-hash-consing", 2006).  A value with at most SMALL_TERMS terms, each
-coefficient below SMALL_COEFF in absolute value, is one object: every
-constructor, and every operation, returns the object already in the table
-`_values`.  A new small value enters the table only while it holds fewer
-than MAX_VALUES values; ZERO, ONE and the other constants are in it from
-the start.  The checks build few distinct values many times over (a full
-`verify-all` builds 194, 159 of them small), so:
+Values are interned, or hash-consed (Filliatre and Conchon, "Type-safe
+modular hash-consing", 2006), by one rule: `_poly` builds every value, and
+it returns the object already in the table `_values` for an equal value,
+and enters a new value, whatever its size, while the table holds fewer
+than MAX_VALUES values.  ZERO, ONE and the other constants are in it from
+the start.  The checks build few distinct values many times over: after a
+full `verify-all` the table holds all 194 values it built, so:
 
-* equality tests identity first, and two distinct hash-consed values are
+* equality tests identity first, and two distinct interned values are
   unequal; any other pair compares by value;
-* `+`, `-` and `*` of two hash-consed values are memoized in `_sums`,
-  `_differences` and `_products`, keyed by the pair of ids.  A table
-  stores a result only if it is hash-consed itself and the table holds
-  fewer than MAX_MEMO results.  Hash-consed values are never freed, so an
-  id names one value for the life of the process; a value that is not
-  hash-consed is never a key;
+* `+`, `-` and `*` of two interned values are memoized in `_sums`,
+  `_differences` and `_products` (273, 88 and 224 results after a full
+  `verify-all`), keyed by the pair of ids.  A table stores a result only
+  if it is interned itself and the table holds fewer than MAX_MEMO
+  results.  Interned values are never freed, so an id names one value for
+  the life of the process; a value that is not interned is never a key;
 * `hash(p)` is `hash(frozenset(p.c.items()))` for every value, stored in
-  `_h` for a hash-consed one (None for any other), so every set and dict
+  `_h` for an interned one (None for any other), so every set and dict
   order is the same as without the tables.
 
-Both caps bound the memory: interning every value made the Hecke cell
-axiom at n = 5 hold 712,330 values.
+Both caps bound the memory: interning every value, with no cap, made the
+Hecke cell axiom at n = 5 hold 712,330 values.
 """
 
 from math import gcd
@@ -46,33 +45,25 @@ __all__ = [
     "echelon_insert",
 ]
 
-SMALL_TERMS = 4
-SMALL_COEFF = 1 << 16
 MAX_VALUES = 2048
 MAX_MEMO = 4096
 
-_values = {}   # frozenset of the terms -> the hash-consed LaurentPoly
+_values = {}   # frozenset of the terms -> the interned LaurentPoly
 _sums, _differences, _products = {}, {}, {}   # (id(a), id(b)) -> a op b
 
 
 def _poly(c):
     """The LaurentPoly with coefficient dict c, which has no zero entry and
-    is owned by the result: the hash-consed value equal to it if there is
-    one, else a new object, hash-consed if c is small and the table has
-    room."""
-    key = None
-    if len(c) <= SMALL_TERMS:
-        key = frozenset(c.items())
-        r = _values.get(key)
-        if r is not None:
-            return r
-        if len(_values) >= MAX_VALUES \
-                or max(map(abs, c.values()), default=0) >= SMALL_COEFF:
-            key = None
+    is owned by the result: the interned value equal to it if there is one,
+    else a new object, interned while the table has room."""
+    key = frozenset(c.items())
+    r = _values.get(key)
+    if r is not None:
+        return r
     r = object.__new__(LaurentPoly)
     r.c = c
     r._h = None
-    if key is not None:
+    if len(_values) < MAX_VALUES:
         r._h = hash(key)
         _values[key] = r
     return r
@@ -80,7 +71,7 @@ def _poly(c):
 
 def _memo(table, op, a, b):
     """op on the coefficient dicts of a and b, as a LaurentPoly; through
-    `table` when both are hash-consed."""
+    `table` when both are interned."""
     if a._h is None or b._h is None:
         return _poly(op(a.c, b.c))
     key = (id(a), id(b))
@@ -145,9 +136,9 @@ class LaurentPoly:
     """An element of Z[q, q^-1], stored as a dict exponent -> coefficient.
 
     Immutable: operations return new values or one of their operands (the
-    product with ONE is the other factor), so values may be shared.  A
-    small value is hash-consed: it is the one object of its value (see the
-    module docstring)."""
+    product with ONE is the other factor), so values may be shared.  Every
+    value is built by `_poly`, which interns it while the table has room
+    (see the module docstring)."""
 
     __slots__ = ("c", "_h")
 
@@ -368,8 +359,9 @@ class LaurentFrac:
     """A fraction of Laurent polynomials, reduced so equality is structural.
     A denominator 1 is ONE itself, and arithmetic skips the products by it.
     A fraction over ONE is whole: once its gcd is taken (`poly_gcd` returns
-    ONE at once) it keeps its numerator as it is.  Every result is still
-    built through `__init__`, and every nonzero one takes its gcd once."""
+    ONE at once) it keeps its numerator as it is.  Every fraction, a
+    negation too, is built by `__init__`, and every nonzero one takes its
+    gcd once; its two parts are interned by the one rule of `_poly`."""
 
     __slots__ = ("num", "den")
 
@@ -423,9 +415,7 @@ class LaurentFrac:
     __radd__ = __add__
 
     def __neg__(self):
-        r = LaurentFrac.__new__(LaurentFrac)
-        r.num, r.den = -self.num, self.den
-        return r
+        return LaurentFrac(-self.num, self.den)
 
     def __sub__(self, other):
         if other.__class__ is not LaurentFrac:

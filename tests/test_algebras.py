@@ -310,3 +310,28 @@ def test_an_element_equals_an_int_by_its_multiple_of_one():
     h = HeckeAlgebra(2)
     assert h.one() == 1 and h.zero() == 0 and h.one() * 3 == 3
     assert h.one() != 2 and h.gen(1) != 1
+
+
+def test_sums_and_differences_need_elements_of_one_algebra():
+    # an element of another algebra, even one of the same size or a
+    # subalgebra's, is refused as in a product; an int is a TypeError, and
+    # so is a product with a value that is no coefficient
+    pairs = [(HeckeAlgebra(2), HeckeAlgebra(3)), (BHAlgebra(2), BTAlgebra(2)),
+             (TLAlgebra(3), HeckeAlgebra(3))]
+    for a, b in pairs:
+        for x, y in ((a.one(), b.one()), (b.one(), a.one())):
+            for op in (x.__add__, x.__sub__, x.__mul__):
+                with pytest.raises(ValueError):
+                    op(y)
+    x = HeckeAlgebra(2).gen(1)
+    for other in (1, ONE, None, "x"):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            x - other
+        with pytest.raises(TypeError):
+            other + x
+    for other in (None, "x", 1.5):
+        with pytest.raises(TypeError):
+            x * other
+    assert (x + x) - x == x and x - x == HeckeAlgebra(2).zero()

@@ -436,9 +436,9 @@ def test_gcd_count_of_the_exact_ranks(monkeypatch):
     assert calls == 13_266
 
 
-# Hash-consed values (see the `laurent` module docstring).  The strategies
-# reach beyond the smallness bound in both directions: more than
-# SMALL_TERMS terms, and coefficients of SMALL_COEFF and more.
+# Interned values (see the `laurent` module docstring).  The strategies
+# mix few and many terms, and small and large coefficients, since a value
+# is interned whatever its size.
 coefficients = st.one_of(st.integers(-9, 9),
                          st.integers(-(1 << 17), 1 << 17))
 any_polys = st.builds(
@@ -455,15 +455,14 @@ def reference_sum(a, b, sign=1):
     return {e: v for e, v in out.items() if v}
 
 
-def is_small(p):
-    return len(p.c) <= laurent.SMALL_TERMS and \
-        all(abs(v) < laurent.SMALL_COEFF for v in p.c.values())
+def is_interned(p):
+    return laurent._values.get(frozenset(p.c.items())) is p
 
 
 @given(any_polys, any_polys)
 @settings(max_examples=200, deadline=None)
 def test_arithmetic_matches_the_dict_reference(a, b):
-    # twice: the second time from the memo tables where both are hash-consed
+    # twice: the second time from the memo tables where both are interned
     for _ in range(2):
         assert (a + b).c == reference_sum(a, b)
         assert (a - b).c == reference_sum(a, b, -1)
@@ -478,7 +477,7 @@ def test_arithmetic_matches_the_dict_reference(a, b):
 def test_hash_is_the_hash_of_the_terms(a, b):
     for p in (a, b, a + b, a - b, a * b, -a, ONE, ZERO):
         assert hash(p) == hash(frozenset(p.c.items()))
-        assert (p._h is not None) <= is_small(p)
+        assert (p._h is not None) == is_interned(p)
     assert (a == b) == (a.c == b.c)
 
 
@@ -494,8 +493,6 @@ def test_equal_small_values_are_one_object(da, db):
         mp.setattr(laurent, "MAX_VALUES", len(laurent._values) + 1_000)
         a, b = LaurentPoly(da), LaurentPoly(db)
         p = a * b + a
-        if not is_small(p):
-            return
         lo, coeffs = p.to_list()
         built = [LaurentPoly(dict(p.c)), LaurentPoly.from_list(lo, coeffs),
                  LaurentPoly.parse(str(p)), (p * DELTA).divexact(DELTA),
@@ -507,8 +504,18 @@ def test_equal_small_values_are_one_object(da, db):
         assert all(x is p for x in built)
 
 
+def test_values_of_any_size_are_one_object_while_the_table_has_room(monkeypatch):
+    monkeypatch.setattr(laurent, "MAX_VALUES", len(laurent._values) + 10)
+    # exponents that no other test builds, so both values are new here
+    for terms in ({e: e - 296 for e in range(300, 307)},   # seven terms
+                  {300: 1 << 16, 301: -(1 << 20)}):        # large coefficients
+        a, b = LaurentPoly(terms), LaurentPoly(dict(terms))
+        assert a is b and is_interned(a) and a._h == hash(a)
+        assert a * ONE is a and (a + Q) - Q is a
+
+
 def test_tables_stay_within_their_caps(monkeypatch):
-    # more distinct small values and pairs than the caps allow: every table
+    # more distinct values and pairs than the caps allow: every table
     # stops at its cap, and every result is still right
     monkeypatch.setattr(laurent, "MAX_VALUES", len(laurent._values) + 400)
     monkeypatch.setattr(laurent, "MAX_MEMO", max(map(len, MEMOS)) + 50)
@@ -523,7 +530,7 @@ def test_tables_stay_within_their_caps(monkeypatch):
             assert (a * b).c == convolve(a, b)
     assert len(laurent._values) == laurent.MAX_VALUES
     assert max(map(len, MEMOS)) == laurent.MAX_MEMO
-    # a small value outside the table is still equal to an equal one
+    # a value outside the table is still equal to an equal one
     late = [LaurentPoly({200: 5, 201: 1}) for _ in range(2)]
     assert late[0] is not late[1] and late[0] == late[1]
     assert late[0]._h is None and hash(late[0]) == hash(late[1])

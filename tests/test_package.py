@@ -1,7 +1,8 @@
 """Package hygiene: every exported name and every traced name exists, the
 traced algebra classes are unrelated, no module changes a coefficient dict
 in place, no module but setpartitions.py writes the fields of a set
-partition, no module computes with anything but integers, and no module or
+partition, only `AlgebraElement.__init__` writes the fields of an algebra
+element, no module computes with anything but integers, and no module or
 test imports a name it does not use or assigns a local it never reads."""
 
 import ast
@@ -103,31 +104,41 @@ def test_coefficient_dicts_are_never_changed_in_place():
 LAURENT_FIELDS = {"c", "_h"}
 
 
+def binds_field(node, fields):
+    """Whether node binds or deletes `<expr>.f` for a name f in fields,
+    including by an augmented assignment or `setattr(<expr>, "f", ...)`."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in fields and isinstance(node.ctx, (ast.Store, ast.Del))
+    return isinstance(node, ast.Call) \
+        and isinstance(node.func, (ast.Name, ast.Attribute)) \
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) \
+        in ("setattr", "__setattr__") \
+        and any(isinstance(a, ast.Constant) and a.value in fields
+                for a in node.args)
+
+
+def scoped_matches(tree, match):
+    """(enclosing function or "", line) of every node for which match
+    holds; a method is named `Class.method`."""
+    def visit(node, function, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, function, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, prefix + child.name, "")
+                continue
+            if match(child):
+                yield function, child.lineno
+            yield from visit(child, function, prefix)
+
+    yield from visit(tree, "", "")
+
+
 def laurent_field_bindings(tree):
     """(enclosing function or "", line) of every binding or deletion of
-    `<expr>.c` or `<expr>._h`, including augmented assignments and
-    `setattr(<expr>, "c" or "_h", ...)`."""
-    def binds(node):
-        if isinstance(node, ast.Attribute):
-            return node.attr in LAURENT_FIELDS \
-                and isinstance(node.ctx, (ast.Store, ast.Del))
-        return isinstance(node, ast.Call) \
-            and isinstance(node.func, (ast.Name, ast.Attribute)) \
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) \
-            in ("setattr", "__setattr__") \
-            and any(isinstance(a, ast.Constant) and a.value in LAURENT_FIELDS
-                    for a in node.args)
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from visit(child, child.name)
-                continue
-            if binds(child):
-                yield function, child.lineno
-            yield from visit(child, function)
-
-    yield from visit(tree, "")
+    `<expr>.c` or `<expr>._h`."""
+    return scoped_matches(tree, lambda node: binds_field(node, LAURENT_FIELDS))
 
 
 def test_laurent_field_scan_finds_bindings():
@@ -149,6 +160,53 @@ def test_laurent_fields_are_bound_only_by_the_constructor_helper():
               for function, _ in laurent_field_bindings(
                   ast.parse(path.read_text()))}
     assert places == {("laurent.py", "_poly")}
+
+
+ELEMENT_FIELDS = {"terms", "algebra"}
+
+
+def element_field_writes(tree):
+    """(enclosing function or "", line) of every binding or deletion of
+    `<expr>.terms` or `<expr>.algebra`, and of every write into a
+    `<expr>.terms` dict: item assignment or deletion, a mutating method
+    call, or `add_term(<expr>.terms, ...)`."""
+    def is_terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    def writes(node):
+        if binds_field(node, ELEMENT_FIELDS):
+            return True
+        if isinstance(node, ast.Subscript):
+            return is_terms(node.value) and isinstance(node.ctx, (ast.Store, ast.Del))
+        if not isinstance(node, ast.Call):
+            return False
+        if isinstance(node.func, ast.Attribute):
+            return node.func.attr in MUTATORS and is_terms(node.func.value)
+        return isinstance(node.func, ast.Name) and node.func.id == "add_term" \
+            and bool(node.args) and is_terms(node.args[0])
+
+    return scoped_matches(tree, writes)
+
+
+def test_element_field_scan_finds_writes():
+    code = "r.terms = {}\nr.algebra = a\nt = x.terms\nr.terms[k] = 1\n" \
+           "del r.terms[k]\nr.terms.update({})\nadd_term(r.terms, k, v)\n" \
+           "add_term(out, k, x.terms[k])\nsetattr(r, 'terms', {})\n" \
+           "class A:\n    def __init__(self, a):\n        self.algebra = a\n" \
+           "        self.terms[0] = 1\n    def f(self):\n        self.terms = {}\n"
+    assert sorted(element_field_writes(ast.parse(code))) == \
+        [("", 1), ("", 2), ("", 4), ("", 5), ("", 6), ("", 7), ("", 9),
+         ("A.__init__", 12), ("A.__init__", 13), ("A.f", 15)]
+
+
+def test_element_fields_are_bound_only_by_the_constructor():
+    # elements are hashed by their terms and kept in sets and dict keys, and
+    # `__init__` alone drops zero coefficients and turns ints into
+    # coefficients: every element is built there, and nothing changes one
+    package = pathlib.Path(tiedbox.__file__).parent
+    places = {(path.name, function) for path in sorted(package.glob("*.py"))
+              for function, _ in element_field_writes(ast.parse(path.read_text()))}
+    assert places == {("algebras.py", "AlgebraElement.__init__")}
 
 
 PARTITION_FIELDS = {"size", "_index", "_nblocks", "_hash"}
