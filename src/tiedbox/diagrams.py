@@ -13,6 +13,9 @@ The inherited `join`, `act` and `restrict` return plain set partitions.
 Concatenation runs through a shared middle row: a list-based union-find
 over the blocks of the two factors, joined at the middle points, labels
 every outer point and counts the closed middle components (loops).
+`closure` enumerates a generated monoid with one product per new element
+or relation (Froidure-Pin), reading every other product off the Cayley
+graphs.
 """
 
 from functools import lru_cache
@@ -112,8 +115,8 @@ class BudgetExceeded(RuntimeError):
     """A search stopped at its step or size budget before it finished."""
 
 
-# Number of products a closure may take; also the largest family that a
-# direct enumeration builds (see `check_budget`).
+# Number of (element, generator) steps a closure may take; also the largest
+# family that a direct enumeration builds (see `check_budget`).
 BUDGET = 10 ** 6
 
 
@@ -131,27 +134,103 @@ def check_budget(label, n, sizes):
 
 
 def closure(gens):
-    """Multiplicative closure of a set of elements under `*`, breadth first
-    (for diagrams, concatenation with loops discarded).  Raises
-    BudgetExceeded after BUDGET products.
+    """Multiplicative closure of a list of elements under `*` (for
+    diagrams, concatenation with loops discarded): the generators without
+    repeats, then the other elements breadth first, enumerated by Froidure
+    and Pin's algorithm (1997) in `_froidure_pin`.  Raises BudgetExceeded
+    after BUDGET (element, generator) steps.
+    """
+    return _froidure_pin(gens)[0]
+
+
+def _froidure_pin(gens):
+    """The closure of `gens` under `*` and its right and left Cayley
+    graphs, after Froidure and Pin ("Algorithms for computing finite
+    semigroups", 1997).  Returns (elements, right, left), with
+    elements[right[i][b]] == elements[i] * gens[b] and
+    elements[left[i][b]] == gens[b] * elements[i].
+
+    Order.  Letter b stands for gens[b].  The least word of an element is
+    its first word in the shortlex order (shorter first, then
+    lexicographic by letter), and a prefix of a least word is a least
+    word.  The elements are listed in the shortlex order of their least
+    words: the generators without repeats (a repeated generator keeps its
+    first letter), then, length by length, each new product i * b in the
+    order of the pairs (i, b), by i and then by b.  The least word of a
+    new product is that of the first pair that makes it, so this order is
+    shortlex, and it is the order of a breadth-first search that
+    multiplies every element found by every generator.
+
+    Bookkeeping.  Each element keeps its first and last letter and, as
+    element indices, its prefix and suffix: its least word without the
+    last or the first letter (None for a generator).  So i * b was new at
+    the pair (i, b), and the least word of i followed by b is a least
+    word, exactly when i * b has prefix i and last letter b.
+
+    The one rule.  Let i have first letter a and suffix s.  If s * b = r
+    was not new, the word of i followed by b is not least, and
+    i * b = a.r = (a.prefix(r)).last(r) = right[q][last(r)], where
+    q = left[prefix(r)][a], or q = gen(a) when r is a generator.  The
+    least word of r is below s.b, so a.prefix(r) is shorter than the word
+    of i, or as long and below it, or equal to it with last(r) before b:
+    q is an element before i, whose row is done, or i itself, with its
+    product by last(r) made.  So a derived product is an element already
+    found, and a product is made only for the other pairs.  The left rows
+    of the elements of one length are read off the right graph once that
+    length is done: left[j][a] = right[left[prefix(j)][a]][last(j)], and
+    left[prefix(j)][a] is no longer than j.
+
+    Raises BudgetExceeded after BUDGET steps, one per (element, generator)
+    pair, made or read: the steps of the breadth-first search, so both
+    stop at the same pair.
     """
     gens = list(gens)
-    seen = dict.fromkeys(gens)  # insertion-ordered: the order found
-    frontier = list(seen)
-    steps = 0
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
+    elements, index, gen, first = [], {}, [], []
+    for b, g in enumerate(gens):
+        if g not in index:
+            index[g] = len(elements)
+            elements.append(g)
+            first.append(b)
+        gen.append(index[g])
+    last = first[:]
+    prefix = [None] * len(elements)
+    suffix = prefix[:]
+    right, left = [], []
+    letters = range(len(gens))
+    steps = start = 0
+    while start < len(elements):
+        end = len(elements)
+        for i in range(start, end):
+            a, s = first[i], suffix[i]
+            row = [None] * len(gens)
+            right.append(row)
+            for b in letters:
                 steps += 1
                 if steps > BUDGET:
                     raise BudgetExceeded("closure budget exhausted")
-                y = x * g
-                if y not in seen:
-                    seen[y] = None
-                    new.append(y)
-        frontier = new
-    return list(seen)
+                if s is not None:
+                    r = right[s][b]
+                    p = prefix[r]
+                    if p != s or last[r] != b:  # s * b was not new
+                        q = gen[a] if p is None else left[p][a]
+                        row[b] = right[q][last[r]]
+                        continue
+                y = elements[i] * gens[b]
+                j = index.get(y)
+                if j is None:
+                    j = index[y] = len(elements)
+                    elements.append(y)
+                    first.append(a)
+                    last.append(b)
+                    prefix.append(i)
+                    suffix.append(gen[b] if s is None else right[s][b])
+                row[b] = j
+        for j in range(start, end):
+            p, c = prefix[j], last[j]
+            qs = gen if p is None else left[p]
+            left.append([right[q][c] for q in qs])
+        start = end
+    return elements, right, left
 
 
 def boxed_diagram(mu):
@@ -176,7 +255,11 @@ def boxed_composition(d):
 
 def over(*ds):
     """Horizontal product of diagrams, side by side from left to right: the
-    k-th acts on the k-th box of the composition of their strand counts."""
+    k-th acts on the k-th box of the composition of their strand counts.
+    One diagram is its own horizontal product: the labels are its own, and
+    a diagram is an immutable value, so it is returned as it is."""
+    if len(ds) == 1:
+        return ds[0]
     top, bottom, shift = [], [], 0
     for d in ds:
         index, m = d._index, d.n

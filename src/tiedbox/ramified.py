@@ -27,9 +27,10 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _product(d1, d2):
-    """d1 * d2, loops discarded.  The closures and presentation checks of
-    the ramified monoids multiply few distinct pairs of diagrams many
-    times."""
+    """d1 * d2, loops discarded.  Few distinct pairs of diagrams are
+    multiplied many times: by `center`, which takes |M|^2 products, by the
+    relation checks and closures of `presentation_check`, whose ramified
+    elements share their components, and by the normal-form evaluations."""
     return d1 * d2
 
 

@@ -2,9 +2,13 @@
 
 import random
 
+from tiedbox import diagrams
 from tiedbox.combinatorics import catalan, compositions, double_factorial_odd
 from tiedbox.diagrams import (
+    BudgetExceeded,
     Diagram,
+    _froidure_pin,
+    closure,
     concat,
     boxed_composition,
     boxed_diagram,
@@ -17,10 +21,11 @@ from tiedbox.diagrams import (
     perm_diagram,
     tie,
 )
-from tiedbox.perms import all_perms, compose
-from tiedbox.ramified import Ramified, evaluate_normal_form, \
+from tiedbox.perms import all_perms, compose, identity, sgen
+from tiedbox.ramified import Ramified, br_symmetric, evaluate_normal_form, \
+    gen_z, r_symmetric, ramified_identity, \
     from_perm_and_ties, normal_form_brbr
-from tiedbox.setpartitions import SetPartition
+from tiedbox.setpartitions import SetPartition, all_partitions
 
 
 def test_partition_monoid_sizes():
@@ -35,6 +40,10 @@ def test_brauer_and_jones_sizes():
         assert len(brauer_monoid(n)) == double_factorial_odd(n)
     for n in range(1, 7):
         assert len(jones_monoid(n)) == catalan(n)
+
+
+def test_brauer_monoid_on_six_strands():
+    assert len(brauer_monoid(6)) == double_factorial_odd(6) == 10395
 
 
 def test_jones_inside_brauer_inside_partition():
@@ -123,3 +132,106 @@ def test_a_diagram_is_not_its_set_partition():
 
 def test_a_diagram_has_no_dict():
     assert not hasattr(hook(2, 1), "__dict__")
+
+
+def test_over_of_one_diagram_is_the_diagram():
+    # over(d, over()) rebuilds d from its labels, beside the empty diagram
+    for d in brauer_monoid(3):
+        assert over(d) is d
+        rebuilt = over(d, over())
+        assert rebuilt is not d and rebuilt == d and type(rebuilt) is Diagram
+
+
+def breadth_first_closure(gens):
+    """The closure as a breadth-first search: every element found times
+    every generator, one budget step per product."""
+    gens = list(gens)
+    seen = dict.fromkeys(gens)
+    frontier = list(seen)
+    steps = 0
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                steps += 1
+                if steps > diagrams.BUDGET:
+                    raise BudgetExceeded("closure budget exhausted")
+                y = x * g
+                if y not in seen:
+                    seen[y] = None
+                    new.append(y)
+        frontier = new
+    return list(seen)
+
+
+def brauer_generators(n):
+    """The generators of `brauer_monoid(n)`, in its order."""
+    return [perm_diagram(identity(n))] + \
+        [perm_diagram(sgen(n, i)) for i in range(1, n)] + \
+        [hook(n, i) for i in range(1, n)]
+
+
+def test_closure_is_the_breadth_first_closure(monkeypatch):
+    # the same list in the same order, and over the same budget at the same
+    # (element, generator) step: the steps of the whole closure are its
+    # size times the number of generators, repeats included
+    rng = random.Random(5)
+    pools = [(brauer_monoid(3), perm_diagram(identity(3))),
+             (r_symmetric(3), ramified_identity(3)),
+             (all_partitions(4), SetPartition.singletons(4))]
+    for pool, one in pools:
+        for _ in range(40):
+            gens = rng.choices(pool, k=rng.randrange(6))
+            gens += rng.choice([[], [one], gens[:1]])
+            rng.shuffle(gens)
+            expected = breadth_first_closure(gens)
+            assert closure(gens) == expected
+            steps = len(expected) * len(gens)
+            for budget in (max(steps - 1, 0), rng.randrange(steps + 1), steps):
+                monkeypatch.setattr(diagrams, "BUDGET", budget)
+                raised = []
+                for enumerate_ in (breadth_first_closure, closure):
+                    try:
+                        assert enumerate_(gens) == expected
+                        raised.append(False)
+                    except BudgetExceeded:
+                        raised.append(True)
+                assert raised == [budget < steps] * 2
+            monkeypatch.undo()
+
+
+def test_cayley_graphs_are_the_products():
+    # a wrong rule for a derived product may still list every element
+    # once; each graph entry is checked against its product here
+    zgens = [ramified_identity(3)] + [gen_z(3, i) for i in (1, 2)]
+    for gens, family in ((brauer_generators(3), brauer_monoid(3)),
+                         (zgens, br_symmetric(3))):
+        elements, right, left = _froidure_pin(gens)
+        assert set(elements) == set(family)
+        assert len(right) == len(left) == len(elements)
+        for x, row, column in zip(elements, right, left):
+            assert [elements[j] for j in row] == [x * g for g in gens]
+            assert [elements[j] for j in column] == [g * x for g in gens]
+
+
+def test_closure_makes_one_product_per_new_element_or_relation(monkeypatch):
+    # a breadth-first search takes 945 * 9 = 8,505 products for Br_5
+    products = []
+
+    def counted(multiply):
+        def product(x, y):
+            products.append(None)
+            return multiply(x, y)
+        return product
+
+    monkeypatch.setattr(diagrams, "concat", counted(concat))
+    assert len(closure(brauer_generators(5))) == 945
+    assert len(products) == 1350
+    # the single ties of 4 points under join: e12 * e13 == e12 * e23 is new
+    # at (e12, e13), so e34 e12 * e23 is read, not multiplied
+    products.clear()
+    monkeypatch.setattr(SetPartition, "__mul__", counted(SetPartition.join))
+    ties = [SetPartition([pair], 4) for pair in
+            ((3, 4), (1, 2), (1, 3), (2, 3), (1, 4), (2, 4))]
+    assert len(closure(ties)) == 14
+    assert len(products) == 41
