@@ -232,6 +232,11 @@ class HeckeAlgebra(_Straightened):
     def gen(self, i):
         return self.basis_element(perms.sgen(self.n, i))
 
+    def generators(self):
+        """h_1 .. h_(n-1): h_w is the product of the h_i along a reduced
+        word of w, since h_w h_i = h_(w s_i) when the length goes up."""
+        return [self.gen(i) for i in range(1, self.n)]
+
     def _start(self, w, v):
         return w, v
 
@@ -261,6 +266,12 @@ class TLAlgebra(_Algebra):
 
     def hook(self, i):
         return self.basis_element(hook(self.n, i))
+
+    def generators(self):
+        """The hooks t_1 .. t_(n-1): every Jones diagram is a product of
+        hooks (Jones' normal form), and a product of diagrams is a
+        diagram times a power of q + q^-1."""
+        return [self.hook(i) for i in range(1, self.n)]
 
     def mul_basis(self, d1, d2):
         d, loops = concat(d1, d2)
@@ -389,6 +400,13 @@ class BHAlgebra(_Tied):
     def z(self, i):
         return self.basis_element((_tie(self.n, i), perms.sgen(self.n, i)))
 
+    def generators(self):
+        """e_1 .. e_(n-1), then z_1 .. z_(n-1): E_I is the product of the
+        e_i with i, i + 1 in one block of I, and E_I z_w is E_I times the
+        z_i along a reduced word of w in S_I (each tie e_i lies in I)."""
+        return ([self.e(i) for i in range(1, self.n)]
+                + [self.z(i) for i in range(1, self.n)])
+
     braid = z
 
     def z_of(self, w):
@@ -408,6 +426,14 @@ class BTLAlgebra(_Algebra):
 
     def one_key(self):
         raise ValueError("the identity is not a single basis key here")
+
+    def generators(self):
+        """pi2 of e_1 .. e_(n-1), then of d_1 .. d_(n-1): `pi2` maps the
+        tied-boxed Hecke algebra onto this one, and z_i = d_i - q^-1 e_i,
+        so the images of its generators lie in the algebra these generate."""
+        bh = BHAlgebra(self.n)
+        return [pi2(x) for x in [bh.e(i) for i in range(1, self.n)]
+                + [bh.d(i) for i in range(1, self.n)]]
 
     def one(self):
         out = {}

@@ -4,7 +4,9 @@ list of line records ``{"name", "expected", "got", "status"}``.
 The functions are shared between the test suite and the ``verify-all`` CLI
 command.  Every check is exact except the seeded modular rank of
 ``check_representation``: ``seed`` only affects that record, which is
-emitted beside the exact rank of the same rows and stands on its own.
+emitted beside the exact rank of the same rows and stands on its own.  It
+is a lower bound for the rank, so a value below the expected rank is
+inconclusive and only a value above it fails.
 
 There are two profiles.  ``full`` runs every record.  ``quick`` runs the
 ``full`` records on at most ``QUICK_N`` strands, in the same order: each
@@ -21,7 +23,6 @@ from .algebras import (
     BHAlgebra,
     BTAlgebra,
     BTLAlgebra,
-    HeckeAlgebra,
     coords,
     ideal_span,
     iota1,
@@ -215,7 +216,10 @@ def check_representation(seed=0):
         rows = [flatten_matrix(full.rho_bt(key), full.dim) for key in algebra.basis()]
         probable = matrix_rank(rows, mode="probabilistic", seed=seed)
         exact = matrix_rank(rows, mode="exact")
-        recs.append(record(f"{label}:probabilistic", expected, probable))
+        rec = record(f"{label}:probabilistic", expected, probable)
+        if probable < expected:  # the rank mod p is a lower bound only
+            rec["status"] = "inconclusive"
+        recs.append(rec)
         recs.append(record(f"{label}:exact", expected, exact))
     return recs
 
@@ -258,9 +262,11 @@ def check_structure_constants(quick=False):
 def _mobius_records(label, algebra, parts, central):
     """The Mobius idempotents of `parts` sum to one, are idempotent and
     pairwise orthogonal, multiply a tie element E_q to themselves when
-    q <= p and to zero otherwise, and, if `central`, commute with every
-    basis element."""
+    q <= p and to zero otherwise, and, if `central`, commute with each of
+    `algebra.generators()`; they generate the algebra, so that makes the
+    idempotents central."""
     idem = {p: algebra.mobius_idempotent(p) for p in parts}
+    generators = algebra.generators() if central else ()
     total = algebra.zero()
     ok_sq = ok_orth = ok_central = ok_table = True
     for p in parts:
@@ -272,8 +278,7 @@ def _mobius_records(label, algebra, parts, central):
             prod = idem[p] * algebra.e_of_partition(q)
             want = idem[p] if q <= p else algebra.zero()
             ok_table = ok_table and prod == want
-        for key in algebra.basis() if central else ():
-            x = algebra.basis_element(key)
+        for x in generators:
             if idem[p] * x != x * idem[p]:
                 ok_central = False
     oks = {"complete": total == algebra.one(), "idempotent": ok_sq,
@@ -333,15 +338,8 @@ def check_cellular(quick=False):
                 recs.append(record(f"cell:{label}:star:n={n}", "pass",
                                    star_axiom_check(datum)["status"]))
     for n in upto(3, quick, first=2):
-        bh = BHAlgebra(n)
-        e = [bh.e(i) for i in range(1, n)]
-        generators = {
-            "tied-boxed-hecke": e + [bh.z(i) for i in range(1, n)],
-            "tied-boxed-tl": [pi2(x) for x in e + [bh.d(i) for i in range(1, n)]],
-            "hecke-murphy": [HeckeAlgebra(n).gen(i) for i in range(1, n)],
-        }
-        for label, gens in generators.items():
-            rep = cell_axiom_check(data[label, n], gens)
+        for label in ("tied-boxed-hecke", "tied-boxed-tl", "hecke-murphy"):
+            rep = cell_axiom_check(data[label, n])
             recs.append(record(f"cell:{label}:axiom:n={n}", "pass", rep["status"]))
     return recs
 
@@ -357,8 +355,7 @@ def check_quotients():
     recs.append(bool_record("quot:projected-steinberg-vanishes",
                             not pi2(bh.steinberg(1, 2))))
     # projections of d_i = q^-1 e_i + z_i satisfy the hook relations
-    d1, d2 = pi2(bh.d(1)), pi2(bh.d(2))
-    e1, e2 = pi2(bh.e(1)), pi2(bh.e(2))
+    e1, e2, d1, d2 = BTLAlgebra(3).generators()
     ok_quad = d1 * d1 == d1.scale(DELTA) and d2 * d2 == d2.scale(DELTA)
     ok_sandwich = (d1 * d2 * d1 == e2 * d1 * e2
                    and d2 * d1 * d2 == e1 * d2 * e1)

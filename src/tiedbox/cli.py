@@ -189,15 +189,13 @@ def cmd_multiply(args):
 def cmd_cellular(args):
     datum = CELLULAR[args.family](args.n)
     size = len(datum.elements)
-    records = [{"name": f"cellular:{args.family}:count:n={args.n}",
-                "expected": datum.algebra.dim(), "got": size,
-                "status": "pass" if size == datum.algebra.dim() else "fail"}]
+    records = [checks.record(f"cellular:{args.family}:count:n={args.n}",
+                             datum.algebra.dim(), size)]
     if args.n <= 3:
         rows, _, _ = transition_matrix(datum)
         rank = matrix_rank(rows, mode="exact")
-        records.append({"name": f"cellular:{args.family}:full-rank:n={args.n}",
-                        "expected": size, "got": rank,
-                        "status": "pass" if rank == size else "fail"})
+        records.append(checks.record(
+            f"cellular:{args.family}:full-rank:n={args.n}", size, rank))
         records.append(dict(star_axiom_check(datum),
                             name=f"cellular:{args.family}:star:n={args.n}"))
     return records

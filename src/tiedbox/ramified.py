@@ -152,13 +152,15 @@ def sr_symmetric(n):
 
 def _boxed_family(name, n, block_family, block_size):
     """All (I, b_mu) with I a horizontal product of block elements; see
-    `diagrams.check_budget`."""
+    `diagrams.check_budget`.  The block elements of each size m = 1..n are
+    built once, not once per part of every composition."""
     check_budget(f"BR({name}_{{}})", n, boxed_sizes(block_size))
+    blocks = {m: block_family(m) for m in range(1, n + 1)}
     out = []
     for mu in compositions(n):
         b = boxed_diagram(mu)
         out.extend(Ramified(over(*ds), b)
-                   for ds in product(*map(block_family, mu)))
+                   for ds in product(*(blocks[m] for m in mu)))
     return out
 
 

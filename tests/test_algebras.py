@@ -14,6 +14,8 @@ from tiedbox.algebras import (
     HeckeAlgebra,
     TLAlgebra,
     _Straightened,
+    basis_index,
+    coords,
     hecke_to_tl,
     ideal_span,
     iota1,
@@ -22,7 +24,7 @@ from tiedbox.algebras import (
 )
 from tiedbox.combinatorics import bell, catalan
 from tiedbox.diagrams import Diagram, jones_monoid, perm_diagram
-from tiedbox.laurent import DELTA, ONE, Q, QDIFF, LaurentPoly
+from tiedbox.laurent import DELTA, ONE, Q, QDIFF, LaurentPoly, echelon_insert
 from tiedbox.perms import all_perms, compose, inverse
 from tiedbox.setpartitions import SetPartition, all_partitions, linear_partitions
 
@@ -226,6 +228,37 @@ def test_ideal_span_of_zero():
     bt = BTAlgebra(2)
     rank, rows, _ = ideal_span(bt, [bt.zero()])
     assert rank == 0 and rows == []
+
+
+def generated_rank(algebra, gens):
+    """The rank of the span reached from one() by right products with
+    `gens`, first in, first out; a product enters the queue when it is
+    independent of the span reached so far."""
+    index = basis_index(algebra)
+    rows = []
+    queue = [algebra.one()]
+    echelon_insert(rows, coords(queue[0], index))
+    for x in queue:
+        for g in gens:
+            y = x * g
+            if echelon_insert(rows, coords(y, index)):
+                queue.append(y)
+    return len(rows)
+
+
+@pytest.mark.parametrize("cls", [HeckeAlgebra, TLAlgebra, BHAlgebra,
+                                 BTLAlgebra])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generators_generate(cls, n):
+    algebra = cls(n)
+    assert generated_rank(algebra, algebra.generators()) == algebra.dim()
+
+
+def test_ties_alone_do_not_generate_the_tied_boxed_hecke_algebra():
+    # negative control: the e_i reach the span of the E_I, one per linear
+    # partition of {1, 2, 3}
+    bh = BHAlgebra(3)
+    assert generated_rank(bh, [bh.e(1), bh.e(2)]) == 4 < bh.dim() == 11
 
 
 def test_btl_one_and_star():

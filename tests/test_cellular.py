@@ -2,7 +2,6 @@
 
 import pytest
 
-from tiedbox.algebras import BHAlgebra, pi2
 from tiedbox.cellular import (
     CellDatum,
     _multi_greater,
@@ -43,29 +42,26 @@ def test_star_axiom(build):
 
 def test_product_axiom_hecke():
     for n in (2, 3):
-        datum = murphy_hecke(n)
-        gens = [datum.algebra.gen(i) for i in range(1, n)]
-        report = cell_axiom_check(datum, gens)
+        report = cell_axiom_check(murphy_hecke(n))
         assert report["status"] == "pass", report
 
 
 def test_product_axiom_tied_boxed():
     for n in (2, 3):
-        datum = bh_cellular(n)
-        bh = datum.algebra
-        gens = [bh.e(i) for i in range(1, n)] + [bh.z(i) for i in range(1, n)]
-        report = cell_axiom_check(datum, gens)
+        report = cell_axiom_check(bh_cellular(n))
         assert report["status"] == "pass", report
 
 
 def test_product_axiom_tied_boxed_tl():
     for n in (2, 3):
-        datum = btl_cellular(n)
-        bh = BHAlgebra(n)
-        gens = [pi2(bh.e(i)) for i in range(1, n)] + \
-            [pi2(bh.d(i)) for i in range(1, n)]
-        report = cell_axiom_check(datum, gens)
+        report = cell_axiom_check(btl_cellular(n))
         assert report["status"] == "pass", report
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_product_axiom_tl(n):
+    report = cell_axiom_check(tl_cellular(n))
+    assert report["status"] == "pass", report
 
 
 def test_corrupted_basis_fails_with_witness():
@@ -80,8 +76,7 @@ def test_corrupted_basis_fails_with_witness():
     first = next(tri for tri in elements if tri[0] == lam)
     elements[first] = h.gen(1)
     corrupted = CellDatum(h, elements)
-    gens = [h.gen(i) for i in (1, 2)]
-    axiom = cell_axiom_check(corrupted, gens)
+    axiom = cell_axiom_check(corrupted)
     mat, _, _ = transition_matrix(corrupted)
     rank_drop = matrix_rank(mat, mode="exact") < len(corrupted.elements)
     assert axiom["status"] == "fail" or rank_drop
@@ -112,9 +107,8 @@ def test_scaled_diagonal_element_depends_on_s():
     datum = murphy_hecke(3)
     s = _hook_tableaux(datum)[0]
     corrupted = _scaled(datum, s, s)
-    gens = [datum.algebra.gen(i) for i in (1, 2)]
     assert star_axiom_check(corrupted)["status"] == "pass"
-    report = cell_axiom_check(corrupted, gens)
+    report = cell_axiom_check(corrupted)
     assert report["status"] == "fail"
     assert report["witness"]["reason"] == "coefficients depend on s"
 

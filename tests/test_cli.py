@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -481,3 +482,53 @@ def test_verify_all_full_prints_the_records_the_benchmark_expects(capsys):
                            "expected.json").read_text())
     assert hashlib.sha256(out.encode()).hexdigest() == \
         expected["verify-full"]["sha256"]
+
+
+@pytest.mark.parametrize("shift, status, exit_code", [
+    (-1, "inconclusive", 2), (1, "fail", 1)])
+def test_a_modular_rank_below_the_expected_rank_is_inconclusive(
+        shift, status, exit_code, monkeypatch, capsys):
+    # the rank mod p at one point is only a lower bound for the exact rank, so
+    # a value below the expected rank is inconclusive and one above it fails;
+    # both algebras act faithfully, so the row count is the expected rank
+    from tiedbox import laurent
+
+    monkeypatch.setattr(laurent, "_rank_modular",
+                        lambda rows, seed: len(rows) + shift)
+    code, records = run(capsys, "rep-check")
+    assert code == exit_code
+    by_name = {r["name"]: r for r in records}
+    for label, expected in (("tied", 30), ("tied-boxed", 11)):
+        name = f"rep:faithful-rank-{label}"
+        probable = by_name[f"{name}:probabilistic"]
+        assert (probable["got"], probable["status"]) == (expected + shift,
+                                                          status)
+        assert by_name[f"{name}:exact"]["status"] == "pass"
+
+
+def readme_examples():
+    """The `tiedbox ...` lines of the README's CLI block, as argument lists,
+    each with the integers of its trailing comment."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("tiedbox "):
+            argv = shlex.split(line, comments=True)[1:]
+            note = line.partition("#")[2]
+            examples.append((argv, [int(x) for x in re.findall(r"\d+", note)]))
+    return examples
+
+
+def test_readme_examples_run(capsys):
+    examples = readme_examples()
+    assert len(examples) == 11
+    annotated = 0
+    for argv, values in examples:
+        code, records = run(capsys, *argv)
+        assert code == 0, argv
+        if values:
+            annotated += 1
+            assert [r[k] for r in records for k in ("count", "dim")
+                    if k in r] == values, argv
+    assert annotated == 2

@@ -1,17 +1,21 @@
 """Ramified partitions: families, generation, normal forms, centers."""
 
 import random
+from itertools import product
 
 import pytest
 
 from tiedbox import perms
 from tiedbox.combinatorics import bell, compositions, intervals
-from tiedbox.diagrams import brauer_monoid, closure, hook, perm_diagram
+from tiedbox.diagrams import (boxed_diagram, brauer_monoid, closure, hook,
+                              over, partition_monoid, perm_diagram)
 from tiedbox.ramified import (
     Ramified,
+    _boxed_family,
     _brauer_factorization,
     br_brauer,
     br_jones,
+    br_partition,
     br_symmetric,
     brs_from_word,
     center,
@@ -209,3 +213,20 @@ def test_equality_with_a_foreign_operand_is_false():
         assert v not in [None, 3, "1,2"]
         assert v.__eq__(None) is NotImplemented
         assert [w for w in values if w == v] == [v]
+
+
+def test_boxed_family_builds_each_block_list_once():
+    sizes = []
+
+    def block_family(m):
+        sizes.append(m)
+        return partition_monoid(m)
+
+    family = _boxed_family("P", 3, block_family, lambda m: bell(2 * m))
+    assert sizes == [1, 2, 3]
+    # a reference that builds one block list per part of every composition
+    reference = [Ramified(over(*ds), boxed_diagram(mu))
+                 for mu in compositions(3)
+                 for ds in product(*map(partition_monoid, mu))]
+    assert family == reference
+    assert br_partition(3) == tuple(reference)
