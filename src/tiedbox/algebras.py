@@ -63,9 +63,6 @@ class AlgebraElement:
             return NotImplemented
         return self.algebra is other.algebra and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -102,11 +99,6 @@ class AlgebraElement:
                 for k, v in self.algebra.mul_basis(k1, k2).items():
                     add_term(out, k, v if c is ONE else v * c)
         return AlgebraElement(self.algebra, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            return self.scale(other)
-        return NotImplemented
 
     def star(self):
         out = {}
@@ -423,9 +415,6 @@ class BTLAlgebra(_Algebra):
     basis key is (composition mu, tuple of Jones diagrams per block), and
     keys with different compositions multiply to zero (they sit under
     orthogonal central idempotents)."""
-
-    def one_key(self):
-        raise ValueError("the identity is not a single basis key here")
 
     def generators(self):
         """pi2 of e_1 .. e_(n-1), then of d_1 .. d_(n-1): `pi2` maps the

@@ -8,8 +8,9 @@ the initial-kind multitableaux of `combinatorics`:
 
 Both come from one Murphy builder, c_st = x_(d_s)^* m_lam x_(d_t) with x = h
 or z.  The Temperley-Lieb and tied-boxed Temperley-Lieb bases are the
-images of their two-column parts under the projections `hecke_to_tl` and
-`pi2`.  One cell order serves all four (`_multi_greater`)."""
+images of their two-column parts under `hecke_to_tl` and `pi2`; the maps
+commute with products and star, so the builder makes them in TL(n) and
+BTL(n).  One cell order serves all four (`_multi_greater`)."""
 
 from typing import NamedTuple
 
@@ -27,8 +28,8 @@ __all__ = ["CellDatum", "murphy_hecke", "tl_cellular", "bh_cellular",
            "btl_cellular", "cell_axiom_check", "star_axiom_check",
            "transition_matrix"]
 
-# Bound on the basis products of one Murphy construction (see `_murphy`):
-# n <= 6 strands for all four families, a few seconds at most.
+# Bound on the estimated basis products of one Murphy construction (see
+# `_murphy`): hecke-murphy and bh reach n <= 6, btl n <= 7 and tl n <= 8.
 MURPHY_BUDGET = 10 ** 7
 
 
@@ -56,10 +57,13 @@ def _murphy(algebra, labels, m_of, twist):
     """c_st = twist(d_s)^* m_of(label) twist(d_t) over the initial-kind
     multitableaux s, t of each label, d the tableau permutation.
 
-    That is sum |T|(|T| + 1) products over the labels, T the tableaux of
-    the label, each of an element by one basis element, so each of at most
-    N = sum |T|^2 basis products (the size of the basis).  BudgetExceeded
-    is raised before any of them if that bound is above MURPHY_BUDGET."""
+    That is sum |T|(|T| + 1) products, T the tableaux of a label, each of
+    an element by one twist.  In H(S_n) and BH(n) a twist is one basis
+    element, so a product makes at most N = sum |T|^2 basis products (the
+    size of the basis).  In TL(n) and BTL(n) it is the image of one, so
+    products * N is an estimate: tl at n = 8 makes 724,706 basis products
+    against 2,145,000, btl at n = 7 makes 534,939 against 3,823,248.  Above
+    MURPHY_BUDGET, BudgetExceeded is raised before any product or image."""
     tableaux = {lams: initial_kind_multitableaux(lams) for lams in labels}
     size = sum(len(tabs) ** 2 for tabs in tableaux.values())
     products = sum(len(tabs) * (len(tabs) + 1) for tabs in tableaux.values())
@@ -69,62 +73,69 @@ def _murphy(algebra, labels, m_of, twist):
     elements = {}
     for lams, tabs in tableaux.items():
         m_lam = m_of(lams)
-        for s in tabs:
-            left = twist(d_of_multitableau(s)).star() * m_lam
-            for t in tabs:
-                elements[(lams, s, t)] = left * twist(d_of_multitableau(t))
+        twists = [twist(d_of_multitableau(t)) for t in tabs]
+        for s, x in zip(tabs, twists):
+            left = x.star() * m_lam
+            for t, y in zip(tabs, twists):
+                elements[(lams, s, t)] = left * y
     return CellDatum(algebra, elements)
 
 
-def _two_column(datum, algebra, project):
-    """The image under `project` of the part of `datum` whose labels have
-    every part at most 2."""
-    return CellDatum(algebra, {
-        (lams, s, t): project(c) for (lams, s, t), c in datum.elements.items()
-        if all(not lam or lam[0] <= 2 for lam in lams)})
+def _hecke(n):
+    """Labels, m_of and twist of the Murphy basis of H(S_n)."""
+    h = HeckeAlgebra(n)
+    return (multipartitions_of_composition((n,)),
+            lambda lams: h.element({w: Q ** perms.length(w)
+                                    for w in perms.young_subgroup(lams[0])}),
+            h.basis_element)
+
+
+def _bh(n):
+    """Labels, m_of and twist of the tied-boxed Hecke basis: m_lam is the
+    Mobius idempotent of mu times the Murphy element of S_mu; x_d = z_d."""
+    bh = BHAlgebra(n)
+
+    def m_of(lams):
+        i_mu = SetPartition.from_composition(tuple(map(sum, lams)))
+        return bh.mobius_idempotent(i_mu) * bh.element(
+            {(i_mu, w): Q ** perms.length(w)
+             for w in perms.young_subgroup(sum(lams, ()))})
+
+    labels = [lams for mu in compositions(n)
+              for lams in multipartitions_of_composition(mu)]
+    return labels, m_of, bh.z_of
+
+
+def _projected(algebra, parts, project):
+    """`_murphy` in `algebra` on the two-column labels of `parts` (every
+    part at most 2), from the images under `project` of m_lam and x_d."""
+    labels, m_of, twist = parts
+    return _murphy(algebra, [lams for lams in labels
+                             if all(not lam or lam[0] <= 2 for lam in lams)],
+                   lambda lams: project(m_of(lams)),
+                   lambda w: project(twist(w)))
 
 
 def murphy_hecke(n):
     """The Murphy cellular basis of the Hecke algebra of S_n."""
-    h = HeckeAlgebra(n)
-    return _murphy(h, multipartitions_of_composition((n,)),
-                   lambda lams: h.element(
-                       {w: Q ** perms.length(w)
-                        for w in perms.young_subgroup(lams[0])}),
-                   h.basis_element)
+    return _murphy(HeckeAlgebra(n), *_hecke(n))
 
 
 def tl_cellular(n):
-    """Projection of the two-column part of the Murphy basis onto the
-    Temperley-Lieb diagram algebra."""
-    return _two_column(murphy_hecke(n), TLAlgebra(n), hecke_to_tl)
+    """The Temperley-Lieb cellular basis: the image under `hecke_to_tl` of
+    the two-column part of the Murphy basis."""
+    return _projected(TLAlgebra(n), _hecke(n), hecke_to_tl)
 
 
 def bh_cellular(n):
-    """Cellular basis of the tied-boxed Hecke algebra: for a multipartition
-    with underlying composition mu, the Mobius idempotent of mu times the
-    Murphy-type element of the Young subgroup, conjugated by the tableau
-    permutations through z generators."""
-    bh = BHAlgebra(n)
-
-    def m_of(lams):
-        mu = tuple(map(sum, lams))
-        i_mu = SetPartition.from_composition(mu)
-        inner = tuple(x for lam in lams for x in lam)
-        return bh.mobius_idempotent(i_mu) * bh.element(
-            {(i_mu, w): Q ** perms.length(w)
-             for w in perms.young_subgroup(inner)})
-
-    labels = [lams for mu in compositions(n)
-              for lams in multipartitions_of_composition(mu)]
-    return _murphy(bh, labels, m_of, bh.z_of)
+    """The cellular basis of the tied-boxed Hecke algebra (see `_bh`)."""
+    return _murphy(BHAlgebra(n), *_bh(n))
 
 
 def btl_cellular(n):
-    """Cellular basis of the tied-boxed Temperley-Lieb algebra: the image
-    under the block projection of the two-column part of the tied-boxed
-    Hecke cellular basis."""
-    return _two_column(bh_cellular(n), BTLAlgebra(n), pi2)
+    """The tied-boxed Temperley-Lieb cellular basis: the image under `pi2`
+    of the two-column part of the tied-boxed Hecke basis."""
+    return _projected(BTLAlgebra(n), _bh(n), pi2)
 
 
 def transition_matrix(datum):

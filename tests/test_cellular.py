@@ -2,6 +2,7 @@
 
 import pytest
 
+from tiedbox.algebras import HeckeAlgebra, hecke_to_tl, pi2
 from tiedbox.cellular import (
     CellDatum,
     _multi_greater,
@@ -36,24 +37,24 @@ def test_transition_full_rank(build):
 @pytest.mark.parametrize("build", [murphy_hecke, bh_cellular, btl_cellular,
                                    tl_cellular])
 def test_star_axiom(build):
-    for n in (2, 3):
+    for n in (2, 3, 4):
         assert star_axiom_check(build(n))["status"] == "pass"
 
 
 def test_product_axiom_hecke():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         report = cell_axiom_check(murphy_hecke(n))
         assert report["status"] == "pass", report
 
 
 def test_product_axiom_tied_boxed():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         report = cell_axiom_check(bh_cellular(n))
         assert report["status"] == "pass", report
 
 
 def test_product_axiom_tied_boxed_tl():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         report = cell_axiom_check(btl_cellular(n))
         assert report["status"] == "pass", report
 
@@ -62,6 +63,31 @@ def test_product_axiom_tied_boxed_tl():
 def test_product_axiom_tl(n):
     report = cell_axiom_check(tl_cellular(n))
     assert report["status"] == "pass", report
+
+
+@pytest.mark.parametrize("build, full, project", [
+    (tl_cellular, murphy_hecke, hecke_to_tl),
+    (btl_cellular, bh_cellular, pi2),
+])
+def test_projected_basis_is_the_image_of_the_two_column_part(
+        build, full, project):
+    # reference: build the whole basis, keep the labels with every part at
+    # most 2 and project each element
+    for n in range(6):
+        reference = {(lams, s, t): project(c)
+                     for (lams, s, t), c in full(n).elements.items()
+                     if all(not lam or lam[0] <= 2 for lam in lams)}
+        elements = build(n).elements
+        assert list(elements) == list(reference)
+        assert elements == reference
+
+
+def test_tl_basis_makes_no_hecke_product(monkeypatch):
+    def fail(*args):
+        pytest.fail("a Hecke basis product was made")
+
+    monkeypatch.setattr(HeckeAlgebra, "mul_basis", fail)
+    assert len(tl_cellular(5).elements) == 42
 
 
 def test_corrupted_basis_fails_with_witness():

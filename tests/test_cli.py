@@ -75,6 +75,14 @@ def test_cellular(capsys):
     assert all(r["status"] == "pass" for r in records)
 
 
+def test_cellular_tl_on_seven_strands(capsys):
+    # built in TL(7) on the two-column labels, within the Murphy budget
+    code, records = run(capsys, "cellular", "--family", "tl", "--n", "7")
+    assert code == 0
+    assert records == [{"name": "cellular:tl:count:n=7", "expected": 429,
+                        "got": 429, "status": "pass"}]
+
+
 @pytest.mark.parametrize("family", ["bh", "btl", "hecke-murphy", "tl"])
 def test_cellular_on_no_strands(family, capsys):
     # the empty composition is the only linear partition of no strands
@@ -253,11 +261,11 @@ def test_oversized_r_symmetric_is_inconclusive_without_enumerating(
 
 
 @pytest.mark.parametrize("family, n, reason", [
-    ("tl", 9, "365500 Murphy products of up to 362880 terms"),
+    # tl and btl count only their two-column labels
+    ("tl", 9, "4988 Murphy products of up to 4862 terms"),
     ("hecke-murphy", 9, "365500 Murphy products of up to 362880 terms"),
     ("bh", 9, "538326 Murphy products of up to 524495 terms"),
-    ("btl", 9, "538326 Murphy products of up to 524495 terms"),
-    ("tl", 7, "5272 Murphy products of up to 5040 terms"),
+    ("btl", 8, "7886 Murphy products of up to 6435 terms"),
 ])
 def test_oversized_murphy_construction_is_inconclusive_without_products(
         family, n, reason, monkeypatch, capsys):
