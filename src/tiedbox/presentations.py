@@ -67,11 +67,14 @@ class _RuleIndex:
     sides (the index automaton of Sims, "Computation with Finitely
     Presented Groups", ch. 3, without failure links).  A node is [children
     by letter, the rule (lhs, rhs) whose lhs ends here, or None].  No two
-    rules share an lhs (see `kb_complete`), so a node ends at most one."""
+    rules share an lhs (see `kb_complete`), so a node ends at most one.
+    `memo` maps words to their reduced forms under the rules as they are;
+    `append` empties it, and so may a caller at any time."""
 
     def __init__(self, rules=()):
         self.rules = []
         self.root = [{}, None]
+        self.memo = {}
         for lhs, rhs in rules:
             self.append(lhs, rhs)
 
@@ -83,6 +86,7 @@ class _RuleIndex:
             node = node[0].setdefault(letter, [{}, None])
         node[1] = (lhs, rhs)
         self.rules.append(node[1])
+        self.memo.clear()
 
     def _leftmost(self, word):
         """(start, rule) of the leftmost occurrence of an lhs in `word`:
@@ -104,11 +108,26 @@ class _RuleIndex:
 
     def reduce(self, word):
         """The word left by rewriting the leftmost occurrence of an lhs
-        until none is left."""
-        while (match := self._leftmost(word)) is not None:
+        until none is left.
+
+        Every word of the chain, the last included, is memoized with that
+        result.  This is exact: while no rule is appended the index is
+        fixed, so leftmost rewriting is a function of the word, and every
+        word on one chain rewrites along the rest of it to the same
+        reduced form; `append` empties the memo."""
+        memo = self.memo
+        chain = []
+        while (reduced := memo.get(word)) is None:
+            chain.append(word)
+            match = self._leftmost(word)
+            if match is None:
+                reduced = word
+                break
             s, (lhs, rhs) = match
             word = word[:s] + rhs + word[s + len(lhs):]
-        return word
+        for w in chain:
+            memo[w] = reduced
+        return reduced
 
 
 def _join(index, u, v):
@@ -157,19 +176,31 @@ def kb_complete(pres):
                 for a, b in ((i, j), (j, i)) if j < i else ((i, i),):
                     (l1, r1), (l2, r2) = rules[a], rules[b]
                     n1, n2 = len(l1), len(l2)
-                    # overlaps: a suffix of l1 is a prefix of l2
-                    for k in range(1, min(n1, n2) + 1):
-                        steps += 1
-                        if steps > KB_MAX_STEPS:
-                            raise BudgetExceeded("KB_MAX_STEPS")
-                        if l1[n1 - k:] == l2[:k]:
-                            _join(index, r1 + l2[k:], l1[:n1 - k] + r2)
+                    # overlaps: the suffix l1[p:] of length k = n1 - p is a
+                    # prefix of l2, for k = 1 .. m in turn, one step each.
+                    # Only a p with l1[p] == l2[0] can be one, so only those
+                    # are compared, but `steps` counts every k up to the one
+                    # joined (a join may stop on KB_MAX_RULES) or to the
+                    # budget, as testing each k in turn does
+                    m = min(n1, n2)
+                    start = steps
+                    last = min(m, KB_MAX_STEPS - start)
+                    p = n1
+                    while (p := l1.rfind(l2[0], n1 - last, p)) >= 0:
+                        if l1[p:] == l2[:n1 - p]:
+                            steps = start + n1 - p
+                            _join(index, r1 + l2[n1 - p:], l1[:p] + r2)
+                    if last < m:
+                        steps = KB_MAX_STEPS + 1
+                        raise BudgetExceeded("KB_MAX_STEPS")
+                    steps = start + m
                     # containment: l2 properly inside l1
                     idx = l1.find(l2) if n2 < n1 else -1
                     if idx >= 0:
                         steps += 1
                         _join(index, r1, l1[:idx] + r2 + l1[idx + n2:])
             i += 1
+            index.memo.clear()  # holds the words of one rule's pairs at most
     except BudgetExceeded:
         complete = False
     return RewriteSystem(_interreduce(rules), len(pres.generators), complete,

@@ -5,8 +5,8 @@ they replaced, the builders that emit labels (`all_partitions`, `over`,
 `support_partition`) against their definitions by blocks, equality, hash
 and refinement of the label tuples against the blocks, the methods that
 read the labels against the blocks a partition used to store, and the
-indexed word reduction of Knuth-Bendix against a search of every lhs by
-`find`."""
+indexed, memoized word reduction of Knuth-Bendix against a search of every
+lhs by `find`."""
 
 from math import factorial
 
@@ -121,14 +121,20 @@ def reference_support_partition(w):
     return SetPartition(blocks, len(w))
 
 
-def reference_reduce(word, rules):
-    """Rewrites the leftmost occurrence of an lhs, the least (start,
-    length), until no lhs occurs."""
+def reference_chain(word, rules):
+    """The words met while rewriting the leftmost occurrence of an lhs, the
+    least (start, length), until no lhs occurs: word first, reduced last."""
+    chain = [word]
     while occurring := [(word.find(lhs), len(lhs), rhs)
                         for lhs, rhs in rules if lhs in word]:
         start, length, rhs = min(occurring)
         word = word[:start] + rhs + word[start + length:]
-    return word
+        chain.append(word)
+    return chain
+
+
+def reference_reduce(word, rules):
+    return reference_chain(word, rules)[-1]
 
 
 def assert_canonical(p):
@@ -168,13 +174,24 @@ rules = st.lists(
 def index_sessions(draw):
     """The calls `kb_complete` makes on one index: appends of rules with new
     left-hand sides, some a proper prefix or extension of an earlier lhs,
-    between reductions and containment tests.  Each rhs is shorter than its
-    lhs, so every reduction ends."""
-    calls, seen = [], []
+    between reductions and containment tests.  A reduction "again" reduces
+    a word of the chain of an earlier reduction, so it may be answered from
+    the index's memo.  Each rhs is shorter than its lhs, so every reduction
+    ends."""
+    calls, seen, chain_words = [], [], []
     for _ in range(draw(st.integers(0, 16))):
         kind = draw(st.sampled_from(["new", "prefix", "extension", "reduce",
-                                     "occurs_in"]))
-        if kind in ("reduce", "occurs_in"):
+                                     "again", "occurs_in"]))
+        if kind == "again" and chain_words:
+            calls.append(("reduce", draw(st.sampled_from(chain_words))))
+            continue
+        if kind in ("reduce", "again"):
+            word = draw(words)
+            appended = [arg for call, arg in calls if call == "append"]
+            chain_words += reference_chain(word, appended)
+            calls.append(("reduce", word))
+            continue
+        if kind == "occurs_in":
             calls.append((kind, draw(words)))
             continue
         base = draw(st.sampled_from(seen)) if seen else b""
@@ -508,6 +525,16 @@ def test_index_grown_between_reductions_rewrites_the_leftmost_match(calls):
         else:
             assert index.occurs_in(arg) == any(lhs in arg for lhs, _ in appended)
     assert index.rules == appended
+
+
+def test_a_rule_appended_after_a_reduction_is_used():
+    # b"\x00\x02\x00" is irreducible under the first rule, and its reduced
+    # form is memoized; the appended rule rewrites it
+    index = presentations._RuleIndex([(b"\x01\x01", b"\x01")])
+    word = b"\x00\x02\x00"
+    assert index.reduce(word) == word
+    index.append(b"\x02", b"")
+    assert index.reduce(word) == reference_reduce(word, index.rules) == b"\x00\x00"
 
 
 def test_an_empty_lhs_is_refused():

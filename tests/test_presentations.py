@@ -3,6 +3,7 @@
 import pytest
 
 from tiedbox import presentations
+from tiedbox.diagrams import BudgetExceeded
 from tiedbox.presentations import (
     PRESET_NAMES,
     Presentation,
@@ -191,6 +192,59 @@ def test_srsn4_exhausts_the_step_budget(monkeypatch):
     assert rs.complete is False
     assert len(rs.rules) == 720
     assert rs.steps == presentations.KB_MAX_STEPS + 1
+
+
+def reference_kb_complete(pres):
+    """`kb_complete` with the overlap loop that tests every k in turn."""
+    index = presentations._RuleIndex()
+    rules = index.rules
+    steps = 0
+    complete = True
+    try:
+        for l, r in pres.relations:
+            presentations._join(index, l, r)
+        i = 0
+        while i < len(rules):
+            for j in range(i + 1):
+                for a, b in ((i, j), (j, i)) if j < i else ((i, i),):
+                    (l1, r1), (l2, r2) = rules[a], rules[b]
+                    n1, n2 = len(l1), len(l2)
+                    # overlaps: a suffix of l1 is a prefix of l2
+                    for k in range(1, min(n1, n2) + 1):
+                        steps += 1
+                        if steps > presentations.KB_MAX_STEPS:
+                            raise BudgetExceeded("KB_MAX_STEPS")
+                        if l1[n1 - k:] == l2[:k]:
+                            presentations._join(index, r1 + l2[k:],
+                                                l1[:n1 - k] + r2)
+                    # containment: l2 properly inside l1
+                    idx = l1.find(l2) if n2 < n1 else -1
+                    if idx >= 0:
+                        steps += 1
+                        presentations._join(index, r1, l1[:idx] + r2 +
+                                            l1[idx + n2:])
+            i += 1
+    except BudgetExceeded:
+        complete = False
+    return presentations.RewriteSystem(presentations._interreduce(rules),
+                                       len(pres.generators), complete, steps)
+
+
+def _outcome(rs):
+    return rs.rules, rs.steps, rs.complete
+
+
+@pytest.mark.parametrize("budget", ["KB_MAX_STEPS", "KB_MAX_RULES"])
+@pytest.mark.parametrize("name", ["brsn", "brjn"])
+def test_every_budget_stops_where_each_k_is_tested(name, budget, monkeypatch):
+    # the candidate scan skips the k that cannot overlap but counts them, so
+    # at every budget it stops at the same k after the same joins, with the
+    # same steps; a rule budget stops at a join inside the overlap loop
+    pres = build_preset(name, 3)[0]
+    for value in range(kb_complete(pres).steps + 3):
+        monkeypatch.setattr(presentations, budget, value)
+        assert _outcome(kb_complete(pres)) == \
+            _outcome(reference_kb_complete(pres)), value
 
 
 @pytest.mark.parametrize("name,n,count,rules,steps", [
