@@ -13,6 +13,8 @@ The inherited `join`, `act` and `restrict` return plain set partitions.
 Concatenation runs through a shared middle row: a list-based union-find
 over the blocks of the two factors, joined at the middle points, labels
 every outer point and counts the closed middle components (loops).
+`times` is `concat` cached, for the ramified monoids and the diagram
+algebras, which multiply few distinct pairs many times; `*` is uncached.
 `closure` enumerates a generated monoid with one product per new element
 or relation (Froidure-Pin), reading every other product off the Cayley
 graphs.
@@ -26,8 +28,8 @@ from .combinatorics import bell, intervals
 from . import perms
 
 __all__ = [
-    "BUDGET", "BudgetExceeded", "Diagram", "concat", "perm_diagram", "hook",
-    "tie", "closure", "boxed_diagram", "is_boxed", "boxed_composition",
+    "BUDGET", "BudgetExceeded", "Diagram", "concat", "times", "perm_diagram",
+    "hook", "tie", "closure", "boxed_diagram", "is_boxed", "boxed_composition",
     "over", "symmetric_diagrams", "transposition", "letter_elements",
     "JONES_LETTERS", "BRAUER_LETTERS", "jones_monoid", "brauer_monoid",
     "partition_monoid",
@@ -92,6 +94,15 @@ def concat(d1, d2):
     labels += [_find(parent, k + i) for i in index2[n:]]
     d = Diagram._from_labels(labels)
     return d, components - d._nblocks
+
+
+@lru_cache(maxsize=None)
+def times(d1, d2):
+    """`concat(d1, d2)`, cached without bound.  Diagrams are immutable
+    values, so a cached product is as good as a new one.  `*` stays
+    uncached: a closure makes each product once, and a cache would hold
+    every element of it."""
+    return concat(d1, d2)
 
 
 def perm_diagram(w):

@@ -14,7 +14,7 @@ from .diagrams import (BRAUER_LETTERS, JONES_LETTERS, Diagram, check_budget,
                        perm_diagram, hook, tie, transposition, boxed_diagram,
                        boxed_composition, over, letter_elements,
                        symmetric_diagrams, jones_monoid, brauer_monoid,
-                       partition_monoid)
+                       partition_monoid, times)
 from . import perms
 
 __all__ = [
@@ -27,15 +27,6 @@ __all__ = [
     "normal_form_brs", "normal_form_srs", "normal_form_brbr",
     "brs_from_word", "srs_from_word", "evaluate_normal_form",
 ]
-
-
-@lru_cache(maxsize=None)
-def _product(d1, d2):
-    """d1 * d2, loops discarded.  Few distinct pairs of diagrams are
-    multiplied many times: by `center`, by the relation checks and closures
-    of `presentation_check`, whose ramified elements share their
-    components, and by the normal-form evaluations."""
-    return d1 * d2
 
 
 class Ramified:
@@ -52,12 +43,13 @@ class Ramified:
         return self.left.n
 
     def __mul__(self, other):
-        """Componentwise product.  The component products are memoized by
-        `_product`: diagrams are immutable values, equal diagrams have equal
-        products, and a product may be shared by every element that holds
-        it, so a cached product is as good as a new one."""
-        return Ramified(_product(self.left, other.left),
-                        _product(self.right, other.right))
+        """Componentwise product, loops discarded, through the cached
+        `diagrams.times`: few distinct pairs of diagrams are multiplied many
+        times, by `center`, by the relation checks and closures of
+        `presentation_check`, whose elements share their components, and by
+        the normal-form evaluations."""
+        return Ramified(times(self.left, other.left)[0],
+                        times(self.right, other.right)[0])
 
     def __eq__(self, other):
         if not isinstance(other, Ramified):

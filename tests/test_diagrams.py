@@ -200,6 +200,13 @@ def test_closure_is_the_breadth_first_closure(monkeypatch):
             monkeypatch.undo()
 
 
+def test_closure_leaves_the_cached_product_alone():
+    # a closure makes each product once; caching them would keep them all
+    info = diagrams.times.cache_info()
+    assert len(closure(brauer_generators(3))) == 15
+    assert diagrams.times.cache_info() == info
+
+
 def test_cayley_graphs_are_the_products():
     # a wrong rule for a derived product may still list every element
     # once; each graph entry is checked against its product here

@@ -1,6 +1,7 @@
 """The label kernels of set-partition and diagram products (`join`, `act`,
-`concat`, the memoized ramified product) against the dict-based union-find
-they replaced, the builders that emit labels (`all_partitions`, `over`,
+`concat`, and the products of the ramified monoids, TL(n) and BTL(n)
+through the cached `times`) against the dict-based union-find they
+replaced, the builders that emit labels (`all_partitions`, `over`,
 `perm_diagram`, `perm_of_diagram`, `from_perm_and_ties`, `flip`,
 `support_partition`) against their definitions by blocks, equality, hash
 and refinement of the label tuples against the blocks, the methods that
@@ -14,10 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiedbox import algebras, perms, presentations
+from tiedbox import algebras, diagrams, perms, presentations
+from tiedbox.algebras import BTLAlgebra, TLAlgebra
+from tiedbox.cellular import btl_cellular, tl_cellular
 from tiedbox.combinatorics import bell, intervals
 from tiedbox.diagrams import Diagram, brauer_monoid, concat, hook, over, \
-    partition_monoid, perm_diagram
+    partition_monoid, perm_diagram, times
+from tiedbox.laurent import DELTA
 from tiedbox.ramified import Ramified, from_perm_and_ties, perm_of_diagram
 from tiedbox.setpartitions import SetPartition, all_partitions, \
     mobius_linear, mobius_partition
@@ -488,6 +492,70 @@ def test_concat_counts_loops_like_the_reference():
             assert (d, loops) == reference_concat(d1, d2)
             total += loops
     assert total > 0
+
+
+def reference_tl_product(d1, d2):
+    d, loops = reference_concat(d1, d2)
+    return {d: DELTA ** loops}
+
+
+def reference_btl_product(key1, key2):
+    """Block by block, with DELTA raised to the loops of all blocks."""
+    (mu, ds), (nu, es) = key1, key2
+    if mu != nu:
+        return {}
+    blocks = [reference_concat(d, e) for d, e in zip(ds, es)]
+    return {(mu, tuple(d for d, _ in blocks)):
+            DELTA ** sum(loops for _, loops in blocks)}
+
+
+def fresh_diagram(d):
+    return Diagram(d.n, d.blocks)
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("algebra, reference, fresh", [
+    (TLAlgebra, reference_tl_product, fresh_diagram),
+    (BTLAlgebra, reference_btl_product,
+     lambda key: (key[0], tuple(map(fresh_diagram, key[1])))),
+])
+def test_cached_diagram_algebra_products_match_the_reference(
+        n, algebra, reference, fresh):
+    times.cache_clear()
+    basis = algebra(n).basis()
+    for k1 in basis:
+        for k2 in basis:
+            want = reference(k1, k2)
+            for _ in range(2):  # a miss or a hit, then a hit on fresh operands
+                got = algebra(n).mul_basis(fresh(k1), fresh(k2))
+                assert got == want
+                for key in got:
+                    for d in key[1] if isinstance(key, tuple) else [key]:
+                        assert_canonical(d)
+
+
+@pytest.mark.parametrize("build, algebra, n", [
+    (tl_cellular, TLAlgebra, 5), (btl_cellular, BTLAlgebra, 4)])
+def test_diagram_algebras_reuse_cached_products(
+        monkeypatch, build, algebra, n):
+    # without the cache each nonzero basis product makes at least one
+    # concatenation of its own (a BTL product of two compositions is zero);
+    # the calls with a nonzero result are counted, every call of `concat`
+    counts = {"concat": 0, "mul_basis": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            counts[name] += bool(out)
+            return out
+        return wrapper
+
+    times.cache_clear()
+    monkeypatch.setattr(diagrams, "concat", counted("concat", concat))
+    monkeypatch.setattr(algebra, "mul_basis",
+                        counted("mul_basis", algebra.mul_basis))
+    build(n)
+    assert 0 < counts["concat"] < counts["mul_basis"]
 
 
 @given(actions, st.data())
