@@ -9,20 +9,21 @@
   partitions I and block-preserving permutations w.  It is the subalgebra
   of BTAlgebra spanned by these keys (z_w = E_I g_w), and both multiply by
   the one tied rule of their common base `_Tied`.
-* BTLAlgebra: the tied-boxed Temperley-Lieb algebra in its block
-  decomposition: basis indexed by a composition and one Jones diagram
-  per block.
+* BTLAlgebra: the tied-boxed Temperley-Lieb algebra, basis the elements
+  (mu, D) of BR(J_n), a Jones diagram D boxed by a composition mu; it
+  multiplies and stars like TLAlgebra.
 """
 
 from functools import lru_cache
-from itertools import accumulate, count, product
+from itertools import accumulate, count
 from math import factorial
 
 from .laurent import LaurentPoly, ONE, Q, QINV, QDIFF, DELTA, add_term, \
     echelon_insert, echelon_reduce
 from .setpartitions import SetPartition, all_partitions, linear_partitions, \
     mobius_linear, mobius_partition
-from .diagrams import check_budget, hook, jones_monoid, perm_diagram, times
+from .diagrams import boxed, check_budget, hook, jones_monoid, perm_diagram, \
+    times
 from .combinatorics import bell, boxed_sizes, catalan, compositions
 from . import perms
 
@@ -101,11 +102,10 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, out)
 
     def star(self):
-        out = {}
-        for k, v in self.terms.items():
-            k2, c2 = self.algebra.star_basis(k)
-            add_term(out, k2, v * c2)
-        return AlgebraElement(self.algebra, out)
+        """The antiautomorphism; `star_key` is a bijection on the keys."""
+        star_key = self.algebra.star_key
+        return AlgebraElement(self.algebra, {star_key(k): v
+                                             for k, v in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -237,8 +237,8 @@ class HeckeAlgebra(_Straightened):
         ws = perms.compose(w, perms.sgen(self.n, i))
         return ws, (None if perms.right_longer(w, i) else w)
 
-    def star_basis(self, w):
-        return perms.inverse(w), ONE
+    def star_key(self, w):
+        return perms.inverse(w)
 
     def steinberg(self, i, j):
         """1 + q h_i + q h_j + q^2 h_i h_j + q^2 h_j h_i + q^3 h_i h_j h_i,
@@ -269,8 +269,8 @@ class TLAlgebra(_Algebra):
         d, loops = times(d1, d2)
         return {d: DELTA ** loops}
 
-    def star_basis(self, d):
-        return d.flip(), ONE
+    def star_key(self, d):
+        return d.flip()
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +323,9 @@ class _Tied(_Straightened):
             return (kp, us), None
         return (kp, us), (kp.join(_tie(self.n, i).act(perms.inverse(us))), u)
 
-    def star_basis(self, key):
+    def star_key(self, key):
         i_part, w = key
-        return (i_part.act(w), perms.inverse(w)), ONE
+        return i_part.act(w), perms.inverse(w)
 
     def mobius_idempotent(self, i_part):
         """Sum over the tie partitions J of mu(I, J) E_J, by Mobius
@@ -411,10 +411,11 @@ class BHAlgebra(_Tied):
 
 
 class BTLAlgebra(_Algebra):
-    """Tied-boxed Temperley-Lieb algebra in block-decomposed form: each
-    basis key is (composition mu, tuple of Jones diagrams per block), and
-    keys with different compositions multiply to zero (they sit under
-    orthogonal central idempotents)."""
+    """Tied-boxed Temperley-Lieb algebra: a key (mu, D) is the element of
+    BR(J_n) with D = over(*ds), one Jones diagram per box of mu, boxed by
+    b_mu.  Keys over one composition multiply and star like TL(n)
+    diagrams, as D stacks box by box; keys over two compositions multiply
+    to zero (they sit under orthogonal central idempotents)."""
 
     def generators(self):
         """pi2 of e_1 .. e_(n-1), then of d_1 .. d_(n-1): `pi2` maps the
@@ -425,29 +426,24 @@ class BTLAlgebra(_Algebra):
                 + [bh.d(i) for i in range(1, self.n)]]
 
     def one(self):
-        out = {}
-        for mu in compositions(self.n):
-            key = (mu, tuple(perm_diagram(perms.identity(m)) for m in mu))
-            out[key] = ONE
-        return self.element(out)
+        ident = TLAlgebra(self.n).one_key()
+        return self.element({(mu, ident): ONE for mu in compositions(self.n)})
 
     @lru_cache(maxsize=None)
     def basis(self):
-        check_budget("BR(J_{})", self.n, boxed_sizes(catalan))
-        return [(mu, ds) for mu in compositions(self.n)
-                for ds in product(*(TLAlgebra(m).basis() for m in mu))]
+        return list(boxed("J", self.n, lambda m: TLAlgebra(m).basis(),
+                          catalan))
 
     def mul_basis(self, key1, key2):
-        (mu, ds), (nu, es) = key1, key2
+        (mu, d1), (nu, d2) = key1, key2
         if mu != nu:
             return {}
-        prods = [times(d, e) for d, e in zip(ds, es)]
-        return {(mu, tuple(f for f, _ in prods)):
-                DELTA ** sum(loops for _, loops in prods)}
+        d, loops = times(d1, d2)
+        return {(mu, d): DELTA ** loops}
 
-    def star_basis(self, key):
-        mu, ds = key
-        return (mu, tuple(d.flip() for d in ds)), ONE
+    def star_key(self, key):
+        mu, d = key
+        return mu, d.flip()
 
 
 # ---------------------------------------------------------------------------
@@ -482,20 +478,18 @@ def hecke_to_tl(x):
 
 def pi2(x):
     """Projection of the tied-boxed Hecke algebra onto the tied-boxed
-    Temperley-Lieb algebra in its block decomposition."""
+    Temperley-Lieb algebra: E_I z_w maps to the TL(n) image of h_w under
+    each linear K >= I.  As w is in S_I, that image lies in the algebra
+    TL(I) of the boxes of I, so its diagrams are boxed by each K."""
     n = x.algebra.n
     lattice = linear_partitions(n)
     out = {}
     for (i_part, w), c in x.terms.items():
+        image = _hecke_to_tl_basis(n, w).terms
         for k_part in [K for K in lattice if i_part <= K]:
             mu = k_part.to_composition()
-            for terms in product(*(
-                    _hecke_to_tl_basis(m, w_loc).terms.items()
-                    for m, w_loc in zip(mu, perms.block_components(w, mu)))):
-                cc = c
-                for _, cl in terms:
-                    cc = cc * cl
-                add_term(out, (mu, tuple(d for d, _ in terms)), cc)
+            for d, v in image.items():
+                add_term(out, (mu, d), v * c)
     return BTLAlgebra(n).element(out)
 
 

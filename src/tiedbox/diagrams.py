@@ -17,22 +17,22 @@ every outer point and counts the closed middle components (loops).
 algebras, which multiply few distinct pairs many times; `*` is uncached.
 `closure` enumerates a generated monoid with one product per new element
 or relation (Froidure-Pin), reading every other product off the Cayley
-graphs.
+graphs.  `boxed` enumerates a boxed family BR(M) as (mu, over(*ds)).
 """
 
 from functools import lru_cache
-from itertools import count
+from itertools import count, product
 
 from .setpartitions import SetPartition, _find, _parse_blocks, growth_strings
-from .combinatorics import bell, intervals
+from .combinatorics import bell, boxed_sizes, compositions, intervals
 from . import perms
 
 __all__ = [
     "BUDGET", "BudgetExceeded", "Diagram", "concat", "times", "perm_diagram",
-    "hook", "tie", "closure", "boxed_diagram", "is_boxed", "boxed_composition",
-    "over", "symmetric_diagrams", "transposition", "letter_elements",
-    "JONES_LETTERS", "BRAUER_LETTERS", "jones_monoid", "brauer_monoid",
-    "partition_monoid",
+    "hook", "tie", "closure", "boxed", "boxed_diagram", "is_boxed",
+    "boxed_composition", "over", "symmetric_diagrams", "transposition",
+    "letter_elements", "JONES_LETTERS", "BRAUER_LETTERS", "jones_monoid",
+    "brauer_monoid", "partition_monoid",
 ]
 
 
@@ -250,8 +250,10 @@ def _froidure_pin(gens):
     return elements, right, left
 
 
+@lru_cache(maxsize=None)
 def boxed_diagram(mu):
-    """b_mu: the coarsening of the identity given by a composition."""
+    """b_mu: the coarsening of the identity given by a composition, cached
+    so that the elements boxed by mu share one b_mu."""
     n = sum(mu)
     return Diagram(n, [(*box, *(n + x for x in box)) for box in intervals(mu)])
 
@@ -285,6 +287,17 @@ def over(*ds):
         bottom += [shift + i for i in index[m:]]
         shift += d._nblocks
     return Diagram._from_labels(top + bottom)
+
+
+def boxed(name, n, block_family, block_size):
+    """The boxed family of `block_family` on n strands: the pairs (mu, D),
+    D = over(*ds) with ds[k] in block_family(mu[k]), the first box most
+    significant, made lazily after `check_budget` of BR(name_n).  The block
+    elements of each size m = 1..n are built once, not once per box."""
+    check_budget(f"BR({name}_{{}})", n, boxed_sizes(block_size))
+    blocks = {m: block_family(m) for m in range(1, n + 1)}
+    return ((mu, over(*ds)) for mu in compositions(n)
+            for ds in product(*(blocks[m] for m in mu)))
 
 
 def symmetric_diagrams(n):

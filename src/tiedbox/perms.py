@@ -11,7 +11,7 @@ from .combinatorics import intervals
 __all__ = [
     "identity", "all_perms", "compose", "inverse", "length", "sgen",
     "perm_from_word", "lex_least_word", "right_longer",
-    "glue", "young_subgroup", "block_components",
+    "glue", "young_subgroup",
 ]
 
 
@@ -88,9 +88,3 @@ def young_subgroup(composition):
     the first block most significant."""
     return [glue(ws) for ws in product(*map(all_perms, composition))]
 
-
-def block_components(w, composition):
-    """Split a block-preserving permutation into per-block permutations,
-    each renumbered to start at 1 (the inverse of `glue`)."""
-    return [tuple(w[x - 1] - box.start + 1 for x in box)
-            for box in intervals(composition)]

@@ -4,15 +4,14 @@ a coarsening of the identity whose top restriction is linear.  Each family
 has one generating set, read by the presentation presets and `center`."""
 
 from functools import lru_cache, partial
-from itertools import count, product
+from itertools import count
 from math import factorial
 
-from .combinatorics import bell, boxed_sizes, catalan, compositions, \
-    double_factorial_odd, intervals
+from .combinatorics import bell, catalan, double_factorial_odd, intervals
 from .setpartitions import SetPartition, _parse_blocks, all_partitions
 from .diagrams import (BRAUER_LETTERS, JONES_LETTERS, Diagram, check_budget,
-                       perm_diagram, hook, tie, transposition, boxed_diagram,
-                       boxed_composition, over, letter_elements,
+                       perm_diagram, hook, tie, transposition, boxed,
+                       boxed_diagram, boxed_composition, letter_elements,
                        symmetric_diagrams, jones_monoid, brauer_monoid,
                        partition_monoid, times)
 from . import perms
@@ -147,17 +146,9 @@ def sr_symmetric(n):
 
 
 def _boxed_family(name, n, block_family, block_size):
-    """All (I, b_mu) with I a horizontal product of block elements; see
-    `diagrams.check_budget`.  The block elements of each size m = 1..n are
-    built once, not once per part of every composition."""
-    check_budget(f"BR({name}_{{}})", n, boxed_sizes(block_size))
-    blocks = {m: block_family(m) for m in range(1, n + 1)}
-    out = []
-    for mu in compositions(n):
-        b = boxed_diagram(mu)
-        out.extend(Ramified(over(*ds), b)
-                   for ds in product(*(blocks[m] for m in mu)))
-    return out
+    """All (D, b_mu) for the pairs (mu, D) of `diagrams.boxed`."""
+    return [Ramified(d, boxed_diagram(mu))
+            for mu, d in boxed(name, n, block_family, block_size)]
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Algebra products, embeddings, projections and idempotents."""
 
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,12 @@ from tiedbox.algebras import (
     pi2,
     support_partition,
 )
-from tiedbox.combinatorics import bell, catalan
-from tiedbox.diagrams import Diagram, jones_monoid, perm_diagram
-from tiedbox.laurent import DELTA, ONE, Q, QDIFF, LaurentPoly, echelon_insert
-from tiedbox.perms import all_perms, compose, inverse
+from tiedbox.combinatorics import bell, catalan, compositions, intervals
+from tiedbox.diagrams import Diagram, boxed_diagram, jones_monoid, over, \
+    perm_diagram
+from tiedbox.laurent import DELTA, ONE, Q, QDIFF, LaurentPoly, add_term, \
+    echelon_insert
+from tiedbox.perms import all_perms, compose, identity, inverse
 from tiedbox.setpartitions import SetPartition, all_partitions, linear_partitions
 
 
@@ -140,7 +143,7 @@ def test_tied_rule_keeps_tied_boxed_keys():
         keys = set(BHAlgebra(n).basis())
         bt = BTAlgebra(n)
         for a in keys:
-            assert bt.star_basis(a)[0] in keys
+            assert bt.star_key(a) in keys
             for b in keys:
                 assert set(bt.mul_basis(a, b)) <= keys
 
@@ -175,6 +178,45 @@ def test_projection_is_a_homomorphism():
         for k2 in bh.basis():
             x, y = bh.basis_element(k1), bh.basis_element(k2)
             assert pi2(x * y) == pi2(x) * pi2(y)
+
+
+def box_by_box_pi2(x):
+    """pi2 block by block: under each linear K >= I, the hecke_to_tl images
+    of the components of w on the boxes of K, multiplied out side by side."""
+    n = x.algebra.n
+    out = {}
+    for (i_part, w), c in x.terms.items():
+        for k_part in [K for K in linear_partitions(n) if i_part <= K]:
+            mu = k_part.to_composition()
+            images = [hecke_to_tl(HeckeAlgebra(m).basis_element(
+                tuple(w[p - 1] - box.start + 1 for p in box))).terms.items()
+                for m, box in zip(mu, intervals(mu))]
+            for terms in product(*images):
+                add_term(out, (mu, over(*(d for d, _ in terms))),
+                         prod((v for _, v in terms), start=c))
+    return BTLAlgebra(n).element(out)
+
+
+def test_projection_is_the_box_by_box_image():
+    for n in range(6):
+        bh = BHAlgebra(n)
+        for key in bh.basis():
+            x = bh.basis_element(key)
+            assert pi2(x) == box_by_box_pi2(x)
+
+
+def test_btl_keys_are_the_boxed_jones_monoid():
+    # a key (mu, D) is the element (D, b_mu) of BR(J_n), and one is the
+    # identity boxed by every composition
+    for n in range(6):
+        btl = BTLAlgebra(n)
+        elements = [ramified.Ramified(d, boxed_diagram(mu))
+                    for mu, d in btl.basis()]
+        assert len(elements) == len(ramified.br_jones(n))
+        assert set(elements) == set(ramified.br_jones(n))
+        ident = perm_diagram(identity(n))
+        assert btl.one().terms == {(mu, ident): ONE
+                                   for mu in compositions(n)}
 
 
 def test_projection_kills_steinberg():
@@ -271,7 +313,8 @@ def test_btl_one_and_star():
 
 
 def test_star_is_an_antihomomorphism():
-    for algebra in (HeckeAlgebra(3), BTAlgebra(3), BHAlgebra(3)):
+    for algebra in (HeckeAlgebra(3), TLAlgebra(3), BTAlgebra(3),
+                    BHAlgebra(3), BTLAlgebra(3)):
         keys = algebra.basis()
         for k1 in keys[: 12]:
             for k2 in keys[: 12]:

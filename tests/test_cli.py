@@ -308,13 +308,13 @@ def test_oversized_direct_enumerations_are_inconclusive_without_enumerating(
         pytest.fail(f"{argv[-3]} {argv[-1]} was enumerated")
 
     monkeypatch.setattr(combinatorics, "compositions", enumerated)
-    monkeypatch.setattr(ramified, "compositions", enumerated)
+    monkeypatch.setattr(diagrams, "compositions", enumerated)
     monkeypatch.setattr(diagrams, "growth_strings", enumerated)
     monkeypatch.setattr(ramified, "all_partitions", enumerated)
     monkeypatch.setattr(setpartitions, "all_partitions", enumerated)
     monkeypatch.setattr(setpartitions, "growth_strings", enumerated)
     monkeypatch.setattr(ramified, "symmetric_diagrams", enumerated)
-    monkeypatch.setattr(ramified, "over", enumerated)
+    monkeypatch.setattr(diagrams, "over", enumerated)
     code, records = run(capsys, *argv)
     assert code == 2
     assert records == [{"name": argv[0], "status": "inconclusive",

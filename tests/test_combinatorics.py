@@ -22,8 +22,9 @@ from tiedbox.combinatorics import (
     ptl_dim,
     standard_tableaux,
 )
-from tiedbox.diagrams import boxed_diagram, brauer_monoid, over
-from tiedbox.perms import all_perms, block_components, glue, young_subgroup
+from tiedbox.diagrams import boxed_diagram, brauer_monoid, concat, \
+    jones_monoid, over
+from tiedbox.perms import all_perms, glue, young_subgroup
 
 
 def bell_oracle(n):
@@ -184,11 +185,14 @@ def test_intervals_tile_one_to_n_in_order():
             assert tuple(map(len, boxes)) == mu
 
 
-def test_block_components_undo_glue():
+def test_glue_puts_each_permutation_on_its_box():
     for n in range(7):
         for mu in compositions(n):
             for ws in product(*map(all_perms, mu)):
-                assert block_components(glue(ws), mu) == list(ws)
+                w = glue(ws)
+                # w restricted to each box, renumbered to start at 1
+                assert [tuple(w[x - 1] - box.start + 1 for x in box)
+                        for box in intervals(mu)] == list(ws)
 
 
 def test_over_puts_boxes_side_by_side():
@@ -201,6 +205,20 @@ def test_over_puts_boxes_side_by_side():
     for a, b, c in product(ds, repeat=3):
         assert over(a, b, c) == over(over(a, b), c) == over(a, over(b, c))
     assert over() == boxed_diagram(())
+
+
+def test_stacking_horizontal_products_goes_box_by_box():
+    # the lemma behind BTLAlgebra.mul_basis: two diagrams over one
+    # composition concatenate box by box, with the loops of all boxes
+    for family in (jones_monoid, brauer_monoid):
+        for n in range(5):
+            for mu in compositions(n):
+                for ds in product(*map(family, mu)):
+                    for es in product(*map(family, mu)):
+                        pieces = [concat(d, e) for d, e in zip(ds, es)]
+                        assert concat(over(*ds), over(*es)) == (
+                            over(*(d for d, _ in pieces)),
+                            sum(loops for _, loops in pieces))
 
 
 def _young_reference(mu):
