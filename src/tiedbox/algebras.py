@@ -1,15 +1,15 @@
 """Algebras over Z[q, q^-1] with distinguished bases:
 
 * HeckeAlgebra: Iwahori-Hecke algebra of S_n, basis h_w.
-* TLAlgebra: Temperley-Lieb algebra, basis the planar (Jones) diagrams,
-  loop parameter q + q^-1.
-* BTAlgebra: the algebra of braids and ties, basis E_I g_w over all set
-  partitions I of the strand set and all permutations w.
-* BHAlgebra: the tied-boxed Hecke algebra, basis E_I z_w over linear
-  partitions I and block-preserving permutations w.  It is the subalgebra
+* TLAlgebra: Temperley-Lieb algebra, basis `diagrams.jones_monoid`, the
+  planar (Jones) diagrams, loop parameter q + q^-1.
+* BTAlgebra: the algebra of braids and ties, basis E_I g_w over the keys
+  (I, w) of R(S_n), `ramified.r_symmetric_keys`.
+* BHAlgebra: the tied-boxed Hecke algebra, basis E_I z_w over the keys of
+  BR(S_n), I linear and w block-preserving.  It is the subalgebra
   of BTAlgebra spanned by these keys (z_w = E_I g_w), and both multiply by
   the one tied rule of their common base `_Tied`.
-* BTLAlgebra: the tied-boxed Temperley-Lieb algebra, basis the elements
+* BTLAlgebra: the tied-boxed Temperley-Lieb algebra, basis the keys
   (mu, D) of BR(J_n), a Jones diagram D boxed by a composition mu; it
   multiplies and stars like TLAlgebra.
 """
@@ -22,9 +22,9 @@ from .laurent import LaurentPoly, ONE, Q, QINV, QDIFF, DELTA, add_term, \
     echelon_insert, echelon_reduce
 from .setpartitions import SetPartition, all_partitions, linear_partitions, \
     mobius_linear, mobius_partition
-from .diagrams import boxed, check_budget, hook, jones_monoid, perm_diagram, \
-    times
-from .combinatorics import bell, boxed_sizes, catalan, compositions
+from .diagrams import check_budget, hook, jones_monoid, perm_diagram, times
+from .combinatorics import compositions
+from .ramified import br_jones_keys, br_symmetric_keys, r_symmetric_keys
 from . import perms
 
 __all__ = [
@@ -203,6 +203,12 @@ def _act(p, w):
 
 
 @lru_cache(maxsize=None)
+def _loop_factor(loops):
+    """(q + q^-1) ** loops, the factor of a diagram product."""
+    return DELTA ** loops
+
+
+@lru_cache(maxsize=None)
 def _tie(n, i):
     """The set partition of {1..n} tying i and i+1 only."""
     return SetPartition([(i, i + 1)], n)
@@ -252,9 +258,8 @@ class TLAlgebra(_Algebra):
     def one_key(self):
         return perm_diagram(perms.identity(self.n))
 
-    @lru_cache(maxsize=None)
     def basis(self):
-        return sorted(jones_monoid(self.n), key=lambda d: d.blocks)
+        return jones_monoid(self.n)
 
     def hook(self, i):
         return self.basis_element(hook(self.n, i))
@@ -267,7 +272,7 @@ class TLAlgebra(_Algebra):
 
     def mul_basis(self, d1, d2):
         d, loops = times(d1, d2)
-        return {d: DELTA ** loops}
+        return {d: _loop_factor(loops)}
 
     def star_key(self, d):
         return d.flip()
@@ -350,12 +355,8 @@ class BTAlgebra(_Tied):
     _ties = staticmethod(all_partitions)
     _mobius = staticmethod(mobius_partition)
 
-    @lru_cache(maxsize=None)
     def basis(self):
-        check_budget("R(S_{})", self.n,
-                     (factorial(k) * bell(k) for k in count()))
-        return [(p, w) for p in all_partitions(self.n)
-                for w in perms.all_perms(self.n)]
+        return r_symmetric_keys(self.n)
 
     def g(self, i):
         return self.basis_element((SetPartition.singletons(self.n),
@@ -380,14 +381,8 @@ class BHAlgebra(_Tied):
     _ties = staticmethod(linear_partitions)
     _mobius = staticmethod(mobius_linear)
 
-    @lru_cache(maxsize=None)
     def basis(self):
-        check_budget("BR(S_{})", self.n, boxed_sizes(factorial))
-        out = []
-        for p in linear_partitions(self.n):
-            for w in perms.young_subgroup(p.to_composition()):
-                out.append((p, w))
-        return out
+        return br_symmetric_keys(self.n)
 
     def z(self, i):
         return self.basis_element((_tie(self.n, i), perms.sgen(self.n, i)))
@@ -429,17 +424,15 @@ class BTLAlgebra(_Algebra):
         ident = TLAlgebra(self.n).one_key()
         return self.element({(mu, ident): ONE for mu in compositions(self.n)})
 
-    @lru_cache(maxsize=None)
     def basis(self):
-        return list(boxed("J", self.n, lambda m: TLAlgebra(m).basis(),
-                          catalan))
+        return br_jones_keys(self.n)
 
     def mul_basis(self, key1, key2):
         (mu, d1), (nu, d2) = key1, key2
         if mu != nu:
             return {}
         d, loops = times(d1, d2)
-        return {(mu, d): DELTA ** loops}
+        return {(mu, d): _loop_factor(loops)}
 
     def star_key(self, key):
         mu, d = key
@@ -458,11 +451,15 @@ def iota1(x):
 
 @lru_cache(maxsize=None)
 def _hecke_to_tl_basis(n, w):
+    """The TL(n) image of h_w: that of w s_i times t_i - q^-1, for i the
+    last letter of the least reduced word of w."""
     tl = TLAlgebra(n)
-    out = tl.one()
-    for i in perms.lex_least_word(w):
-        out = out * (tl.hook(i) - tl.one() * QINV)
-    return out
+    word = perms.lex_least_word(w)
+    if not word:
+        return tl.one()
+    i = word[-1]
+    prefix = _hecke_to_tl_basis(n, perms.compose(w, perms.sgen(n, i)))
+    return prefix * (tl.hook(i) - tl.one() * QINV)
 
 
 def hecke_to_tl(x):

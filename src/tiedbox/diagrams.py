@@ -4,11 +4,11 @@ where i is the i-th top point and n+i the i-th bottom point.
 `Diagram` is a `SetPartition` of {1..2n}: it adds n, `*` as concatenation
 with loops discarded, `top`, `flip` and its text form `n; blocks`, and it
 compares and hashes by the inherited label tuple, never equal to a plain
-set partition.  `concat`, `over`, `perm_diagram` and `flip` read the
-canonical label tuples of their operands (`_index`) and their block counts
-(`_nblocks`), and build from labels through the one label builder, the
-inherited `Diagram._from_labels`; `Diagram(n, blocks)` checks parsed input
-and the hand-written generators.
+set partition.  Only this module and `setpartitions` read the canonical
+label tuples (`_index`) and block counts (`_nblocks`); the builders here
+build from labels through the one label builder, the inherited
+`Diagram._from_labels`, and `Diagram(n, blocks)` checks parsed input and
+the hand-written generators.
 The inherited `join`, `act` and `restrict` return plain set partitions.
 Concatenation runs through a shared middle row: a list-based union-find
 over the blocks of the two factors, joined at the middle points, labels
@@ -17,7 +17,8 @@ every outer point and counts the closed middle components (loops).
 algebras, which multiply few distinct pairs many times; `*` is uncached.
 `closure` enumerates a generated monoid with one product per new element
 or relation (Froidure-Pin), reading every other product off the Cayley
-graphs.  `boxed` enumerates a boxed family BR(M) as (mu, over(*ds)).
+graphs.  `boxed` enumerates a boxed family BR(M) as (mu, over(*ds));
+`pieces` splits D back.
 """
 
 from functools import lru_cache
@@ -29,8 +30,9 @@ from . import perms
 
 __all__ = [
     "BUDGET", "BudgetExceeded", "Diagram", "concat", "times", "perm_diagram",
-    "hook", "tie", "closure", "boxed", "boxed_diagram", "is_boxed",
-    "boxed_composition", "over", "symmetric_diagrams", "transposition",
+    "perm_of_diagram", "hook", "tie_diagram", "closure", "boxed",
+    "boxed_diagram", "is_boxed", "boxed_composition", "over", "pieces",
+    "transposition",
     "letter_elements", "JONES_LETTERS", "BRAUER_LETTERS", "jones_monoid",
     "brauer_monoid", "partition_monoid",
 ]
@@ -111,6 +113,17 @@ def perm_diagram(w):
     return Diagram._from_labels(perms.identity(len(w)) + perms.inverse(w))
 
 
+def perm_of_diagram(d):
+    """The w with perm_diagram(w) == d: the top labels of d are 0..n-1,
+    and bottom point j has the label of top point w^-1(j)."""
+    n = d.n
+    index = d._index
+    below = [i + 1 for i in index[n:]]
+    if index[:n] != tuple(range(n)) or sorted(below) != list(range(1, n + 1)):
+        raise ValueError("not a permutation diagram")
+    return perms.inverse(below)
+
+
 def transposition(n, i):
     """The permutation diagram of s_i = (i, i+1)."""
     return perm_diagram(perms.sgen(n, i))
@@ -122,10 +135,13 @@ def hook(n, i):
     return Diagram(n, blocks + [(i, i + 1), (n + i, n + i + 1)])
 
 
-def tie(n, i, j):
-    """The identity with strands i and j tied."""
-    blocks = [(k, n + k) for k in range(1, n + 1) if k not in (i, j)]
-    return Diagram(n, blocks + [(i, j, n + i, n + j)])
+def tie_diagram(ties, w=None):
+    """The strands of w (default the identity) tied by the set partition
+    `ties` of {1..n}: bottom point j is tied like top point w^-1(j)."""
+    labels = ties._index
+    below = labels if w is None else \
+        tuple(labels[v - 1] for v in perms.inverse(w))
+    return Diagram._from_labels(labels + below)
 
 
 class BudgetExceeded(RuntimeError):
@@ -254,8 +270,7 @@ def _froidure_pin(gens):
 def boxed_diagram(mu):
     """b_mu: the coarsening of the identity given by a composition, cached
     so that the elements boxed by mu share one b_mu."""
-    n = sum(mu)
-    return Diagram(n, [(*box, *(n + x for x in box)) for box in intervals(mu)])
+    return tie_diagram(SetPartition.from_composition(mu))
 
 
 def is_boxed(d):
@@ -289,6 +304,15 @@ def over(*ds):
     return Diagram._from_labels(top + bottom)
 
 
+def pieces(d, mu):
+    """The inverse of `over`: the diagrams, one per box of mu, whose
+    horizontal product is d, for a d whose blocks each lie in one box."""
+    index, n = d._index, d.n
+    return [Diagram._from_labels([index[p - 1] for p in box]
+                                 + [index[n + p - 1] for p in box])
+            for box in intervals(mu)]
+
+
 def boxed(name, n, block_family, block_size):
     """The boxed family of `block_family` on n strands: the pairs (mu, D),
     D = over(*ds) with ds[k] in block_family(mu[k]), the first box most
@@ -298,10 +322,6 @@ def boxed(name, n, block_family, block_size):
     blocks = {m: block_family(m) for m in range(1, n + 1)}
     return ((mu, over(*ds)) for mu in compositions(n)
             for ds in product(*(blocks[m] for m in mu)))
-
-
-def symmetric_diagrams(n):
-    return [perm_diagram(w) for w in perms.all_perms(n)]
 
 
 def letter_elements(families, n):
@@ -319,9 +339,10 @@ BRAUER_LETTERS = (("s", transposition), ("t", hook))
 
 @lru_cache(maxsize=None)
 def jones_monoid(n):
-    """The Jones (Temperley-Lieb) monoid: closure of identity and hooks."""
+    """The Jones monoid, closure of identity and hooks, sorted by blocks."""
     gens = [perm_diagram(perms.identity(n))]
-    return tuple(closure(gens + letter_elements(JONES_LETTERS, n)))
+    return tuple(sorted(closure(gens + letter_elements(JONES_LETTERS, n)),
+                        key=lambda d: d.blocks))
 
 
 @lru_cache(maxsize=None)

@@ -1,24 +1,30 @@
 """Ramified partitions: pairs (I, J) of diagrams on n strands with I finer
 than J, multiplied componentwise.  The boxed families BR(M) require J to be
 a coarsening of the identity whose top restriction is linear.  Each family
-has one generating set, read by the presentation presets and `center`."""
+has one generating set, read by the presentation presets and `center`.
+R(S_n), BR(S_n) and BR(J_n) are the images of their key lists, the bases
+of BT(n), BH(n) and BTL(n), under the codecs `tied_element` (inverse
+`tied_key`) and `boxed_element`."""
 
 from functools import lru_cache, partial
 from itertools import count
 from math import factorial
 
-from .combinatorics import bell, catalan, double_factorial_odd, intervals
-from .setpartitions import SetPartition, _parse_blocks, all_partitions
+from .combinatorics import bell, boxed_sizes, catalan, double_factorial_odd, \
+    intervals
+from .setpartitions import SetPartition, _parse_blocks, all_partitions, \
+    linear_partitions
 from .diagrams import (BRAUER_LETTERS, JONES_LETTERS, Diagram, check_budget,
-                       perm_diagram, hook, tie, transposition, boxed,
-                       boxed_diagram, boxed_composition, letter_elements,
-                       symmetric_diagrams, jones_monoid, brauer_monoid,
-                       partition_monoid, times)
+                       perm_diagram, perm_of_diagram, hook, tie_diagram,
+                       transposition, boxed, boxed_diagram, boxed_composition,
+                       letter_elements, jones_monoid, brauer_monoid,
+                       partition_monoid, pieces, times)
 from . import perms
 
 __all__ = [
     "Ramified", "gen_s", "gen_e", "gen_e_boxes", "gen_e_pair", "gen_z", "gen_d", "gen_z_pair",
-    "r_symmetric", "sr_symmetric",
+    "r_symmetric_keys", "br_symmetric_keys", "br_jones_keys",
+    "tied_element", "tied_key", "boxed_element", "r_symmetric", "sr_symmetric",
     "br_symmetric", "br_jones", "br_brauer", "br_partition",
     "R_SYMMETRIC_LETTERS", "BR_SYMMETRIC_LETTERS", "BR_JONES_LETTERS",
     "BR_BRAUER_LETTERS", "sr_generators", "GENERATORS", "generators",
@@ -93,12 +99,13 @@ def gen_e(n, i):
 def gen_e_boxes(mu):
     """e_mu: identity with strands tied within each box of the
     composition mu."""
-    return Ramified(perm_diagram(perms.identity(sum(mu))), boxed_diagram(mu))
+    return boxed_element((mu, perm_diagram(perms.identity(sum(mu)))))
 
 
 def gen_e_pair(n, i, j):
     """e_{i,j}: identity with strands i and j tied."""
-    return Ramified(perm_diagram(perms.identity(n)), tie(n, i, j))
+    return Ramified(perm_diagram(perms.identity(n)),
+                    tie_diagram(SetPartition([(i, j)], n)))
 
 
 def gen_z(n, i):
@@ -108,7 +115,7 @@ def gen_z(n, i):
 
 def gen_d(n, i):
     """d_i = e_i t_i: tied hook."""
-    return Ramified(hook(n, i), tie(n, i, i + 1))
+    return Ramified(hook(n, i), gen_e(n, i).right)
 
 
 def gen_z_pair(n, r, i, j):
@@ -116,25 +123,47 @@ def gen_z_pair(n, r, i, j):
     return gen_e_pair(n, i, j) * gen_s(n, r)
 
 
-def from_perm_and_ties(w, ties):
-    """The element of R(S_n) with permutation w and tie partition `ties`
-    (a SetPartition of the strand set {1..n}): bottom point j has the tie
-    label of top point w^-1(j)."""
-    labels = ties._index
-    below = tuple(labels[v - 1] for v in perms.inverse(w))
-    return Ramified(perm_diagram(w), Diagram._from_labels(labels + below))
+def tied_element(key):
+    """The element of R(S_n) with key (I, w): w, its strands tied by I."""
+    return Ramified(perm_diagram(key[1]), tie_diagram(*key))
+
+
+def tied_key(x):
+    """The key (I, w) of x in R(S_n): the inverse of `tied_element`."""
+    return x.right.top(), perm_of_diagram(x.left)
+
+
+def boxed_element(key):
+    """The element (D, b_mu) of a boxed family with key (mu, D)."""
+    return Ramified(key[1], boxed_diagram(key[0]))
+
+
+@lru_cache(maxsize=None)
+def r_symmetric_keys(n):
+    """The keys (I, w) of R(S_n), I outer: the basis of BT(n)."""
+    check_budget("R(S_{})", n, (factorial(k) * bell(k) for k in count()))
+    ws = perms.all_perms(n)
+    return tuple((p, w) for p in all_partitions(n) for w in ws)
+
+
+@lru_cache(maxsize=None)
+def br_symmetric_keys(n):
+    """The keys (I, w) of BR(S_n), I linear, w in S_I: the basis of BH(n)."""
+    check_budget("BR(S_{})", n, boxed_sizes(factorial))
+    return tuple((p, w) for p in linear_partitions(n)
+                 for w in perms.young_subgroup(p.to_composition()))
+
+
+@lru_cache(maxsize=None)
+def br_jones_keys(n):
+    """The keys (mu, D) of BR(J_n): the basis of BTL(n)."""
+    return tuple(boxed("J", n, jones_monoid, catalan))
 
 
 @lru_cache(maxsize=None)
 def r_symmetric(n):
-    """R(S_n): all (w, arbitrary tie partition); size n! * bell(n), see
-    `diagrams.check_budget`."""
-    check_budget("R(S_{})", n, (factorial(k) * bell(k) for k in count()))
-    out = []
-    for w in perms.all_perms(n):
-        for ties in all_partitions(n):
-            out.append(from_perm_and_ties(w, ties))
-    return tuple(out)
+    """R(S_n), in the order of its keys."""
+    return tuple(map(tied_element, r_symmetric_keys(n)))
 
 
 @lru_cache(maxsize=None)
@@ -145,33 +174,30 @@ def sr_symmetric(n):
                  if x.left != x.right)
 
 
-def _boxed_family(name, n, block_family, block_size):
-    """All (D, b_mu) for the pairs (mu, D) of `diagrams.boxed`."""
-    return [Ramified(d, boxed_diagram(mu))
-            for mu, d in boxed(name, n, block_family, block_size)]
-
-
 @lru_cache(maxsize=None)
 def br_symmetric(n):
-    return tuple(_boxed_family("S", n, symmetric_diagrams, factorial))
+    """BR(S_n), in the order of its keys, sharing each b_mu."""
+    return tuple(boxed_element((p.to_composition(), perm_diagram(w)))
+                 for p, w in br_symmetric_keys(n))
 
 
 @lru_cache(maxsize=None)
 def br_jones(n):
-    return tuple(_boxed_family("J", n, jones_monoid, catalan))
+    return tuple(map(boxed_element, br_jones_keys(n)))
 
 
 @lru_cache(maxsize=None)
 def br_brauer(n):
-    return tuple(_boxed_family("Br", n, brauer_monoid, double_factorial_odd))
+    return tuple(map(boxed_element, boxed("Br", n, brauer_monoid,
+                                          double_factorial_odd)))
 
 
 def br_partition(n):
     """BR(P_n).  Not cached, unlike the other families: only the
     cardinality check (once per n) and the CLI read it, and at n = 4 its
     5,373 elements would stay alive for the rest of the run."""
-    return tuple(_boxed_family("P", n, partition_monoid,
-                               lambda m: bell(2 * m)))
+    return tuple(map(boxed_element, boxed("P", n, partition_monoid,
+                                          lambda m: bell(2 * m))))
 
 
 def sr_generators(n):
@@ -213,22 +239,6 @@ def center(elements, generators):
 
 # ---------------------------------------------------------------------------
 # normal forms
-
-
-def perm_of_diagram(d):
-    """Extract one-line notation from a permutation diagram: its top labels
-    are 0..n-1, and bottom point j has the label of top point w^-1(j)."""
-    n = d.n
-    index = d._index
-    below = [i + 1 for i in index[n:]]
-    if index[:n] != tuple(range(n)) or sorted(below) != list(range(1, n + 1)):
-        raise ValueError("not a permutation diagram")
-    return perms.inverse(below)
-
-
-def tie_partition(x):
-    """The partition of the strand set induced by the right component."""
-    return x.right.top()
 
 
 def chain_pairs(ties):
@@ -289,8 +299,7 @@ def normal_form_srs(x, word=None):
     """Normal form of a singular element of R(S_n): the tie chain with its
     first pair folded into decorated generators z^r_{i,j}."""
     n = x.n
-    w = perm_of_diagram(x.left)
-    ties = tie_partition(x)
+    ties, w = tied_key(x)
     pairs = chain_pairs(ties)
     if not pairs:
         raise ValueError("element is not singular")
@@ -364,17 +373,14 @@ def normal_form_brbr(x):
     tie inside the boxed part e.
     """
     mu = boxed_composition(x.right)
-    n = x.n
     s_parts, s2_parts, d_word = [], [], []
     # split the Brauer component at exactly the box boundaries
-    for box in intervals(mu):
-        points = [*box, *(n + p for p in box)]
-        f = Diagram._from_labels(x.left.restrict(points)._index)
+    for box, f in zip(intervals(mu), pieces(x.left, mu)):
         s, k, s2 = _brauer_factorization(f)
         s_parts.append(s)
         s2_parts.append(s2)
         d_word.extend(box[2 * j] for j in range(k))
-    return {"n": n, "e_boxes": mu,
+    return {"n": x.n, "e_boxes": mu,
             "z_word": perms.lex_least_word(perms.glue(s_parts)),
             "d_word": tuple(d_word),
             "z_word_2": perms.lex_least_word(perms.glue(s2_parts))}

@@ -120,7 +120,7 @@ class TensorRep:
         self.tensors = range(self.dim) if tensors is None else tensors
         self._memo = {}
 
-    def _index(self, factors):
+    def _tensor_index(self, factors):
         idx = 0
         for (i, a) in factors:
             idx = idx * self.vdim + (i - 1) * self.n + (a - 1)
@@ -147,7 +147,7 @@ class TensorRep:
             (b_i, b_col) = f[i]
             swapped = list(f)
             swapped[i - 1], swapped[i] = f[i], f[i - 1]
-            jdx = self._index(swapped)
+            jdx = self._tensor_index(swapped)
             if a_col != b_col:
                 out[idx] = {jdx: ONE}
             elif a_i == b_i:
@@ -222,7 +222,7 @@ def _least_blocks(n):
         strands = {i for i, _ in block}
         if max(strands, default=0) == len(strands) \
                 and block == _least_renaming(block, n):
-            out.extend(map(rep._index, set(permutations(block))))
+            out.extend(map(rep._tensor_index, set(permutations(block))))
     return tuple(sorted(out))
 
 

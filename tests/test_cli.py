@@ -252,7 +252,7 @@ def test_oversized_r_symmetric_is_inconclusive_without_enumerating(
     from tiedbox import ramified
 
     # |R(S_7)| = 7! * bell(7) = 4,420,080 is known before any element is built
-    monkeypatch.setattr(ramified, "from_perm_and_ties",
+    monkeypatch.setattr(ramified, "tied_element",
                         lambda *args: pytest.fail("R(S_7) was enumerated"))
     code, records = run(capsys, *argv)
     assert code == 2
@@ -301,7 +301,7 @@ def test_oversized_murphy_construction_is_inconclusive_without_products(
 ])
 def test_oversized_direct_enumerations_are_inconclusive_without_enumerating(
         argv, reason, monkeypatch, capsys):
-    from tiedbox import combinatorics, diagrams, ramified, setpartitions
+    from tiedbox import combinatorics, diagrams, perms, ramified, setpartitions
 
     # the sizes are known before any element is built
     def enumerated(*args):
@@ -313,7 +313,9 @@ def test_oversized_direct_enumerations_are_inconclusive_without_enumerating(
     monkeypatch.setattr(ramified, "all_partitions", enumerated)
     monkeypatch.setattr(setpartitions, "all_partitions", enumerated)
     monkeypatch.setattr(setpartitions, "growth_strings", enumerated)
-    monkeypatch.setattr(ramified, "symmetric_diagrams", enumerated)
+    monkeypatch.setattr(ramified, "linear_partitions", enumerated)
+    monkeypatch.setattr(perms, "all_perms", enumerated)
+    monkeypatch.setattr(perms, "young_subgroup", enumerated)
     monkeypatch.setattr(diagrams, "over", enumerated)
     code, records = run(capsys, *argv)
     assert code == 2
@@ -329,7 +331,7 @@ def test_oversized_direct_enumerations_are_inconclusive_without_enumerating(
 ])
 def test_oversized_algebra_bases_are_inconclusive_without_enumerating(
         algebra, n, reason, monkeypatch, capsys):
-    from tiedbox import algebras, perms
+    from tiedbox import algebras, perms, ramified
 
     # the dimensions are known before any basis key is built
     def enumerated(*args):
@@ -338,7 +340,10 @@ def test_oversized_algebra_bases_are_inconclusive_without_enumerating(
     for module, name in ((perms, "all_perms"), (perms, "young_subgroup"),
                          (algebras, "all_partitions"),
                          (algebras, "linear_partitions"),
-                         (algebras, "compositions")):
+                         (algebras, "compositions"),
+                         (ramified, "all_partitions"),
+                         (ramified, "linear_partitions"),
+                         (ramified, "jones_monoid")):
         monkeypatch.setattr(module, name, enumerated)
     code, records = run(capsys, "multiply", "--algebra", algebra, "--n", str(n),
                         "--lhs", "0", "--rhs", "0")

@@ -21,12 +21,12 @@ from tiedbox.diagrams import (
     over,
     partition_monoid,
     perm_diagram,
-    tie,
+    pieces,
+    tie_diagram,
 )
 from tiedbox.perms import all_perms, compose, identity
 from tiedbox.ramified import Ramified, br_symmetric, evaluate_normal_form, \
-    generators, r_symmetric, ramified_identity, \
-    from_perm_and_ties, normal_form_brbr
+    generators, r_symmetric, ramified_identity, tied_element, normal_form_brbr
 from tiedbox.setpartitions import SetPartition, all_partitions
 
 
@@ -109,9 +109,10 @@ def test_every_builder_returns_a_diagram():
     # `*` is join, so every diagram builder must return the class Diagram
     d, w = hook(3, 1), perm_diagram((2, 3, 1))
     x = Ramified.parse("3; 1,5|2,4|3,6 ; 1,2,4,5|3,6")
-    y = from_perm_and_ties((2, 3, 1), SetPartition.parse("1,3|2", 3))
+    y = tied_element((SetPartition.parse("1,3|2", 3), (2, 3, 1)))
     built = [concat(d, w)[0], d * w, over(d, w), over(), w, d.flip(), d,
-             tie(3, 1, 3), boxed_diagram((2, 1)), Diagram.parse(str(d)),
+             tie_diagram(SetPartition([(1, 3)], 3)), boxed_diagram((2, 1)),
+             *pieces(over(d, w), (3, 3)), Diagram.parse(str(d)),
              x.left, x.right, y.left, y.right, *partition_monoid(2),
              *jones_monoid(3), *brauer_monoid(3)]
     assert {type(b) for b in built} == {Diagram}

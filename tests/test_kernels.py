@@ -2,13 +2,14 @@
 `concat`, and the products of the ramified monoids, TL(n) and BTL(n)
 through the cached `times`) against the dict-based union-find they
 replaced, the builders that emit labels (`all_partitions`, `over`,
-`perm_diagram`, `perm_of_diagram`, `from_perm_and_ties`, `flip`,
-`support_partition`) against their definitions by blocks, equality, hash
-and refinement of the label tuples against the blocks, the methods that
-read the labels against the blocks a partition used to store, and the
-indexed, memoized word reduction of Knuth-Bendix against a search of every
-lhs by `find`."""
+`pieces`, `perm_diagram`, `perm_of_diagram`, `tie_diagram`,
+`boxed_diagram`, `tied_element`, `flip`, `support_partition`) against
+their definitions by blocks, equality, hash and refinement of the label
+tuples against the blocks, the methods that read the labels against the
+blocks a partition used to store, and the indexed, memoized word reduction
+of Knuth-Bendix against a search of every lhs by `find`."""
 
+from itertools import product
 from math import factorial
 
 import pytest
@@ -18,11 +19,12 @@ from hypothesis import strategies as st
 from tiedbox import algebras, diagrams, perms, presentations
 from tiedbox.algebras import BTLAlgebra, TLAlgebra
 from tiedbox.cellular import btl_cellular, tl_cellular
-from tiedbox.combinatorics import bell, intervals
-from tiedbox.diagrams import Diagram, brauer_monoid, concat, hook, over, \
-    partition_monoid, perm_diagram, times
+from tiedbox.combinatorics import bell, compositions, intervals
+from tiedbox.diagrams import Diagram, boxed_diagram, brauer_monoid, concat, \
+    hook, jones_monoid, over, partition_monoid, perm_diagram, \
+    perm_of_diagram, pieces, tie_diagram, times
 from tiedbox.laurent import DELTA
-from tiedbox.ramified import Ramified, from_perm_and_ties, perm_of_diagram
+from tiedbox.ramified import Ramified, tied_element, tied_key
 from tiedbox.setpartitions import SetPartition, all_partitions, \
     mobius_linear, mobius_partition
 
@@ -366,11 +368,38 @@ def test_permutation_builders_match_their_block_definitions():
             assert support == reference_support_partition(w)
             assert_canonical(support)
             for ties in all_partitions(n):
-                x = from_perm_and_ties(w, ties)
+                x = tied_element((ties, w))
                 assert x.left == d
                 assert x.right == Diagram(n, [
                     b + tuple(n + w[v - 1] for v in b) for b in ties.blocks])
                 assert_canonical(x.right)
+                assert tied_key(x) == (ties, w)
+
+
+def reference_tie(n, i, j):
+    """The identity with strands i and j tied, by its blocks."""
+    blocks = [(k, n + k) for k in range(1, n + 1) if k not in (i, j)]
+    return Diagram(n, blocks + [(i, j, n + i, n + j)])
+
+
+def reference_boxed_diagram(mu):
+    """b_mu, by its blocks: each box joined with the box below it."""
+    n = sum(mu)
+    return Diagram(n, [(*box, *(n + x for x in box)) for box in intervals(mu)])
+
+
+def test_tie_diagram_matches_its_block_definitions():
+    for n in range(5):
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                d = tie_diagram(SetPartition([(i, j)], n))
+                assert d == reference_tie(n, i, j)
+                assert_canonical(d)
+        for mu in compositions(n):
+            d = tie_diagram(SetPartition.from_composition(mu))
+            assert d == boxed_diagram(mu) == reference_boxed_diagram(mu)
+            assert_canonical(d)
+            assert boxed_diagram(mu) is boxed_diagram(mu)
 
 
 def test_flip_and_perm_of_diagram_on_every_diagram():
@@ -504,6 +533,18 @@ def box_pieces(d, mu):
     n = d.n
     return [Diagram(len(box), d.restrict([*box, *(n + p for p in box)]).blocks)
             for box in intervals(mu)]
+
+
+@pytest.mark.parametrize("family", [jones_monoid, brauer_monoid])
+def test_pieces_invert_over(family):
+    for n in range(5):
+        for mu in compositions(n):
+            for ds in product(*map(family, mu)):
+                got = pieces(over(*ds), mu)
+                assert got == list(ds) == box_pieces(over(*ds), mu)
+                for d in got:
+                    assert type(d) is Diagram
+                    assert_canonical(d)
 
 
 def reference_btl_product(key1, key2):

@@ -248,6 +248,38 @@ def test_partition_fields_are_written_only_in_setpartitions():
     assert not writes
 
 
+LABEL_READERS = {"setpartitions.py", "diagrams.py"}
+
+
+def label_reads(tree):
+    """Line numbers where the labels of a set partition are read: any use
+    of `<expr>._index`, `<expr>._nblocks` or `<expr>._from_labels`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                node.attr in {"_index", "_nblocks", "_from_labels"}:
+            yield node.lineno
+
+
+def test_label_scan_finds_reads():
+    code = "x = p._index\nk = d._nblocks + 1\nDiagram._from_labels(l)\n" \
+        "f = SetPartition._from_labels\nq = p.blocks\n" \
+        "r = rep._tensor_index(f)\nbasis_index(a)\nn = p.size\n" \
+        "for i in d._index[n:]: pass\n"
+    assert sorted(label_reads(ast.parse(code))) == [1, 2, 3, 4, 9]
+
+
+def test_only_setpartitions_and_diagrams_read_labels():
+    # the canonical labels are one encoding, built and read by the two
+    # modules that define it; the others go through their builders
+    package = pathlib.Path(tiedbox.__file__).parent
+    reads = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             if path.name not in LABEL_READERS
+             for line in label_reads(ast.parse(path.read_text()))]
+    assert not reads
+    assert all(any(label_reads(ast.parse((package / name).read_text())))
+               for name in LABEL_READERS)
+
+
 INEXACT_MODULES = {"fractions", "decimal"}
 
 

@@ -5,19 +5,23 @@ from itertools import product
 
 import pytest
 
-from tiedbox import perms
+from tiedbox import perms, ramified
+from tiedbox.algebras import BHAlgebra, BTAlgebra, BTLAlgebra
 from tiedbox.combinatorics import bell, compositions, intervals
-from tiedbox.diagrams import (boxed_diagram, brauer_monoid, closure, hook,
-                              jones_monoid, over, partition_monoid,
+from tiedbox.diagrams import (Diagram, boxed_diagram, brauer_monoid, closure,
+                              hook, jones_monoid, letter_elements,
+                              JONES_LETTERS, over, partition_monoid,
                               perm_diagram)
 from tiedbox.ramified import (
     Ramified,
-    _boxed_family,
     _brauer_factorization,
+    boxed_element,
     br_brauer,
     br_jones,
     br_partition,
+    br_jones_keys,
     br_symmetric,
+    br_symmetric_keys,
     brs_from_word,
     center,
     evaluate_normal_form,
@@ -29,10 +33,14 @@ from tiedbox.ramified import (
     normal_form_brs,
     normal_form_srs,
     r_symmetric,
+    r_symmetric_keys,
     ramified_identity,
     sr_symmetric,
     srs_from_word,
+    tied_element,
+    tied_key,
 )
+from tiedbox.setpartitions import all_partitions, linear_partitions
 
 
 def test_family_cardinalities():
@@ -242,18 +250,117 @@ def test_equality_with_a_foreign_operand_is_false():
         assert [w for w in values if w == v] == [v]
 
 
-def test_boxed_family_builds_each_block_list_once():
+def test_boxed_family_builds_each_block_list_once(monkeypatch):
     sizes = []
 
     def block_family(m):
         sizes.append(m)
         return partition_monoid(m)
 
-    family = _boxed_family("P", 3, block_family, lambda m: bell(2 * m))
+    monkeypatch.setattr(ramified, "partition_monoid", block_family)
+    family = br_partition(3)
     assert sizes == [1, 2, 3]
     # a reference that builds one block list per part of every composition
     reference = [Ramified(over(*ds), boxed_diagram(mu))
                  for mu in compositions(3)
                  for ds in product(*map(partition_monoid, mu))]
-    assert family == reference
-    assert br_partition(3) == tuple(reference)
+    assert family == tuple(reference)
+
+
+# ---------------------------------------------------------------------------
+# the key lists of the tied families and their codecs, against the
+# enumerations that the tied algebras and the monoids made of their own
+
+
+def reference_bt_keys(n):
+    return [(p, w) for p in all_partitions(n) for w in perms.all_perms(n)]
+
+
+def reference_bh_keys(n):
+    out = []
+    for p in linear_partitions(n):
+        for w in perms.young_subgroup(p.to_composition()):
+            out.append((p, w))
+    return out
+
+
+def closure_order_jones(m):
+    """J_m in the order of its closure, unsorted."""
+    gens = [perm_diagram(perms.identity(m))]
+    return closure(gens + letter_elements(JONES_LETTERS, m))
+
+
+def reference_btl_keys(n):
+    tl = {m: sorted(closure_order_jones(m), key=lambda d: d.blocks)
+          for m in range(1, n + 1)}
+    return [(mu, over(*ds)) for mu in compositions(n)
+            for ds in product(*(tl[m] for m in mu))]
+
+
+def reference_from_perm_and_ties(w, ties):
+    labels = ties._index
+    below = tuple(labels[v - 1] for v in perms.inverse(w))
+    return Ramified(perm_diagram(w), Diagram._from_labels(labels + below))
+
+
+def reference_r_symmetric(n):
+    """w outer, the tie partitions inner."""
+    return [reference_from_perm_and_ties(w, ties)
+            for w in perms.all_perms(n) for ties in all_partitions(n)]
+
+
+def reference_boxed_family(n, block_family):
+    return [Ramified(over(*ds), boxed_diagram(mu)) for mu in compositions(n)
+            for ds in product(*map(block_family, mu))]
+
+
+def symmetric_diagrams(m):
+    return [perm_diagram(w) for w in perms.all_perms(m)]
+
+
+@pytest.mark.parametrize("keys, algebra, reference, top", [
+    (r_symmetric_keys, BTAlgebra, reference_bt_keys, 4),
+    (br_symmetric_keys, BHAlgebra, reference_bh_keys, 5),
+    (br_jones_keys, BTLAlgebra, reference_btl_keys, 5),
+])
+def test_key_lists_are_the_tied_algebra_bases(keys, algebra, reference, top):
+    for n in range(top + 1):
+        assert type(keys(n)) is tuple
+        assert keys(n) is keys(n) is algebra(n).basis()
+        assert list(keys(n)) == reference(n)
+
+
+def test_tied_key_inverts_tied_element():
+    for keys, top in ((r_symmetric_keys, 4), (br_symmetric_keys, 5)):
+        for n in range(top + 1):
+            for key in keys(n):
+                assert tied_key(tied_element(key)) == key
+
+
+@pytest.mark.parametrize("family, reference, top", [
+    (r_symmetric, reference_r_symmetric, 4),
+    (br_symmetric, lambda n: reference_boxed_family(n, symmetric_diagrams), 5),
+    (br_jones, lambda n: reference_boxed_family(n, closure_order_jones), 5),
+])
+def test_families_are_the_images_of_their_keys(family, reference, top):
+    for n in range(top + 1):
+        want = reference(n)
+        assert len(family(n)) == len(want)
+        assert set(family(n)) == set(want)
+
+
+def test_families_are_built_by_the_codecs():
+    for n in range(5):
+        assert r_symmetric(n) == tuple(map(tied_element, r_symmetric_keys(n)))
+        assert br_jones(n) == tuple(map(boxed_element, br_jones_keys(n)))
+        assert [tied_key(x) for x in br_symmetric(n)] == \
+            list(br_symmetric_keys(n))
+
+
+def test_boxed_elements_share_their_boxed_part():
+    for n in range(5):
+        for family in (br_symmetric, br_jones, br_brauer):
+            for x in family(n):
+                assert x.right is boxed_diagram(x.right.top().to_composition())
+        for (_, d), x in zip(br_jones_keys(n), br_jones(n)):
+            assert x.left is d

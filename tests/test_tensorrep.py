@@ -149,7 +149,7 @@ def test_one_block_per_type_is_an_isomorphic_copy(n, kept_tensors, kept_blocks):
         ((image, rename),) = onto.items()
 
         def phi(idx):
-            return full._index([rename(f) for f in full._factors(idx)])
+            return full._tensor_index([rename(f) for f in full._factors(idx)])
 
         assert sorted(map(phi, tensors)) == by_block[image]
         for m_full, m_small in operators:
