@@ -34,14 +34,11 @@ __all__ = [
 ]
 
 
-def _coeff(c):
-    return LaurentPoly.const(c) if isinstance(c, int) else c
-
-
 class AlgebraElement:
     """A finite linear combination of basis keys of a fixed algebra.  Every
     element is built by `__init__`, which drops zero coefficients, and is
-    never changed; sums and products need two elements of one algebra."""
+    never changed; sums and products need two elements of one algebra, and
+    a scalar, a LaurentPoly, multiplies through `scale`."""
 
     __slots__ = ("algebra", "terms")
 
@@ -50,7 +47,6 @@ class AlgebraElement:
         self.terms = {}
         if terms:
             for k, v in terms.items():
-                v = _coeff(v)
                 if v:
                     self.terms[k] = v
 
@@ -58,8 +54,6 @@ class AlgebraElement:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == (self.algebra.one() * other).terms
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.algebra is other.algebra and self.terms == other.terms
@@ -83,12 +77,9 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, c):
-        c = _coeff(c)
         return AlgebraElement(self.algebra, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            return self.scale(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         if self.algebra is not other.algebra:
@@ -183,8 +174,8 @@ class _Straightened(_Algebra):
 
 def _steinberg_body(one, x, y):
     """1 + q x + q y + q^2 x y + q^2 y x + q^3 x y x."""
-    return (one + x * Q + y * Q + x * y * (Q * Q)
-            + y * x * (Q * Q) + x * y * x * (Q * Q * Q))
+    return (one + x.scale(Q) + y.scale(Q) + (x * y).scale(Q * Q)
+            + (y * x).scale(Q * Q) + (x * y * x).scale(Q * Q * Q))
 
 
 @lru_cache(maxsize=None)
@@ -337,7 +328,8 @@ class _Tied(_Straightened):
         inversion over the lattice of the algebra's tie partitions (mu is
         0 unless I <= J)."""
         ident = perms.identity(self.n)
-        return self.element({(j_part, ident): self._mobius(i_part, j_part)
+        return self.element({(j_part, ident):
+                             LaurentPoly.const(self._mobius(i_part, j_part))
                              for j_part in self._ties(self.n)})
 
     def steinberg(self, i, j):
@@ -402,7 +394,7 @@ class BHAlgebra(_Tied):
 
     def d(self, i):
         """d_i = q^-1 e_i + z_i."""
-        return self.e(i) * QINV + self.z(i)
+        return self.e(i).scale(QINV) + self.z(i)
 
 
 class BTLAlgebra(_Algebra):
@@ -459,7 +451,7 @@ def _hecke_to_tl_basis(n, w):
         return tl.one()
     i = word[-1]
     prefix = _hecke_to_tl_basis(n, perms.compose(w, perms.sgen(n, i)))
-    return prefix * (tl.hook(i) - tl.one() * QINV)
+    return prefix * (tl.hook(i) - tl.one().scale(QINV))
 
 
 def hecke_to_tl(x):

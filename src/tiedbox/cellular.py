@@ -14,7 +14,7 @@ BTL(n).  One cell order serves all four (`_multi_greater`)."""
 
 from typing import NamedTuple
 
-from .laurent import ZERO, Q, LaurentFrac
+from .laurent import ONE, ZERO, Q, LaurentFrac
 from .combinatorics import compositions, dominates, \
     multipartitions_of_composition, initial_kind_multitableaux, \
     d_of_multitableau
@@ -149,14 +149,14 @@ def transition_matrix(datum):
 def _frac_inverse(rows, dim):
     """Dense Gauss-Jordan inverse over the fraction field."""
     a = [[LaurentFrac(rows[i].get(j, ZERO)) for j in range(dim)]
-         + [LaurentFrac(1 if j == i else 0) for j in range(dim)]
+         + [LaurentFrac(ONE if j == i else ZERO) for j in range(dim)]
          for i in range(dim)]
     for col in range(dim):
         piv = next((r for r in range(col, dim) if a[r][col]), None)
         if piv is None:
             raise ValueError("transition matrix is singular")
         a[col], a[piv] = a[piv], a[col]
-        inv = LaurentFrac(1) / a[col][col]
+        inv = LaurentFrac(ONE) / a[col][col]
         a[col] = [v * inv for v in a[col]]
         for r in range(dim):
             if r != col and a[r][col]:
@@ -202,7 +202,7 @@ def cell_axiom_check(datum):
             f = LaurentFrac(v)
             for r in range(dim):
                 if minv[j][r]:
-                    w = out.get(r, LaurentFrac(0)) + f * minv[j][r]
+                    w = out.get(r, LaurentFrac(ZERO)) + f * minv[j][r]
                     if w:
                         out[r] = w
                     else:

@@ -150,15 +150,19 @@ def exit_code(records):
     return 0
 
 
-def cmd_enumerate(args):
-    family = MONOIDS[args.monoid]
-    elements = family(args.n)
-    records = [{"name": f"enumerate:{args.monoid}:n={args.n}",
-                "count": len(elements), "status": "pass"}]
-    if args.ramified:
-        for x in sorted(str(e) for e in elements):
-            records.append({"element": x, "status": "pass"})
+def listing(name, elements, with_elements=True):
+    """The count record of a set of monoid elements, then, if asked, one
+    record per element in sorted text encoding."""
+    records = [{"name": name, "count": len(elements), "status": "pass"}]
+    if with_elements:
+        records += [{"element": x, "status": "pass"}
+                    for x in sorted(map(str, elements))]
     return records
+
+
+def cmd_enumerate(args):
+    return listing(f"enumerate:{args.monoid}:n={args.n}",
+                   MONOIDS[args.monoid](args.n), args.ramified)
 
 
 def cmd_present_check(args):
@@ -211,13 +215,9 @@ def cmd_idempotent_check(args):
 
 def cmd_center(args):
     family = MONOIDS[args.monoid]
-    elements = ramified.center(family(args.n),
-                               ramified.generators(family, args.n))
-    records = [{"name": f"center:{args.monoid}:n={args.n}",
-                "count": len(elements), "status": "pass"}]
-    for x in sorted(str(e) for e in elements):
-        records.append({"element": x, "status": "pass"})
-    return records
+    return listing(f"center:{args.monoid}:n={args.n}",
+                   ramified.center(family(args.n),
+                                   ramified.generators(family, args.n)))
 
 
 NORMAL_FORMS = {

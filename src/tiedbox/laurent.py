@@ -6,6 +6,15 @@ floating point is used anywhere.  Rank computations are either exact
 (elimination over the fraction field, in `echelon_reduce`) or probabilistic
 (modular evaluation at random points, seeded).
 
+Every arithmetic operator takes two values of one class: a `LaurentPoly`
+with a `LaurentPoly`, a `LaurentFrac` with a `LaurentFrac`.  Any other
+operand, an int included, gives NotImplemented, so Python raises
+TypeError; no class has a reflected operator.  Integers enter in one
+place, `LaurentPoly.const`, and a fraction is built from LaurentPolys only
+(`LaurentFrac(p)` is the whole fraction p).  So a LaurentPoly never equals
+an int, nor a LaurentFrac its numerator, and `sum()` over LaurentPolys
+needs the start value ZERO.
+
 `LaurentPoly` and `LaurentFrac` values are immutable, and equal values may
 be one shared object: a product with the unit returns the other factor,
 and `add_term` stores the coefficient it is given.  Nothing may change a
@@ -125,13 +134,6 @@ def _mul(a, b):
     return out
 
 
-def _operand(x):
-    """An int as a LaurentPoly; None for an operand of a foreign type."""
-    if isinstance(x, int):
-        return LaurentPoly.const(x)
-    return None
-
-
 class LaurentPoly:
     """An element of Z[q, q^-1], stored as a dict exponent -> coefficient.
 
@@ -158,11 +160,9 @@ class LaurentPoly:
     def __eq__(self, other):
         if self is other:
             return True
-        if other.__class__ is LaurentPoly:
-            return (self._h is None or other._h is None) and self.c == other.c
-        if isinstance(other, int):
-            return self.c == ({0: other} if other else {})
-        return NotImplemented
+        if other.__class__ is not LaurentPoly:
+            return NotImplemented
+        return (self._h is None or other._h is None) and self.c == other.c
 
     def __hash__(self):
         h = self._h
@@ -170,39 +170,26 @@ class LaurentPoly:
 
     def __add__(self, other):
         if other.__class__ is not LaurentPoly:
-            other = _operand(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         if other is ZERO:
             return self
         if self is ZERO:
             return other
         return _memo(_sums, _add, self, other)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _poly({e: -v for e, v in self.c.items()})
 
     def __sub__(self, other):
         if other.__class__ is not LaurentPoly:
-            other = _operand(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         if other is ZERO:
             return self
         return _memo(_differences, _sub, self, other)
 
-    def __rsub__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        return -self + other
-
     def __mul__(self, other):
         if other.__class__ is not LaurentPoly:
-            other = _operand(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         if other is ONE:
             return self
         if self is ONE:
@@ -210,8 +197,6 @@ class LaurentPoly:
         if self is ZERO or other is ZERO:
             return ZERO
         return _memo(_products, _mul, self, other)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
@@ -357,6 +342,8 @@ def poly_gcd(f, g):
 
 class LaurentFrac:
     """A fraction of Laurent polynomials, reduced so equality is structural.
+    Its numerator and denominator are LaurentPolys; any other value is a
+    TypeError.
     A denominator 1 is ONE itself, and arithmetic skips the products by it.
     A fraction over ONE is whole: once its gcd is taken (`poly_gcd` returns
     ONE at once) it keeps its numerator as it is.  Every fraction, a
@@ -366,13 +353,10 @@ class LaurentFrac:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=ONE):
-        if isinstance(num, int):
-            num = LaurentPoly.const(num)
-        if den is not ONE:
-            if isinstance(den, int):
-                den = LaurentPoly.const(den)
-            if den is ZERO:
-                raise ZeroDivisionError
+        if num.__class__ is not LaurentPoly or den.__class__ is not LaurentPoly:
+            raise TypeError("a LaurentFrac is a quotient of two LaurentPoly values")
+        if den is ZERO:
+            raise ZeroDivisionError
         if num is ZERO:
             self.num, self.den = ZERO, ONE
             return
@@ -396,68 +380,45 @@ class LaurentFrac:
         return bool(self.num)
 
     def __eq__(self, other):
-        other = _frac(other)
-        if other is NotImplemented:
-            return other
+        if other.__class__ is not LaurentFrac:
+            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        other = _frac(other)
-        if other is NotImplemented:
-            return other
+        if other.__class__ is not LaurentFrac:
+            return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
         return LaurentFrac((a if d is ONE else a * d) + (c if b is ONE else c * b),
                            d if b is ONE else b if d is ONE else b * d)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return LaurentFrac(-self.num, self.den)
 
     def __sub__(self, other):
         if other.__class__ is not LaurentFrac:
-            other = _frac(other)
-            if other is NotImplemented:
-                return other
+            return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
         if b is ONE and d is ONE:
             return LaurentFrac(a - c)
         return LaurentFrac((a if d is ONE else a * d) - (c if b is ONE else c * b),
                            d if b is ONE else b if d is ONE else b * d)
 
-    def __rsub__(self, other):
-        other = _frac(other)
-        if other is NotImplemented:
-            return other
-        return other - self
-
     def __mul__(self, other):
         if other.__class__ is not LaurentFrac:
-            other = _frac(other)
-            if other is NotImplemented:
-                return other
+            return NotImplemented
         b, d = self.den, other.den
         return LaurentFrac(self.num * other.num,
                            d if b is ONE else b if d is ONE else b * d)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = _frac(other)
-        if other is NotImplemented:
-            return other
+        if other.__class__ is not LaurentFrac:
+            return NotImplemented
         b, d = self.den, other.den
         return LaurentFrac(self.num if d is ONE else self.num * d,
                            other.num if b is ONE else b * other.num)
-
-    def __rtruediv__(self, other):
-        other = _frac(other)
-        if other is NotImplemented:
-            return other
-        return other / self
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"
@@ -465,16 +426,7 @@ class LaurentFrac:
     __repr__ = __str__
 
 
-_FRAC_ZERO = LaurentFrac(0)
-
-
-def _frac(x):
-    """x as a LaurentFrac; NotImplemented for an operand of a foreign type."""
-    if isinstance(x, LaurentFrac):
-        return x
-    if isinstance(x, (int, LaurentPoly)):
-        return LaurentFrac(x)
-    return NotImplemented
+_FRAC_ZERO = LaurentFrac(ZERO)
 
 
 def _rank_modular(rows, seed):
@@ -534,14 +486,9 @@ def _int_rank_mod(rows, p):
 def echelon_reduce(basis, row):
     """Remainder of a sparse row after reduction against an echelon basis,
     a list of (pivot_col, row) pairs with LaurentFrac entries.  The entries
-    of `row` may be ints, LaurentPolys or LaurentFracs; `row` is not changed.
-    This is the one exact elimination loop of the package."""
-    r = {}
-    for j, v in row.items():
-        if isinstance(v, (int, LaurentPoly)):
-            v = LaurentFrac(v)
-        if v.num is not ZERO:
-            r[j] = v
+    of `row` are LaurentPolys; `row` is not changed.  This is the one exact
+    elimination loop of the package."""
+    r = {j: LaurentFrac(v) for j, v in row.items() if v is not ZERO}
     for pc, prow in basis:
         if pc in r:
             f = r[pc] / prow[pc]

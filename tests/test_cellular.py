@@ -119,7 +119,7 @@ def _scaled(datum, s, t):
     """`datum` with c_st multiplied by q (the hook label of H(S_3))."""
     lam = ((2, 1),)
     elements = dict(datum.elements)
-    elements[(lam, s, t)] = elements[(lam, s, t)] * Q
+    elements[(lam, s, t)] = elements[(lam, s, t)].scale(Q)
     return CellDatum(datum.algebra, elements)
 
 

@@ -2,8 +2,9 @@
 traced algebra classes are unrelated, no module changes a coefficient dict
 in place, no module but setpartitions.py writes the fields of a set
 partition, only `AlgebraElement.__init__` writes the fields of an algebra
-element, no module computes with anything but integers, and no module or
-test imports a name it does not use or assigns a local it never reads."""
+element, no arithmetic operator converts an operand of another class, no
+module computes with anything but integers, and no module or test imports a
+name it does not use or assigns a local it never reads."""
 
 import ast
 import functools
@@ -201,8 +202,8 @@ def test_element_field_scan_finds_writes():
 
 def test_element_fields_are_bound_only_by_the_constructor():
     # elements are hashed by their terms and kept in sets and dict keys, and
-    # `__init__` alone drops zero coefficients and turns ints into
-    # coefficients: every element is built there, and nothing changes one
+    # `__init__` alone drops zero coefficients: every element is built
+    # there, and nothing changes one
     package = pathlib.Path(tiedbox.__file__).parent
     places = {(path.name, function) for path in sorted(package.glob("*.py"))
               for function, _ in element_field_writes(ast.parse(path.read_text()))}
@@ -278,6 +279,66 @@ def test_only_setpartitions_and_diagrams_read_labels():
     assert not reads
     assert all(any(label_reads(ast.parse((package / name).read_text())))
                for name in LABEL_READERS)
+
+
+REFLECTED = {"__radd__", "__rsub__", "__rmul__", "__rtruediv__"}
+ONE_CLASS_MODULES = ("laurent.py", "algebras.py")
+
+
+def reflected_operators(tree):
+    """Line numbers where a class body defines or binds `__radd__`,
+    `__rsub__`, `__rmul__` or `__rtruediv__`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name in REFLECTED:
+                yield item.lineno
+            elif isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id in REFLECTED
+                    for t in item.targets):
+                yield item.lineno
+
+
+def int_tests(tree):
+    """Line numbers of an `isinstance(x, int)` call, `int` alone or in a
+    tuple of classes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
+                yield node.lineno
+
+
+def test_coercion_scans_find_them():
+    code = ("class A:\n"
+            "    def __radd__(self, o): pass\n"
+            "    __rmul__ = __mul__\n"
+            "    def __add__(self, o):\n"
+            "        return isinstance(o, int)\n"
+            "    __rsub__ = __rtruediv__ = None\n"
+            "def __radd__(a, b): pass\n"             # not in a class
+            "x = isinstance(v, (int, LaurentPoly))\n"
+            "y = isinstance(v, LaurentPoly)\n"
+            "z = int(v)\n")
+    tree = ast.parse(code)
+    assert sorted(reflected_operators(tree)) == [2, 3, 6]
+    assert sorted(int_tests(tree)) == [5, 8]
+
+
+def test_operators_take_one_class_of_operand():
+    # every arithmetic operator takes two values of its own class, and an
+    # integer becomes a coefficient only through `LaurentPoly.const`: no
+    # class has a reflected operator to meet an operand of another class,
+    # and the coefficient ring and the algebras test no value for an int
+    package = pathlib.Path(tiedbox.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in reflected_operators(ast.parse(path.read_text()))]
+    found += [f"{name}:{line}" for name in ONE_CLASS_MODULES
+              for line in int_tests(ast.parse((package / name).read_text()))]
+    assert not found
 
 
 INEXACT_MODULES = {"fractions", "decimal"}
