@@ -36,9 +36,10 @@ __all__ = [
 
 class AlgebraElement:
     """A finite linear combination of basis keys of a fixed algebra.  Every
-    element is built by `__init__`, which drops zero coefficients, and is
-    never changed; sums and products need two elements of one algebra, and
-    a scalar, a LaurentPoly, multiplies through `scale`."""
+    element is built by `__init__`, which drops zero coefficients and
+    refuses any coefficient that is not a LaurentPoly, and is never
+    changed; sums and products need two elements of one algebra, and a
+    scalar, a LaurentPoly, multiplies through `scale`."""
 
     __slots__ = ("algebra", "terms")
 
@@ -47,6 +48,8 @@ class AlgebraElement:
         self.terms = {}
         if terms:
             for k, v in terms.items():
+                if v.__class__ is not LaurentPoly:
+                    raise TypeError("an algebra element has LaurentPoly coefficients")
                 if v:
                     self.terms[k] = v
 

@@ -53,7 +53,7 @@ from .presentations import build_preset, presentation_check
 from .setpartitions import SetPartition, all_partitions, linear_partitions
 from .tensorrep import (
     TensorRep,
-    flatten_matrix,
+    lift,
     mat_add,
     mat_mul,
     mat_scale,
@@ -178,9 +178,11 @@ def check_representation(seed=0):
     among the operators of V^(tensor 3), and the faithful ranks of both
     algebras there.  A relation holds on V^(tensor 3) exactly when it holds
     on one block per type (see `tensorrep`), so the relations are checked on
-    those 76 of 729 tensors.  The ranks are the same on the blocks too, but
-    stay on all of V^(tensor 3): their exact elimination, and so its count
-    of gcd calls, depends on the rows it is given."""
+    those 76 of 729 tensors.  The rank rows are the images rho(E_I g_w) on
+    all of V^(tensor 3), lifted from the same 76 tensors: each block takes
+    the rows of the kept block of its type, renamed back onto it.  The
+    exact elimination, and so its count of gcd calls, sees the rows of the
+    whole space, in their order."""
     rep = TensorRep(3, one_block_per_type(3))
     one = rep.identity()
     e1, e2 = rep.E(1), rep.E(2)
@@ -208,12 +210,11 @@ def check_representation(seed=0):
                                == mat_mul(mat_mul(g1, e2), rep.G_inv(1))),
     }
     recs = [bool_record(name, ok) for name, ok in identities.items()]
-    full = TensorRep(3)
     for label, algebra, expected in (
         ("rep:faithful-rank-tied", BTAlgebra(3), 30),
         ("rep:faithful-rank-tied-boxed", BHAlgebra(3), 11),
     ):
-        rows = [flatten_matrix(full.rho_bt(key), full.dim) for key in algebra.basis()]
+        rows = [lift(rep.rho_bt(key), 3) for key in algebra.basis()]
         probable = matrix_rank(rows, mode="probabilistic", seed=seed)
         exact = matrix_rank(rows, mode="exact")
         rec = record(f"{label}:probabilistic", expected, probable)

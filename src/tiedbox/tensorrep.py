@@ -36,6 +36,16 @@ between them (the relation records of `checks.check_representation`, on
 these blocks), and for D = rho(x): it is zero exactly when it is zero on
 these blocks, so the images of a basis have the same rank there as on all
 of V^(tensor n).
+
+Read backwards, the argument lifts: a matrix M in the operators G_i and E_I
+is known on all of V^(tensor n) from its rows on one block per type.  One
+pass over the blocks (`_renamings`) renames each block onto the least
+block of its type; the kept blocks are those it leaves fixed.  If the
+renaming of t's block sends t to r(t), then M[t, s] = M[r(t), r(s)], so
+`lift` gives row t the row of r(t), its columns renamed back.  The
+faithful-rank rows of `checks.check_representation` are lifted so: equal,
+entry for entry and in order, to `flatten_matrix` of the operators on the
+whole space, which no check builds.
 """
 
 from functools import lru_cache, wraps
@@ -45,8 +55,8 @@ from .laurent import ONE, Q, QDIFF, add_term
 from .setpartitions import SetPartition
 from . import perms
 
-__all__ = ["TensorRep", "one_block_per_type", "mat_mul", "mat_add", "mat_scale",
-           "flatten_matrix"]
+__all__ = ["TensorRep", "one_block_per_type", "lift", "mat_mul", "mat_add",
+           "mat_scale", "flatten_matrix"]
 
 
 def _add_row(out, i, row, c):
@@ -202,32 +212,56 @@ class TensorRep:
         return out
 
 
-def _least_renaming(block, n):
+def _renaming(block, n):
     """The least multiset of (strand, color) factors into which `block` is
-    renamed by numbering its strands 1..k in order and permuting colors."""
+    renamed by numbering its strands 1..k in order and permuting colors,
+    and that renaming as a map of factors.  Of the color permutations that
+    reach the least multiset it takes the first in lexicographic order, so
+    a block that is the least of its type is renamed by the identity."""
     strands = {i: k for k, i in enumerate(sorted({i for i, _ in block}), 1)}
-    return min(tuple(sorted((strands[i], perm[a - 1]) for i, a in block))
-               for perm in permutations(range(1, n + 1)))
+    least, colors = min((tuple(sorted((strands[i], p[a - 1]) for i, a in block)), p)
+                        for p in permutations(range(1, n + 1)))
+    return least, {(i, a): (strands[i], colors[a - 1]) for i, a in block}
+
+
+def _least_renaming(block, n):
+    """The least multiset into which `block` is renamed."""
+    return _renaming(block, n)[0]
 
 
 @lru_cache(maxsize=None)
-def _least_blocks(n):
-    """The multisets of n factors that are the least of their type, with
-    strands 1..k (the least renaming numbers the strands so), each spread
-    into its tensors; sorted."""
-    rep = TensorRep(n)
-    factors = product(range(1, n + 1), repeat=2)
-    out = []
-    for block in combinations_with_replacement(factors, n):
-        strands = {i for i, _ in block}
-        if max(strands, default=0) == len(strands) \
-                and block == _least_renaming(block, n):
-            out.extend(map(rep._tensor_index, set(permutations(block))))
-    return tuple(sorted(out))
+def _renamings(n):
+    """One pass over the blocks of V^(tensor n).  Entry t is (r(t), back):
+    r(t) is the image of basis tensor t under the renaming of its block
+    onto the least block of its type, and `back` (one dict per block) sends
+    each tensor of that least block to the tensor of t's block renamed
+    onto it."""
+    index = TensorRep(n)._tensor_index
+    out = [None] * (n * n) ** n
+    for block in combinations_with_replacement(product(range(1, n + 1), repeat=2), n):
+        rename = _renaming(block, n)[1]
+        back = {}
+        for tensor in set(permutations(block)):
+            t, image = index(tensor), index([rename[f] for f in tensor])
+            out[t] = image, back
+            back[image] = t
+    return tuple(out)
 
 
 def one_block_per_type(n):
     """The basis tensors of V^(tensor n), in index order, of the blocks
-    whose multiset of factors is the least of its type: a new list each
-    call, from one enumeration of the least multisets per n."""
-    return list(_least_blocks(n))
+    that the renaming onto the least block of their type leaves fixed: a
+    new list each call, from one pass over the blocks per n."""
+    return [t for t, (image, _) in enumerate(_renamings(n)) if image == t]
+
+
+def lift(m, n):
+    """The flattened row (as `flatten_matrix` gives it) of the operator on
+    V^(tensor n) whose rows on `one_block_per_type(n)` are m, for m a
+    matrix in the operators G_i and E_I: row t is the row of r(t), its
+    columns renamed back into the block of t."""
+    renamings = _renamings(n)
+    dim = len(renamings)
+    return {t * dim + back[s]: v
+            for t, (image, back) in enumerate(renamings)
+            for s, v in m.get(image, {}).items()}

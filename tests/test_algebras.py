@@ -26,7 +26,7 @@ from tiedbox.algebras import (
 from tiedbox.combinatorics import bell, catalan, compositions, intervals
 from tiedbox.diagrams import JONES_LETTERS, Diagram, boxed_diagram, closure, \
     jones_monoid, letter_elements, over, perm_diagram
-from tiedbox.laurent import DELTA, ONE, Q, QDIFF, LaurentPoly, add_term, \
+from tiedbox.laurent import DELTA, ONE, Q, QDIFF, LaurentFrac, LaurentPoly, add_term, \
     echelon_insert
 from tiedbox.perms import all_perms, compose, identity, inverse
 from tiedbox.setpartitions import SetPartition, all_partitions, linear_partitions
@@ -404,3 +404,15 @@ def test_sums_and_differences_need_elements_of_one_algebra():
         with pytest.raises(TypeError):
             x * other
     assert (x + x) - x == x and x - x == HeckeAlgebra(2).zero()
+
+
+@pytest.mark.parametrize("coeff", [3, 0, 1.5, None, LaurentFrac(Q)])
+def test_an_element_refuses_a_coefficient_that_is_not_a_polynomial(coeff):
+    # refused where it is built, a zero too, not later inside a product
+    h = HeckeAlgebra(2)
+    with pytest.raises(TypeError):
+        h.element({(1, 2): coeff})
+    with pytest.raises(TypeError):
+        h.element({(1, 2): ONE, (2, 1): coeff})
+    three = LaurentPoly.const(3)
+    assert h.element({(1, 2): three}).terms == {(1, 2): three}

@@ -10,11 +10,13 @@ import pytest
 from tiedbox import checks, tensorrep
 from tiedbox.algebras import BHAlgebra, BTAlgebra
 from tiedbox.checks import check_representation
-from tiedbox.laurent import QDIFF, matrix_rank
+from tiedbox.laurent import Q, QDIFF, matrix_rank
+from tiedbox.perms import identity
 from tiedbox.setpartitions import all_partitions
 from tiedbox.tensorrep import (
     TensorRep,
     flatten_matrix,
+    lift,
     mat_add,
     mat_mul,
     one_block_per_type,
@@ -244,15 +246,75 @@ def test_mat_mul_count_of_the_oracle(monkeypatch, check, kwargs, calls):
 
 def test_a_check_frees_its_tensor_rep(monkeypatch):
     # a rep caches its generator matrices on itself, so they go with it
-    # when the check that built it returns
+    # when the check that built it returns; and no check builds the
+    # operators of all of V^(tensor 3)
     built = []
 
     class Recorded(TensorRep):
         def __init__(self, *args):
             super().__init__(*args)
-            built.append(weakref.ref(self))
+            built.append((weakref.ref(self), len(self.tensors), self.dim))
 
     monkeypatch.setattr(checks, "TensorRep", Recorded)
-    assert all(rec["status"] == "pass" for rec in checks.check_structure_constants())
-    gc.collect()
-    assert built and all(ref() is None for ref in built)
+    for check in (checks.check_structure_constants, checks.check_representation):
+        built.clear()
+        assert all(rec["status"] == "pass" for rec in check())
+        gc.collect()
+        assert built and all(ref() is None for ref, _, _ in built), check
+        assert all(spanned < dim for _, spanned, dim in built), check
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lifted_rows_are_the_full_space_rows(n):
+    full = TensorRep(n)
+    small = TensorRep(n, one_block_per_type(n))
+    for algebra in (BTAlgebra(n), BHAlgebra(n)):
+        for key in algebra.basis():
+            want = flatten_matrix(full.rho_bt(key), full.dim)
+            got = lift(small.rho_bt(key), n)
+            # the same entries, in the same order
+            assert list(got.items()) == list(want.items()), key
+
+
+def wrong_renamings(n):
+    """The table of `tensorrep._renamings(n)` through a renaming that first
+    reverses the order of each block's strands, keeping the colors: a
+    bijection of each block onto its kept block, but not one that carries
+    G_i to G_i."""
+    rep = TensorRep(n)
+
+    def rev(t):
+        f = rep._factors(t)
+        strands = sorted({i for i, _ in f})
+        flip = dict(zip(strands, reversed(strands)))
+        return rep._tensor_index([(flip[i], a) for i, a in f])
+
+    table = tensorrep._renamings(n)
+    out = []
+    for t in range(rep.dim):
+        image, back = table[rev(t)]
+        out.append((image, {s: rev(u) for s, u in back.items()}))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_wrong_block_row_or_renaming_lifts_to_other_rows(monkeypatch, n):
+    # a negative control for the lift: a corrupted block row changes the
+    # lifted row, and so does a renaming that does not keep the strands'
+    # order, on exactly the keys whose braid part moves a strand
+    full = TensorRep(n)
+    small = TensorRep(n, one_block_per_type(n))
+    wrong = wrong_renamings(n)
+    for algebra in (BTAlgebra(n), BHAlgebra(n)):
+        keys = algebra.basis()
+        want = {k: flatten_matrix(full.rho_bt(k), full.dim) for k in keys}
+        for key in keys:
+            bad = copy_matrix(small.rho_bt(key))
+            t = min(bad)
+            s = min(bad[t])
+            bad[t][s] = bad[t][s] * Q
+            assert lift(bad, n) != want[key], key
+        with monkeypatch.context() as m:
+            m.setattr(tensorrep, "_renamings", lambda n: wrong)
+            moved = [k for k in keys if lift(small.rho_bt(k), n) != want[k]]
+        assert moved == [k for k in keys if k[1] != identity(n)]
